@@ -49,6 +49,11 @@ class SpecError(ValueError):
     """An experiment spec failed validation."""
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Validated sweep description.  See ``load_spec`` for the JSON schema."""
@@ -93,8 +98,12 @@ def _validate(raw: dict) -> ExperimentSpec:
         problems = [problems]
     if not isinstance(problems, list) or not problems:
         raise SpecError("problems: empty grid")
-    for p in problems:
-        problem_from_config(p)  # raises on unknown family / bad keys
+    for i, p in enumerate(problems):
+        try:
+            problem_from_config(p)
+        except Exception as err:  # any build failure is a bad spec
+            raise SpecError(f"problems[{i}]: {type(err).__name__}: "
+                            f"{err}") from err
 
     algorithm = raw["algorithm"]
     if algorithm not in _ALGORITHMS:
@@ -105,7 +114,7 @@ def _validate(raw: dict) -> ExperimentSpec:
         grid = raw[name]
         if not isinstance(grid, list) or not grid:
             raise SpecError(f"{name}: empty grid")
-        if any((not isinstance(v, int)) or v < 1 for v in grid):
+        if any(not _is_int(v) or v < 1 for v in grid):
             raise SpecError(f"{name}: entries must be positive integers")
         return tuple(grid)
 
@@ -113,10 +122,10 @@ def _validate(raw: dict) -> ExperimentSpec:
     T_grid = int_grid("T_grid")
 
     n_seeds = raw.get("n_seeds", 1)
-    if not isinstance(n_seeds, int) or n_seeds < 1:
+    if not _is_int(n_seeds) or n_seeds < 1:
         raise SpecError(f"n_seeds: must be a positive integer, got {n_seeds}")
     base_seed = raw.get("base_seed", 0)
-    if not isinstance(base_seed, int):
+    if not _is_int(base_seed):
         raise SpecError("base_seed: must be an integer")
 
     eps_targets = raw.get("eps_targets", [])
@@ -135,7 +144,7 @@ def _validate(raw: dict) -> ExperimentSpec:
                         f"allowed: {_OVERRIDE_KEYS}")
 
     workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise SpecError(f"workers: must be a positive integer, got {workers}")
 
     return ExperimentSpec(

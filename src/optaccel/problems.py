@@ -11,6 +11,7 @@ noiseless case where every sample reveals the exact objective.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -155,6 +156,14 @@ class DiscreteLeastSquares(Problem):
 
     ``x`` equals ``atoms[j]`` with probability ``probs[j]`` and
     ``y | x=atoms[j] ~ Normal(label_means[j], label_stds[j]**2)``.
+
+    The closed forms work from the design's square-root factor
+    ``F = sqrt(probs)[:, None] * atoms`` (``n_atoms x d``) and
+    ``Fy = sqrt(probs) * label_means``:
+    ``L(w) = 0.5 ||F w - Fy||**2 + 0.5 sum_j probs[j] label_stds[j]**2``,
+    so the expected loss, its gradient and the suboptimality each cost
+    ``O(n_atoms d)``.  The ``d x d`` second moment ``F'F`` is built only
+    when ``second_moment`` is first read.
     """
 
     def __init__(self, family, atoms, probs, label_means, label_stds,
@@ -169,13 +178,16 @@ class DiscreteLeastSquares(Problem):
         self.params = dict(params)
         self.d = self.atoms.shape[1]
         self.has_exact_L = True
-        # second moment and cross moment give L in closed form:
-        # L(w) = 0.5 w'Mw - c'w + const
-        self.second_moment = np.einsum(
-            "j,ja,jb->ab", self.probs, self.atoms, self.atoms)
-        self._cross = self.probs * self.label_means @ self.atoms
-        self._const = 0.5 * float(
-            self.probs @ (self.label_means**2 + self.label_stds**2))
+        root_p = np.sqrt(self.probs)
+        self._F = root_p[:, None] * self.atoms
+        self._Fy = root_p * self.label_means
+        self._cross = self._Fy @ self._F
+        self._noise_floor = 0.5 * float(self.probs @ self.label_stds**2)
+
+    @functools.cached_property
+    def second_moment(self):
+        """Design second moment ``E[x x'] = F'F`` (``d x d``, built lazily)."""
+        return self._F.T @ self._F
 
     # -- sampling ---------------------------------------------------------
 
@@ -211,25 +223,31 @@ class DiscreteLeastSquares(Problem):
     # -- closed forms -------------------------------------------------------
 
     def exact_loss(self, w):
-        w = np.asarray(w, dtype=float)
-        return float(0.5 * w @ self.second_moment @ w - self._cross @ w
-                     + self._const)
+        r = self._F @ np.asarray(w, dtype=float) - self._Fy
+        return float(0.5 * r @ r + self._noise_floor)
 
     def suboptimality(self, w):
         """Exact ``L(w) - Lstar``, evaluated without cancellation.
 
         The expected loss is quadratic and the certified ``wstar`` is an
         exact stationary point, so the gap equals the second-order term
-        ``0.5 (w - wstar)' M (w - wstar)`` which stays accurate even when
-        it is far below the rounding floor of ``exact_loss``.
+        ``0.5 ||F (w - wstar)||**2`` which stays accurate even when it is
+        far below the rounding floor of ``exact_loss``.
         """
         if self.meta.wstar is None:
             return self.exact_loss(w) - self.meta.Lstar
-        v = np.asarray(w, dtype=float) - self.meta.wstar
-        return float(0.5 * v @ self.second_moment @ v)
+        # ``dot`` rather than ``@``: these run every step, and at small d
+        # matmul's dispatch costs more than the arithmetic
+        u = self._F.dot(np.asarray(w, dtype=float) - self.meta.wstar)
+        return 0.5 * float(u.dot(u))
 
     def exact_grad(self, w):
-        return self.second_moment @ np.asarray(w, dtype=float) - self._cross
+        w = np.asarray(w, dtype=float)
+        if self.meta.wstar is None:
+            return (self._F.dot(w) - self._Fy).dot(self._F)
+        # F'(F w - Fy) = F'F (w - wstar) at the stationary wstar; the centred
+        # form keeps its relative accuracy as w approaches the minimizer
+        return self._F.dot(w - self.meta.wstar).dot(self._F)
 
     def grad_second_moment(self, w):
         """Exact ``E ||grad l(w; z)||**2`` from the per-atom closed form."""
@@ -356,8 +374,9 @@ def make_interpolation_least_squares(d: int, n_atoms: int, H: float, B: float,
     label_means = atoms @ w0
 
     probs = np.full(n_atoms, 1.0 / n_atoms)
-    second = atoms.T @ atoms / n_atoms
-    evals = np.linalg.eigvalsh(second)
+    # the n_atoms x n_atoms Gram matrix shares the nonzero spectrum of the
+    # d x d second moment atoms' atoms / n_atoms
+    evals = np.linalg.eigvalsh(atoms @ atoms.T / n_atoms)
     lam = float(np.min(evals[evals > 1e-10 * evals.max()]))
     delta = float(0.5 * probs @ label_means**2)  # L(0), since L* = 0
     meta = ProblemMeta(H=float(H), B=float(B), Lstar=0.0, sigma_star_sq=0.0,
@@ -444,6 +463,8 @@ def make_growth_problem(d: int, r: int, lam: float, H: float, Delta: float,
         raise ValueError(f"need 1 <= r < d, got r={r}, d={d}")
     if not (0 < lam <= H):
         raise ValueError(f"need 0 < lam <= H, got lam={lam}, H={H}")
+    if not (np.isfinite(Delta) and Delta > 0):
+        raise ValueError(f"need finite Delta > 0, got Delta={Delta}")
     if r * lam > H * (1 + 1e-12):
         raise ValueError(
             f"infeasible: r*lam = {r * lam} exceeds H = {H}; the design "
@@ -527,6 +548,9 @@ _FAMILIES = {
     "noiseless_quadratic": make_noiseless_quadratic,
 }
 
+# family parameters that are sizes; JSON ``true`` must not pass as 1
+_INT_PARAMS = ("d", "n_atoms", "r", "n")
+
 
 def problem_from_config(config: dict) -> Problem:
     """Rebuild a problem from its declarative (family, params, seed) record."""
@@ -538,6 +562,11 @@ def problem_from_config(config: dict) -> Problem:
         raise ValueError(f"unknown problem family {family!r}; "
                          f"known: {sorted(_FAMILIES)}")
     params = dict(config.get("params", {}))
+    for name in _INT_PARAMS:
+        value = params.get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{family}: parameter {name!r} must be an "
+                             f"integer, got {value!r}")
     if family != "sign_vector":
         params["seed"] = config.get("seed", 0)
         return _FAMILIES[family](**params)

@@ -46,7 +46,8 @@ class RunTrace:
 
     @property
     def final_subopt(self) -> float:
-        return float(self.subopt[-1])
+        """Last recorded suboptimality; NaN when no step completed."""
+        return float(self.subopt[-1]) if len(self.subopt) else float("nan")
 
     def subopt_at(self, t: int) -> float:
         """Suboptimality of the averaged iterate after update ``t``."""

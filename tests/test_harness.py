@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from optaccel import harness, make_sign_vector_problem
 from optaccel.cli import main as cli_main
 from optaccel.harness import (ExperimentSpec, SpecError, emit_plotdata,
                               load_spec, run_experiment, save_spec, spec_hash)
@@ -83,6 +84,30 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match="overrides"):
             load_spec(write_spec(tmp_path, raw))
 
+    @pytest.mark.parametrize("key,value", [
+        ("b_grid", [True]), ("T_grid", [16, True]), ("n_seeds", True),
+        ("base_seed", False), ("workers", True)])
+    def test_bool_rejected_where_integer_expected(self, tmp_path, key, value):
+        raw = minimal_spec(tmp_path, **{key: value})
+        with pytest.raises(SpecError, match=key):
+            load_spec(write_spec(tmp_path, raw))
+
+    @pytest.mark.parametrize("problem,param", [
+        ({"family": "interpolation_least_squares",
+          "params": {"d": True, "n_atoms": 1, "H": 1.0, "B": 1.0}}, "d"),
+        ({"family": "interpolation_least_squares",
+          "params": {"d": 4, "n_atoms": True, "H": 1.0, "B": 1.0}}, "n_atoms"),
+        ({"family": "growth",
+          "params": dict(GROWTH_PROBLEM["params"], r=True)}, "r"),
+        ({"family": "sign_vector",
+          "params": {"n": True, "H": 1.0, "B": 1.0, "sigma_signs": [1, -1]}},
+         "n")])
+    def test_bool_family_param_rejected(self, tmp_path, problem, param):
+        raw = minimal_spec(tmp_path, problems=[SIGN_PROBLEM, problem])
+        with pytest.raises(SpecError,
+                           match=rf"problems\[1\].*'{param}' must be an integer"):
+            load_spec(write_spec(tmp_path, raw))
+
     def test_golden_shipped_spec(self, tmp_path):
         shipped = Path(__file__).parent.parent / "demos" / "specs" / \
             "interpolation_sweep.json"
@@ -135,6 +160,22 @@ class TestRunExperiment:
         assert len(manifest["failures"]) == 1
         assert "T=1" in manifest["failures"][0]["error"]
         assert any("T600" in n for n in manifest["artifacts"])
+
+    def test_abort_at_first_step_reported_as_aborted_cell(self, tmp_path,
+                                                          monkeypatch):
+        stub = make_sign_vector_problem(n=2, H=1.0, B=1.0,
+                                        sigma_signs=[1, -1, 1, 1])
+        stub.batch_grad_mean = lambda w, batch: np.full(stub.d, np.nan)
+        monkeypatch.setattr(harness, "problem_from_config", lambda cfg: stub)
+        manifest = run_experiment(load_spec(write_spec(tmp_path,
+                                                       minimal_spec(tmp_path))))
+        assert manifest["failures"] == []
+        header = json.loads(next(
+            (tmp_path / "out" / n).read_text()
+            for n in manifest["artifacts"] if n.endswith(".json")))
+        assert header["aborted"] is True
+        assert "non-finite gradient at step t=0" in header["abort_reason"]
+        assert math.isnan(header["final_subopt"])
 
     def test_speedup_table_written_and_monotone(self, tmp_path):
         raw = minimal_spec(
@@ -249,6 +290,21 @@ class TestCli:
         raw["problems"] = [GROWTH_PROBLEM]
         path = write_spec(tmp_path, raw)
         assert cli_main(["run", str(path)]) == 3
+
+    @pytest.mark.parametrize("params,error", [
+        ({"d": 8.0}, "'d' must be an integer"),
+        ({"H": "big"}, "TypeError")])
+    def test_problem_build_failure_is_config_error(self, tmp_path, capsys,
+                                                   params, error):
+        problem = {"family": "noiseless_quadratic",
+                   "params": dict({"d": 8, "H": 1.0, "B": 1.0}, **params)}
+        path = write_spec(tmp_path, minimal_spec(tmp_path,
+                                                 problems=[problem]))
+        assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "problems[0]" in err
+        assert error in err
+        assert not (tmp_path / "out").exists()
 
     def test_plotdata_cli(self, tmp_path):
         raw = minimal_spec(tmp_path, T_grid=[8, 16])

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optaccel import (
+    DiscreteLeastSquares,
+    ProblemMeta,
     SampleStream,
     config_hash,
     make_gaussian_spike_problem,
@@ -169,6 +173,96 @@ class TestGrowthProblem:
         with pytest.raises(ValueError):
             # trace bound: r * lam must not exceed H
             make_growth_problem(d=8, r=4, lam=0.9, H=1.0, Delta=1.0, seed=0)
+
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, float("nan"),
+                                       float("inf")])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="Delta"):
+            make_growth_problem(d=6, r=3, lam=0.1, H=1.0, Delta=delta,
+                                seed=0)
+
+
+@st.composite
+def finite_designs(draw):
+    """A random finite design with n_atoms <= d, plus a query point.
+
+    With a certified minimizer the label means are fitted exactly by it,
+    as in every built-in family; without one they are arbitrary.
+    """
+    d = draw(st.integers(1, 12))
+    n_atoms = draw(st.integers(1, d))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_atoms,
+                                     max_size=n_atoms)))
+    probs = weights / weights.sum()
+    noisy, certified = draw(st.booleans()), draw(st.booleans())
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = gen.standard_normal((n_atoms, d))
+    wstar = gen.standard_normal(d) if certified else None
+    label_means = (atoms @ wstar if certified
+                   else gen.standard_normal(n_atoms))
+    label_stds = (np.abs(gen.standard_normal(n_atoms)) if noisy
+                  else np.zeros(n_atoms))
+    meta = ProblemMeta(H=1.0, B=1.0, Lstar=0.5 * probs @ label_stds**2,
+                       sigma_star_sq=0.0, lam=0.0, Delta=1.0, wstar=wstar)
+    prob = DiscreteLeastSquares("property", atoms, probs, label_means,
+                                label_stds, meta, 0, {})
+    return prob, gen.standard_normal(d)
+
+
+def assert_within_rounding(got, want, scale, rtol=1e-12):
+    """``|got - want| <= rtol * scale`` elementwise, where ``scale`` is the
+    reference formula evaluated on absolute values, i.e. the magnitude its
+    own rounding error is proportional to."""
+    assert np.all(np.abs(np.asarray(got) - want) <= rtol * np.asarray(scale))
+
+
+class TestFactorClosedForms:
+    """The square-root-factor closed forms equal the dense ``d x d`` ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(finite_designs())
+    def test_match_dense_second_moment_formulas(self, design):
+        prob, w = design
+        p, a, m, s = prob.probs, prob.atoms, prob.label_means, prob.label_stds
+        M = np.einsum("j,ja,jb->ab", p, a, a)
+        c = p * m @ a
+        const = 0.5 * p @ (m**2 + s**2)
+        loss = 0.5 * w @ M @ w - c @ w + const
+        absM = np.einsum("j,ja,jb->ab", p, np.abs(a), np.abs(a))
+        absc = p * np.abs(m) @ np.abs(a)
+        aw = np.abs(w)
+        loss_scale = 0.5 * aw @ absM @ aw + absc @ aw + const
+
+        assert_within_rounding(prob.second_moment, M, absM)
+        assert_within_rounding(prob.exact_loss(w), loss, loss_scale)
+        wstar = prob.meta.wstar
+        if wstar is None:
+            assert_within_rounding(prob.exact_grad(w), M @ w - c,
+                                   absM @ aw + absc)
+            assert_within_rounding(prob.suboptimality(w),
+                                   loss - prob.meta.Lstar, loss_scale)
+        else:
+            # the gradient is taken about wstar, which fits the labels up
+            # to their rounding
+            assert_within_rounding(prob.exact_grad(w), M @ w - c,
+                                   absM @ (aw + np.abs(wstar)) + absc)
+            v = w - wstar
+            assert_within_rounding(prob.suboptimality(w), 0.5 * v @ M @ v,
+                                   0.5 * np.abs(v) @ absM @ np.abs(v))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 16).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(1, d))),
+        st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
+    def test_interpolation_lam_matches_dense_spectrum(self, shape, H, seed):
+        d, n_atoms = shape
+        prob = make_interpolation_least_squares(d=d, n_atoms=n_atoms, H=H,
+                                                B=1.0, seed=seed)
+        evals = np.linalg.eigvalsh(prob.atoms.T @ prob.atoms / n_atoms)
+        lam = evals[evals > 1e-10 * evals.max()].min()
+        # eigvalsh is accurate to a multiple of the largest eigenvalue
+        assert_within_rounding(prob.meta.lam, lam, evals.max())
 
 
 class TestSampling:
