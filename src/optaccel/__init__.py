@@ -11,7 +11,7 @@ from .problems import (
 from .optimizers import (
     StepSchedule, OptimizerState, make_schedule, project_ball, acc_step,
     run_acc_mb_sgd, run_sgd, stage_budget, Stage, StagePlan,
-    make_stage_plan, run_restarted, accel_error_bound,
+    make_stage_plan, make_budget_plan, run_restarted, accel_error_bound,
 )
 from .analysis import (
     RateFit, SpeedupTable, exact_min, variance_at, gradient_variance_exact,

@@ -14,8 +14,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .problems import (DeterministicQuadratic, DiscreteLeastSquares, Problem,
-                       SampleStream)
+from .problems import Problem, SampleStream
 
 __all__ = [
     "RateFit",
@@ -38,15 +37,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _design_moments(problem: Problem):
-    if isinstance(problem, DiscreteLeastSquares):
-        return problem.second_moment, problem._cross
-    if isinstance(problem, DeterministicQuadratic):
-        return problem.A, problem.A @ problem.wstar_vec
-    raise TypeError(
-        f"no closed-form minimizer for problem type {type(problem).__name__}")
-
-
 def exact_min(problem: Problem):
     """Minimum-norm minimizer and exact minimum of a least-squares problem.
 
@@ -54,8 +44,11 @@ def exact_min(problem: Problem):
     below 1e-10 of the largest are treated as zero so rank-deficient
     designs return the min-norm point of the full solution set.
     """
-    M, c = _design_moments(problem)
-    wstar = np.linalg.pinv(M, rcond=1e-10, hermitian=True) @ c
+    if not isinstance(problem, Problem):
+        raise TypeError(f"no closed-form minimizer for problem type "
+                        f"{type(problem).__name__}")
+    wstar = (np.linalg.pinv(problem.second_moment, rcond=1e-10,
+                            hermitian=True) @ problem.cross)
     return wstar, problem.exact_loss(wstar)
 
 
@@ -68,9 +61,8 @@ def gradient_variance_exact(problem: Problem, w) -> float:
 def variance_at(problem: Problem, w, n_samples: int, seed: int = 0):
     """Monte Carlo gradient-variance estimate with its standard error.
 
-    Uses the exact expected gradient as the center when available, which
-    makes the estimator unbiased; otherwise centers at the empirical mean
-    gradient, which biases the estimate low by one part in ``n_samples``.
+    Centers at the exact expected gradient, which makes the estimator
+    unbiased.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -80,11 +72,7 @@ def variance_at(problem: Problem, w, n_samples: int, seed: int = 0):
     if x.shape[1] == 0:  # full-information problem: zero variance
         return 0.0, 0.0
     grads = x * (x @ w - y)[:, None]
-    if hasattr(problem, "exact_grad"):
-        center = problem.exact_grad(w)
-    else:
-        center = grads.mean(axis=0)
-    sq = ((grads - center) ** 2).sum(axis=1)
+    sq = ((grads - problem.exact_grad(w)) ** 2).sum(axis=1)
     est = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(n_samples))
     return est, se
@@ -140,12 +128,6 @@ class SpeedupTable:
     eps: float
     problem_hash: str = ""
     n_seeds: int = 0
-
-    def t_to_eps(self, b: int) -> Optional[int]:
-        for row_b, T in self.rows:
-            if row_b == b:
-                return T
-        raise KeyError(f"no row for b={b}")
 
 
 def time_to_eps(finals: Mapping[tuple[int, int], Sequence[float]],

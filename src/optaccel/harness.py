@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ import numpy as np
 from . import optimizers
 from .analysis import time_to_eps
 from .problems import config_hash, problem_from_config
-from .trace import canonical_json, trace_to_csv
+from .trace import canonical_json, sha256_text, trace_from_csv, trace_to_csv
 
 __all__ = [
     "ExperimentSpec",
@@ -38,7 +39,9 @@ __all__ = [
 ]
 
 _ALGORITHMS = ("acc_mb_sgd", "sgd", "restarted")
-_OVERRIDE_KEYS = ("B", "lstar", "theta", "eta")
+# override -> (comparison, bound) that its value must satisfy
+_OVERRIDES = {"B": (">", 0.0), "lstar": (">=", 0.0), "theta": (">", 1.0),
+              "eta": (">", 0.0)}
 _SPEC_KEYS = ("problems", "algorithm", "b_grid", "T_grid", "n_seeds",
               "base_seed", "eps_targets", "output_dir", "overrides",
               "workers")
@@ -52,6 +55,12 @@ class SpecError(ValueError):
 def _is_int(value) -> bool:
     # JSON true/false decode to bool, a subclass of int
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    # json.loads accepts NaN and Infinity, and integers too big for a float
+    return ((_is_int(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -130,18 +139,25 @@ def _validate(raw: dict) -> ExperimentSpec:
 
     eps_targets = raw.get("eps_targets", [])
     if not isinstance(eps_targets, list) or any(
-            not isinstance(e, (int, float)) or e <= 0 for e in eps_targets):
-        raise SpecError("eps_targets: must be a list of positive numbers")
+            not _is_finite(e) or e <= 0 for e in eps_targets):
+        raise SpecError("eps_targets: must be finite positive numbers")
 
     output_dir = raw["output_dir"]
     if not isinstance(output_dir, str) or not output_dir:
         raise SpecError("output_dir: must be a non-empty string")
 
     overrides = raw.get("overrides", {})
-    bad = set(overrides) - set(_OVERRIDE_KEYS)
+    if not isinstance(overrides, dict):
+        raise SpecError("overrides: must be a JSON object")
+    bad = set(overrides) - set(_OVERRIDES)
     if bad:
         raise SpecError(f"overrides: unknown keys {sorted(bad)}; "
-                        f"allowed: {_OVERRIDE_KEYS}")
+                        f"allowed: {tuple(_OVERRIDES)}")
+    for key, value in overrides.items():
+        op, low = _OVERRIDES[key]
+        if not _is_finite(value) or value < low or (op == ">" and value == low):
+            raise SpecError(f"overrides.{key}: must be a finite number "
+                            f"{op} {low:g}, got {value!r}")
 
     workers = raw.get("workers", 1)
     if not _is_int(workers) or workers < 1:
@@ -176,41 +192,12 @@ def save_spec(spec: ExperimentSpec, path) -> None:
 
 
 def spec_hash(spec: ExperimentSpec) -> str:
-    return hashlib.sha256(canonical_json(spec.to_dict()).encode()).hexdigest()
+    return sha256_text(canonical_json(spec.to_dict()))
 
 
 # ---------------------------------------------------------------------------
 # cell execution
 # ---------------------------------------------------------------------------
-
-
-def _budgeted_plan(problem, b, T_budget, theta, lstar):
-    """Restart plan whose stages fit within a total iteration budget.
-
-    Stages are appended in order while they fit; at least one stage must
-    fit, otherwise the budget is too small for the first stage.
-    """
-    meta = problem.meta
-    if meta.lam <= 0:
-        raise ValueError("restarted runs need a positive growth constant")
-    stages = []
-    used = 0
-    for t in range(1, 64):
-        eps_t = theta**-t * meta.Delta
-        B_sq = 2.0 * theta ** (1 - t) * meta.Delta / meta.lam
-        T_t = optimizers.stage_budget(eps_t, B_sq, meta.H, b, lstar)
-        if used + T_t > T_budget:
-            break
-        stages.append(optimizers.Stage(eps_t=eps_t, B_t=math.sqrt(B_sq),
-                                       T_t=T_t))
-        used += T_t
-    if not stages:
-        raise ValueError(
-            f"budget T={T_budget} is below the first stage's "
-            f"{optimizers.stage_budget(theta**-1 * meta.Delta, 2 * meta.Delta / meta.lam, meta.H, b, lstar)} iterations")
-    return optimizers.StagePlan(
-        theta=float(theta), stages=tuple(stages), lam=meta.lam,
-        Delta=meta.Delta, H=meta.H, b=int(b), Lstar=float(lstar))
 
 
 def _run_cell(cell: dict) -> dict:
@@ -230,9 +217,10 @@ def _run_cell(cell: dict) -> dict:
                                       eta=ov.get("eta"),
                                       B_override=B_override)
     elif alg == "restarted":
-        theta = ov.get("theta") or math.e
-        plan = _budgeted_plan(problem, b, T, theta,
-                              problem.meta.Lstar if lstar is None else lstar)
+        meta = problem.meta
+        plan = optimizers.make_budget_plan(
+            meta.Delta, T, ov.get("theta", math.e), meta.lam, meta.H, b,
+            meta.Lstar if lstar is None else lstar)
         _, trace = optimizers.run_restarted(problem, plan, seed=seed,
                                             noise_sq_override=noise_sq)
     else:
@@ -325,8 +313,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
         "failures": sorted(failures, key=lambda f: f["stem"]),
     }
     manifest = dict(content)
-    manifest["content_hash"] = hashlib.sha256(
-        canonical_json(content).encode()).hexdigest()
+    manifest["content_hash"] = sha256_text(canonical_json(content))
     manifest["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=1) + "\n")
@@ -429,7 +416,6 @@ def emit_plotdata(kind: str, inputs, out_path) -> str:
             for r in _read_csv(p):
                 rows.append(",".join([r["eps"], r["b"], r["T_to_eps"]]))
     elif kind == "stage_decay":
-        from .trace import trace_from_csv
         rows = ["trace,stage,t_end,subopt"]
         for p in paths:
             trace = trace_from_csv(p.read_text())

@@ -15,6 +15,7 @@ the minimizer is zero.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "Stage",
     "StagePlan",
     "make_stage_plan",
+    "make_budget_plan",
     "run_restarted",
     "accel_error_bound",
 ]
@@ -45,10 +47,6 @@ __all__ = [
 _C_DET = 108.0
 _C_MB = 144.0
 _C_NOISE = 27.0
-
-# position offset separating diagnostic draws from batch draws in a stream
-_DIAG_POSITION = 1 << 40
-
 
 class NonFiniteGradientError(RuntimeError):
     """A minibatch gradient came back with NaN or infinite entries."""
@@ -145,47 +143,43 @@ def acc_step(state: OptimizerState, schedule: StepSchedule, problem: Problem,
     w_md = beta_inv * state.w + (1.0 - beta_inv) * state.w_ag
 
     query = w_md if center is None else center + w_md
-    batch = sample_batch(problem, schedule.b, stream)
-    g = minibatch_gradient(problem, query, batch)
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteGradientError(f"non-finite gradient at step t={t}")
+    g = _checked_gradient(problem, query, schedule.b, stream, t)
 
     w_next = project_ball(state.w - gamma_t * g, schedule.B)
     w_ag_next = beta_inv * w_next + (1.0 - beta_inv) * state.w_ag
 
     if recorder is not None:
-        _record_step(recorder, problem, schedule, center, w_md, g,
-                     w_next, w_ag_next, t_offset + t + 1, stage, stream)
+        point = w_ag_next if center is None else center + w_ag_next
+        _record(recorder, problem, t_offset + t + 1, w_next, w_ag_next,
+                point, query, g, stage)
     return OptimizerState(w=w_next, w_ag=w_ag_next, t=t + 1)
 
 
-def _record_step(recorder, problem, schedule, center, w_md, g,
-                 w_next, w_ag_next, t_global, stage, stream):
-    point = w_ag_next if center is None else center + w_ag_next
-    if problem.has_exact_L:
-        subopt = problem.suboptimality(point)
-        stderr = 0.0
-    else:
-        est, stderr = _mc_subopt(problem, point, stream, t_global)
-        subopt = est
-    if hasattr(problem, "exact_grad"):
-        query = w_md if center is None else center + w_md
-        delta = g - problem.exact_grad(query)
-        noise_sq = float(delta @ delta)
-    else:
-        noise_sq = float("nan")
-    recorder.append(t_global, float(np.linalg.norm(w_next)),
-                    float(np.linalg.norm(w_ag_next)), subopt, stderr,
-                    noise_sq, stage)
+def _checked_gradient(problem, query, b, stream, t):
+    batch = sample_batch(problem, b, stream)
+    g = minibatch_gradient(problem, query, batch)
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteGradientError(f"non-finite gradient at step t={t}")
+    return g
 
 
-def _mc_subopt(problem, point, stream, t_global, n=256):
-    gen = stream.generator_at(_DIAG_POSITION + t_global)
-    batch = problem.sample(gen, n)
-    vals = problem.batch_loss(point, batch)
-    est = float(np.mean(vals)) - problem.meta.Lstar
-    se = float(np.std(vals, ddof=1) / math.sqrt(n))
-    return est, se
+def _record(recorder, problem, t, w, w_avg, point, query, g, stage):
+    """Append one trace row: the norms of ``w`` and ``w_avg``, ``subopt`` at
+    ``point``, and ``g``'s deviation from the exact gradient at ``query``."""
+    subopt = problem.suboptimality(point)
+    delta = g - problem.exact_grad(query)
+    recorder.append(t, float(np.linalg.norm(w)), float(np.linalg.norm(w_avg)),
+                    subopt, float(delta @ delta), stage)
+
+
+@contextmanager
+def _abort_on_nonfinite(recorder):
+    """Mark the trace aborted, with its reason, on a non-finite gradient."""
+    try:
+        yield
+    except NonFiniteGradientError as err:
+        recorder.aborted = True
+        recorder.header["abort_reason"] = str(err)
 
 
 def _run_header(problem, algorithm, b, T, seed, schedule=None, extra=None):
@@ -226,73 +220,44 @@ def run_acc_mb_sgd(problem: Problem, b: int, T: int,
                                          schedule))
     stream = problem.stream(seed)
     state = _zero_state(problem.d)
-    try:
+    with _abort_on_nonfinite(recorder):
         for _ in range(T):
             state = acc_step(state, schedule, problem, stream, recorder)
-    except NonFiniteGradientError as err:
-        recorder.aborted = True
-        recorder.header["abort_reason"] = str(err)
     return state.w_ag, recorder.build()
 
 
-def run_sgd(problem: Problem, b: int, T: int, schedule_kind: str = "constant",
-            seed: int = 0, eta: float | None = None,
+def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
+            eta: float | None = None,
             B_override: float | None = None) -> tuple[np.ndarray, RunTrace]:
     """Projected minibatch SGD with tail averaging, as a baseline.
 
-    The only supported stepsize rule is a constant
-    ``min(1 / (2 H), eta)``; pass ``eta`` from a tuning grid to give the
-    baseline its best case.  The averaged iterate at step ``t`` is the mean
-    of the most recent ``ceil(t / 2)`` projected iterates, and the final
-    tail average is returned.
+    The stepsize is the constant ``min(1 / (2 H), eta)``; pass ``eta`` from
+    a tuning grid to give the baseline its best case.  The averaged iterate
+    at step ``t`` is the mean of the most recent ``ceil(t / 2)`` projected
+    iterates, and the final tail average is returned.
     """
-    if schedule_kind != "constant":
-        raise ValueError(f"unknown SGD schedule kind {schedule_kind!r}")
     meta = problem.meta
     B = meta.B if B_override is None else float(B_override)
     step = 1.0 / (2.0 * meta.H)
     if eta is not None:
         step = min(step, float(eta))
     header = _run_header(problem, "sgd", b, T, seed,
-                         extra={"eta": step, "B": B,
-                                "schedule_kind": schedule_kind})
+                         extra={"eta": step, "B": B})
     recorder = TraceRecorder(header)
     stream = problem.stream(seed)
     w = np.zeros(problem.d)
+    w_avg = np.zeros(problem.d)  # stays the origin if step 0 aborts
     prefix = [np.zeros(problem.d)]  # prefix[k] = sum of w_1..w_k
-    try:
+    with _abort_on_nonfinite(recorder):
         for t in range(T):
-            batch = sample_batch(problem, b, stream)
-            g = minibatch_gradient(problem, w, batch)
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(f"non-finite gradient at step t={t}")
-            w = project_ball(w - step * g, B)
-            prefix.append(prefix[-1] + w)
+            g = _checked_gradient(problem, w, b, stream, t)
+            w_next = project_ball(w - step * g, B)
+            prefix.append(prefix[-1] + w_next)
             lo = (t + 1) // 2  # average w_{lo+1} .. w_{t+1}
             w_avg = (prefix[t + 1] - prefix[lo]) / (t + 1 - lo)
-            _record_sgd_step(recorder, problem, w, w_avg, g, t + 1, stream)
-    except NonFiniteGradientError as err:
-        recorder.aborted = True
-        recorder.header["abort_reason"] = str(err)
-    n_done = len(prefix) - 1  # completed steps (fewer than T after an abort)
-    lo = n_done // 2
-    w_avg = (prefix[n_done] - prefix[lo]) / max(n_done - lo, 1)
+            _record(recorder, problem, t + 1, w_next, w_avg, w_avg, w, g, 0)
+            w = w_next
     return w_avg, recorder.build()
-
-
-def _record_sgd_step(recorder, problem, w, w_avg, g, t, stream):
-    if problem.has_exact_L:
-        subopt = problem.suboptimality(w_avg)
-        stderr = 0.0
-    else:
-        subopt, stderr = _mc_subopt(problem, w_avg, stream, t)
-    if hasattr(problem, "exact_grad"):
-        delta = g - problem.exact_grad(w)
-        noise_sq = float(delta @ delta)
-    else:
-        noise_sq = float("nan")
-    recorder.append(t, float(np.linalg.norm(w)), float(np.linalg.norm(w_avg)),
-                    subopt, stderr, noise_sq, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +335,29 @@ class StagePlan:
         }
 
 
+def _check_plan_args(Delta: float, theta: float, lam: float) -> None:
+    if theta <= 1:
+        raise ValueError(f"theta must exceed 1, got {theta}")
+    if Delta <= 0:
+        raise ValueError(f"Delta must be positive, got {Delta}")
+    if lam <= 0:
+        raise ValueError(f"growth constant must be positive, got {lam}")
+
+
+def _stage(t: int, Delta: float, theta: float, lam: float, H: float, b: int,
+           Lstar: float) -> Stage:
+    eps_t = theta**-t * Delta
+    B_sq = 2.0 * theta ** (1 - t) * Delta / lam
+    return Stage(eps_t=eps_t, B_t=math.sqrt(B_sq),
+                 T_t=stage_budget(eps_t, B_sq, H, b, Lstar))
+
+
+def _plan(stages, Delta, theta, lam, H, b, Lstar) -> StagePlan:
+    return StagePlan(theta=float(theta), stages=tuple(stages), lam=float(lam),
+                     Delta=float(Delta), H=float(H), b=int(b),
+                     Lstar=float(Lstar))
+
+
 def make_stage_plan(Delta: float, eps: float, theta: float, lam: float,
                     H: float, b: int, Lstar: float) -> StagePlan:
     """Plan ``ceil(log_theta(Delta / eps))`` restart stages.
@@ -378,25 +366,38 @@ def make_stage_plan(Delta: float, eps: float, theta: float, lam: float,
     number-of-stages logarithm is evaluated with a 1e-9 tolerance so exact
     powers of ``theta`` do not round up.
     """
-    if theta <= 1:
-        raise ValueError(f"theta must exceed 1, got {theta}")
-    if eps <= 0 or Delta <= 0:
-        raise ValueError("eps and Delta must be positive")
-    if lam <= 0:
-        raise ValueError(f"growth constant must be positive, got {lam}")
+    _check_plan_args(Delta, theta, lam)
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     if eps >= Delta:
         n_stages = 0
     else:
         n_stages = math.ceil(math.log(Delta / eps) / math.log(theta) - 1e-9)
+    stages = [_stage(t, Delta, theta, lam, H, b, Lstar)
+              for t in range(1, n_stages + 1)]
+    return _plan(stages, Delta, theta, lam, H, b, Lstar)
+
+
+def make_budget_plan(Delta: float, budget: int, theta: float, lam: float,
+                     H: float, b: int, Lstar: float) -> StagePlan:
+    """Plan the restart stages that fit within ``budget`` total iterations.
+
+    Stages are taken in order, at most 63 of them, up to the first one that
+    would overrun the budget.  At least one stage must fit.
+    """
+    _check_plan_args(Delta, theta, lam)
     stages = []
-    for t in range(1, n_stages + 1):
-        eps_t = theta**-t * Delta
-        B_sq = 2.0 * theta ** (1 - t) * Delta / lam
-        T_t = stage_budget(eps_t, B_sq, H, b, Lstar)
-        stages.append(Stage(eps_t=eps_t, B_t=math.sqrt(B_sq), T_t=T_t))
-    return StagePlan(theta=float(theta), stages=tuple(stages), lam=float(lam),
-                     Delta=float(Delta), H=float(H), b=int(b),
-                     Lstar=float(Lstar))
+    used = 0
+    for t in range(1, 64):
+        st = _stage(t, Delta, theta, lam, H, b, Lstar)
+        if used + st.T_t > budget:
+            break
+        stages.append(st)
+        used += st.T_t
+    if not stages:
+        raise ValueError(f"budget T={budget} is below the first stage's "
+                         f"{st.T_t} iterations")
+    return _plan(stages, Delta, theta, lam, H, b, Lstar)
 
 
 def run_restarted(problem: Problem, plan: StagePlan, seed: int = 0,
@@ -418,7 +419,7 @@ def run_restarted(problem: Problem, plan: StagePlan, seed: int = 0,
     stream = problem.stream(seed)
     center = np.zeros(problem.d)
     t_offset = 0
-    try:
+    with _abort_on_nonfinite(recorder):
         for stage_idx, st in enumerate(plan.stages, start=1):
             schedule = make_schedule(plan.H, plan.b, st.T_t, st.B_t, noise_sq)
             state = _zero_state(problem.d)
@@ -428,7 +429,4 @@ def run_restarted(problem: Problem, plan: StagePlan, seed: int = 0,
                                  t_offset=t_offset)
             center = center + state.w_ag
             t_offset += st.T_t
-    except NonFiniteGradientError as err:
-        recorder.aborted = True
-        recorder.header["abort_reason"] = str(err)
     return center, recorder.build()

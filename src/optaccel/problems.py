@@ -12,12 +12,12 @@ noiseless case where every sample reveals the exact objective.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .trace import canonical_json, sha256_text
 
 __all__ = [
     "ProblemMeta",
@@ -87,68 +87,60 @@ class SampleStream:
     ``Philox(key=key, counter=[0, 0, t, 0])`` afresh, just cheaper.
     """
 
-    def __init__(self, seed: int, run_seed: int = 0, position: int = 0):
+    def __init__(self, seed: int, run_seed: int = 0):
         self.seed = int(seed)
         self.run_seed = int(run_seed)
-        self.position = int(position)
+        self.position = 0
         self._key = _mix_key(self.seed, self.run_seed)
         self._bitgen = np.random.Philox(key=self._key)
         self._gen = np.random.Generator(self._bitgen)
 
-    def generator_at(self, position: int) -> np.random.Generator:
-        """Generator for an explicit position, without advancing the stream."""
+    def next_generator(self) -> np.random.Generator:
+        """Generator for the current position; advances the stream."""
         st = self._bitgen.state
         st["state"]["counter"][:] = 0
-        st["state"]["counter"][2] = position
+        st["state"]["counter"][2] = self.position
         st["buffer_pos"] = 4
         st["has_uint32"] = 0
         st["uinteger"] = 0
         self._bitgen.state = st
-        return self._gen
-
-    def next_generator(self) -> np.random.Generator:
-        gen = self.generator_at(self.position)
         self.position += 1
-        return gen
+        return self._gen
 
 
 class Problem:
     """Base stochastic objective: sampling plus per-sample loss/gradient.
 
-    Subclasses must provide ``d``, ``meta``, ``has_exact_L``, ``sample``,
-    ``loss``, ``grad``, ``batch_loss``, ``batch_grad_mean`` and, when
-    ``has_exact_L``, ``exact_loss`` / ``exact_grad``.  Instances are
-    immutable after construction and safe to share across workers.
+    Subclasses must provide ``d``, ``meta``, ``family``, ``params``,
+    ``base_seed``, the design moments ``second_moment`` (``E[x x']``, or
+    the Hessian) and ``cross`` (the normal equations' right-hand side),
+    and the methods ``sample``, ``loss``, ``grad``, ``batch_grad_mean``,
+    ``exact_loss``, ``exact_grad``, ``suboptimality`` and
+    ``grad_second_moment``.  Instances are immutable after construction
+    and safe to share across workers.
     """
 
     d: int
     meta: ProblemMeta
-    has_exact_L: bool
     family: str
+    params: dict
     base_seed: int
 
     def config(self) -> dict:
         """Declarative record (family + parameters + seed) rebuilding this problem."""
-        raise NotImplementedError
+        return {"family": self.family, "params": self.params,
+                "seed": self.base_seed}
 
     def stream(self, run_seed: int = 0) -> SampleStream:
         """Sample stream for one run, keyed by (problem seed, run seed)."""
         return SampleStream(self.base_seed, run_seed)
 
-    def expected_loss_mc(self, w, n_samples: int, seed: int = 0):
-        """Monte Carlo estimate of the expected loss with standard error.
-
-        The estimate averages per-sample losses of ``n_samples`` fresh draws;
-        it is biased only by sampling error (reported as the standard error
-        of the mean).  Closed-form ``exact_loss`` should be preferred when
-        ``has_exact_L``.
-        """
-        gen = SampleStream(self.base_seed, run_seed=seed).next_generator()
-        batch = self.sample(gen, n_samples)
-        vals = self.batch_loss(np.asarray(w, dtype=float), batch)
-        est = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-        return est, se
+    def solution_projector(self):
+        """Orthogonal projector onto the range of ``second_moment``."""
+        evals, evecs = np.linalg.eigh(self.second_moment)
+        keep = evals > 1e-10 * max(evals.max(), 1e-300)
+        v = evecs[:, keep]
+        return v @ v.T
 
 
 class DiscreteLeastSquares(Problem):
@@ -177,11 +169,10 @@ class DiscreteLeastSquares(Problem):
         self.base_seed = int(base_seed)
         self.params = dict(params)
         self.d = self.atoms.shape[1]
-        self.has_exact_L = True
         root_p = np.sqrt(self.probs)
         self._F = root_p[:, None] * self.atoms
         self._Fy = root_p * self.label_means
-        self._cross = self._Fy @ self._F
+        self.cross = self._Fy @ self._F
         self._noise_floor = 0.5 * float(self.probs @ self.label_stds**2)
 
     @functools.cached_property
@@ -208,10 +199,6 @@ class DiscreteLeastSquares(Problem):
     def grad(self, w, z):
         x, y = z
         return x * (float(x @ w) - float(y))
-
-    def batch_loss(self, w, batch):
-        x, y = batch
-        return 0.5 * (x @ w - y) ** 2
 
     def batch_grad_mean(self, w, batch):
         x, y = batch
@@ -256,17 +243,6 @@ class DiscreteLeastSquares(Problem):
         atom_norm_sq = np.einsum("ja,ja->j", self.atoms, self.atoms)
         return float(self.probs @ (atom_norm_sq * resid_sq))
 
-    def solution_projector(self):
-        """Orthogonal projector onto the span of the design (range of M)."""
-        evals, evecs = np.linalg.eigh(self.second_moment)
-        keep = evals > 1e-10 * max(evals.max(), 1e-300)
-        v = evecs[:, keep]
-        return v @ v.T
-
-    def config(self):
-        return {"family": self.family, "params": self.params,
-                "seed": self.base_seed}
-
 
 class DeterministicQuadratic(Problem):
     """Full-information quadratic: every sample reveals the exact objective.
@@ -284,9 +260,8 @@ class DeterministicQuadratic(Problem):
         self.base_seed = int(base_seed)
         self.params = dict(params)
         self.d = self.A.shape[0]
-        self.has_exact_L = True
         self.second_moment = self.A
-        self._cross = self.A @ self.wstar_vec
+        self.cross = self.A @ self.wstar_vec
 
     def sample(self, gen, n):
         # no information in the samples; keep a length-n placeholder so the
@@ -298,9 +273,6 @@ class DeterministicQuadratic(Problem):
 
     def grad(self, w, z):
         return self.exact_grad(w)
-
-    def batch_loss(self, w, batch):
-        return np.full(len(batch[1]), self.exact_loss(w))
 
     def batch_grad_mean(self, w, batch):
         return self.exact_grad(w)
@@ -318,16 +290,6 @@ class DeterministicQuadratic(Problem):
     def grad_second_moment(self, w):
         g = self.exact_grad(w)
         return float(g @ g)
-
-    def solution_projector(self):
-        evals, evecs = np.linalg.eigh(self.A)
-        keep = evals > 1e-10 * max(evals.max(), 1e-300)
-        v = evecs[:, keep]
-        return v @ v.T
-
-    def config(self):
-        return {"family": self.family, "params": self.params,
-                "seed": self.base_seed}
 
 
 # ---------------------------------------------------------------------------
@@ -579,5 +541,4 @@ def problem_from_config(config: dict) -> Problem:
 
 def config_hash(config: dict) -> str:
     """Stable content hash of a declarative problem config."""
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256_text(canonical_json(config))[:16]

@@ -10,7 +10,6 @@ because they are the package's acceptance contract.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 
@@ -23,7 +22,7 @@ from .optimizers import accel_error_bound, run_acc_mb_sgd, run_restarted, run_sg
 from .problems import (make_gaussian_spike_problem, make_growth_problem,
                        make_interpolation_least_squares,
                        make_noiseless_quadratic, make_sign_vector_problem)
-from .trace import canonical_json
+from .trace import canonical_json, sha256_text
 
 __all__ = ["SUITES", "run_suite", "report_lines"]
 
@@ -38,12 +37,11 @@ def _check(name, value, threshold, op, detail=""):
 
 def _finish(suite, checks, t0):
     content = {"suite": suite, "checks": checks}
-    digest = hashlib.sha256(canonical_json(content).encode()).hexdigest()
     return {
         "suite": suite,
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
-        "content_hash": digest,
+        "content_hash": sha256_text(canonical_json(content)),
         "elapsed_s": round(time.perf_counter() - t0, 3),
     }
 

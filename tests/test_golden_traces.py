@@ -37,8 +37,7 @@ CELLS = {
 def iterate_columns_hash(csv_text: str) -> str:
     """sha256 of the ``t,norm_w,norm_wag,stage`` columns of a trace CSV."""
     rows = [ln.split(",") for ln in csv_text.strip().splitlines()]
-    keep = [0, 1, 2, 6]
-    assert [rows[0][i] for i in keep] == ["t", "norm_w", "norm_wag", "stage"]
+    keep = [rows[0].index(c) for c in ("t", "norm_w", "norm_wag", "stage")]
     text = "\n".join(",".join(r[i] for i in keep) for r in rows) + "\n"
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -306,6 +306,31 @@ class TestCli:
         assert error in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("overrides", {"eta": "fast"}), ("overrides", {"eta": 0.0}),
+        ("overrides", {"B": -1.0}), ("overrides", {"B": float("inf")}),
+        ("overrides", {"lstar": True}), ("overrides", {"lstar": -0.1}),
+        ("overrides", {"theta": 0.5}), ("overrides", {"theta": 1}),
+        ("overrides", {"eta": float("nan")}), ("overrides", {"eta": 10**400}),
+        ("overrides", [["eta", 0.25]]),
+        ("eps_targets", [float("nan"), True]), ("eps_targets", [True]),
+        ("eps_targets", [float("inf")]), ("eps_targets", [0.0])])
+    def test_bad_override_or_target_is_config_error(self, tmp_path, capsys,
+                                                     key, value):
+        # json.dumps writes NaN and Infinity, which json.loads accepts
+        raw = minimal_spec(tmp_path, algorithm="restarted", b_grid=[8],
+                           T_grid=[400], problems=[GROWTH_PROBLEM],
+                           **{key: value})
+        assert cli_main(["run", str(write_spec(tmp_path, raw))]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_boundary_overrides_accepted(self, tmp_path):
+        raw = minimal_spec(tmp_path, overrides={"B": 2, "lstar": 0,
+                                                "theta": 1.5, "eta": 0.25},
+                           eps_targets=[1, 0.5])
+        assert load_spec(write_spec(tmp_path, raw)).overrides["lstar"] == 0
+
     def test_plotdata_cli(self, tmp_path):
         raw = minimal_spec(tmp_path, T_grid=[8, 16])
         path = write_spec(tmp_path, raw)

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optaccel import (
     DeterministicQuadratic,
     OptimizerState,
     ProblemMeta,
+    Stage,
     acc_step,
     accel_error_bound,
+    make_budget_plan,
     make_growth_problem,
     make_interpolation_least_squares,
     make_noiseless_quadratic,
@@ -203,24 +207,6 @@ class TestAccRun:
         assert trace.header["problem"] == prob.config()
         assert trace.header["problem_hash"] == config_hash(prob.config())
 
-    def test_monte_carlo_scoring_without_closed_form(self):
-        # hiding the closed form switches the trace to Monte Carlo scoring
-        # with a reported standard error
-        from optaccel import make_gaussian_spike_problem
-
-        prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
-                                           seed=4)
-        blind = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0,
-                                            sign=1, seed=4)
-        blind.has_exact_L = False
-        _, exact_tr = run_acc_mb_sgd(prob, b=2, T=12, seed=1)
-        _, mc_tr = run_acc_mb_sgd(blind, b=2, T=12, seed=1)
-        assert np.all(exact_tr.subopt_stderr == 0.0)
-        assert np.all(mc_tr.subopt_stderr > 0.0)
-        # estimates agree with the exact gaps within a few standard errors
-        err = np.abs(mc_tr.subopt - exact_tr.subopt)
-        assert np.all(err <= 6.0 * mc_tr.subopt_stderr + 1e-12)
-
 
 class TestSgd:
     def test_hand_trace_and_tail_average(self):
@@ -253,9 +239,13 @@ class TestSgd:
             meds.append(best)
         assert all(b < a for a, b in zip(meds, meds[1:]))
 
-    def test_rejects_unknown_schedule_kind(self):
-        with pytest.raises(ValueError):
-            run_sgd(one_dim_quadratic(), b=1, T=2, schedule_kind="cosine")
+    def test_grad_noise_measured_where_gradient_was_taken(self):
+        # exact minibatch gradients: the deviation is 0 at the query point
+        prob = make_noiseless_quadratic(d=8, H=1.0, B=1.0, seed=1, spread=10)
+        _, sgd = run_sgd(prob, b=1, T=5, seed=0)
+        _, acc = run_acc_mb_sgd(prob, b=1, T=5, seed=0)
+        np.testing.assert_array_equal(sgd.grad_noise_sq, np.zeros(5))
+        np.testing.assert_array_equal(acc.grad_noise_sq, np.zeros(5))
 
 
 class TestStageBudget:
@@ -323,6 +313,55 @@ class TestStagePlan:
             make_stage_plan(1.0, 0.1, theta=1.0, lam=0.5, H=1.0, b=1, Lstar=0.0)
         with pytest.raises(ValueError):
             make_stage_plan(1.0, 0.1, theta=2.0, lam=0.0, H=1.0, b=1, Lstar=0.0)
+
+
+def reference_budget_stages(Delta, budget, theta, lam, H, b, Lstar):
+    """Plain loop: append stages in order while they fit, at most 63."""
+    stages, used = [], 0
+    for t in range(1, 64):
+        eps_t = theta**-t * Delta
+        B_sq = 2.0 * theta ** (1 - t) * Delta / lam
+        T_t = stage_budget(eps_t, B_sq, H, b, Lstar)
+        if used + T_t > budget:
+            break
+        stages.append(Stage(eps_t=eps_t, B_t=math.sqrt(B_sq), T_t=T_t))
+        used += T_t
+    return tuple(stages)
+
+
+class TestBudgetPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(Delta=st.floats(1e-3, 1e3), theta=st.floats(1.01, 20.0),
+           lam=st.floats(1e-3, 10.0), H=st.floats(0.1, 10.0),
+           b=st.integers(1, 256),
+           Lstar=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+           budget=st.integers(1, 200000), extra=st.integers(0, 200000))
+    def test_matches_reference_loop(self, Delta, theta, lam, H, b, Lstar,
+                                    budget, extra):
+        counts = []
+        for total in (budget, budget + extra):
+            want = reference_budget_stages(Delta, total, theta, lam, H, b,
+                                           Lstar)
+            if not want:
+                with pytest.raises(ValueError, match="below the first stage"):
+                    make_budget_plan(Delta, total, theta, lam, H, b, Lstar)
+                counts.append(0)
+                continue
+            plan = make_budget_plan(Delta, total, theta, lam, H, b, Lstar)
+            assert plan.stages == want
+            assert plan.total_iterations <= total
+            assert (plan.theta, plan.lam, plan.Delta, plan.H, plan.b,
+                    plan.Lstar) == (theta, lam, Delta, H, b, Lstar)
+            counts.append(len(plan.stages))
+        assert counts[0] <= counts[1]
+
+    def test_rejections(self):
+        for kwargs in ({"theta": 0.5}, {"lam": 0.0}, {"Delta": 0.0}):
+            full = dict(Delta=1.0, budget=1000, theta=2.0, lam=0.5, H=1.0,
+                        b=1, Lstar=0.0)
+            full.update(kwargs)
+            with pytest.raises(ValueError):
+                make_budget_plan(**full)
 
 
 class TestRestarted:
