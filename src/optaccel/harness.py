@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import optimizers
 from .analysis import time_to_eps
-from .problems import config_hash, problem_from_config
+from .problems import _is_finite, _is_int, config_hash, problem_from_config
 from .trace import canonical_json, sha256_text, trace_from_csv, trace_to_csv
 
 __all__ = [
@@ -50,17 +49,6 @@ _FMT = ".17g"
 
 class SpecError(ValueError):
     """An experiment spec failed validation."""
-
-
-def _is_int(value) -> bool:
-    # JSON true/false decode to bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    # json.loads accepts NaN and Infinity, and integers too big for a float
-    return ((_is_int(value) or isinstance(value, float))
-            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

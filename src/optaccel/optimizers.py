@@ -102,10 +102,13 @@ def make_schedule(H: float, b: int, T: int, B: float,
 
 
 def project_ball(w: np.ndarray, B: float) -> np.ndarray:
-    """Euclidean projection onto the origin-centered ball of radius ``B``."""
+    """Euclidean projection of a 1-D float array onto the origin-centered
+    ball of radius ``B``; a point inside the ball is returned as is."""
     if B <= 0:
         raise ValueError(f"radius must be positive, got {B}")
-    norm = float(np.linalg.norm(w))
+    # what ``np.linalg.norm`` computes for a 1-D float array, without its
+    # dispatch
+    norm = math.sqrt(w.dot(w))
     if norm <= B:
         return w
     return w * (B / norm)
@@ -158,7 +161,7 @@ def acc_step(state: OptimizerState, schedule: StepSchedule, problem: Problem,
 def _checked_gradient(problem, query, b, stream, t):
     batch = sample_batch(problem, b, stream)
     g = minibatch_gradient(problem, query, batch)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteGradientError(f"non-finite gradient at step t={t}")
     return g
 
@@ -168,7 +171,7 @@ def _record(recorder, problem, t, w, w_avg, point, query, g, stage):
     ``point``, and ``g``'s deviation from the exact gradient at ``query``."""
     subopt = problem.suboptimality(point)
     delta = g - problem.exact_grad(query)
-    recorder.append(t, float(np.linalg.norm(w)), float(np.linalg.norm(w_avg)),
+    recorder.append(t, math.sqrt(w.dot(w)), math.sqrt(w_avg.dot(w_avg)),
                     subopt, float(delta @ delta), stage)
 
 

@@ -12,6 +12,7 @@ noiseless case where every sample reveals the exact objective.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,16 +95,14 @@ class SampleStream:
         self._key = _mix_key(self.seed, self.run_seed)
         self._bitgen = np.random.Philox(key=self._key)
         self._gen = np.random.Generator(self._bitgen)
+        # the fresh generator's state (counter 0, empty buffer); the setter
+        # copies every field, so one dict serves every position
+        self._state = self._bitgen.state
 
     def next_generator(self) -> np.random.Generator:
         """Generator for the current position; advances the stream."""
-        st = self._bitgen.state
-        st["state"]["counter"][:] = 0
-        st["state"]["counter"][2] = self.position
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
+        self._state["state"]["counter"][2] = self.position
+        self._bitgen.state = self._state
         self.position += 1
         return self._gen
 
@@ -169,11 +168,22 @@ class DiscreteLeastSquares(Problem):
         self.base_seed = int(base_seed)
         self.params = dict(params)
         self.d = self.atoms.shape[1]
+        # the check ``Generator.choice`` made on every draw, made once
+        tol = np.sqrt(np.finfo(float).eps)
+        if (self.probs.shape != (len(self.atoms),)
+                or not np.all(self.probs >= 0)
+                or not abs(self.probs.sum() - 1.0) <= tol):
+            raise ValueError("probs must be one non-negative weight per atom, "
+                             "summing to 1")
         root_p = np.sqrt(self.probs)
         self._F = root_p[:, None] * self.atoms
         self._Fy = root_p * self.label_means
         self.cross = self._Fy @ self._F
         self._noise_floor = 0.5 * float(self.probs @ self.label_stds**2)
+        # the steps ``Generator.choice(n_atoms, p=probs)`` takes after
+        # validating ``p``; drawing through them skips that per-call check
+        self._cdf = self.probs.cumsum()
+        self._cdf /= self._cdf[-1]
 
     @functools.cached_property
     def second_moment(self):
@@ -183,7 +193,7 @@ class DiscreteLeastSquares(Problem):
     # -- sampling ---------------------------------------------------------
 
     def sample(self, gen: np.random.Generator, n: int):
-        idx = gen.choice(len(self.probs), size=n, p=self.probs)
+        idx = self._cdf.searchsorted(gen.random(n), side="right")
         x = self.atoms[idx]
         # draw the noise unconditionally so the stream layout does not
         # depend on which atoms were selected
@@ -510,8 +520,21 @@ _FAMILIES = {
     "noiseless_quadratic": make_noiseless_quadratic,
 }
 
-# family parameters that are sizes; JSON ``true`` must not pass as 1
-_INT_PARAMS = ("d", "n_atoms", "r", "n")
+# family parameters that are integers; JSON ``true`` must not pass as 1
+_INT_PARAMS = ("d", "n_atoms", "r", "n", "sign")
+# real-valued family parameters; JSON ``NaN``/``Infinity`` must not pass
+_FLOAT_PARAMS = ("H", "B", "lam", "p", "s", "Delta", "spread")
+
+
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    # json.loads accepts NaN and Infinity, and integers too big for a float
+    return ((_is_int(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
 
 
 def problem_from_config(config: dict) -> Problem:
@@ -526,9 +549,16 @@ def problem_from_config(config: dict) -> Problem:
     params = dict(config.get("params", {}))
     for name in _INT_PARAMS:
         value = params.get(name, 0)
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise ValueError(f"{family}: parameter {name!r} must be an "
                              f"integer, got {value!r}")
+    for name in _FLOAT_PARAMS:
+        value = params.get(name, 0.0)
+        if not _is_finite(value):
+            error = (ValueError if _is_int(value) or isinstance(value, float)
+                     else TypeError)
+            raise error(f"{family}: parameter {name!r} must be a finite "
+                        f"number, got {value!r}")
     if family != "sign_vector":
         params["seed"] = config.get("seed", 0)
         return _FAMILIES[family](**params)

@@ -88,23 +88,17 @@ class TraceRecorder:
         )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# one row in one format call; "%.17g" renders a float exactly as
+# ``format(x, ".17g")`` does
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d\n"
 
 
 def trace_to_csv(trace: RunTrace) -> str:
     """Render the per-iteration records; floats keep full precision."""
-    lines = [_CSV_HEADER]
-    for i in range(len(trace.t)):
-        lines.append(",".join([
-            str(int(trace.t[i])),
-            _fmt(trace.norm_w[i]),
-            _fmt(trace.norm_wag[i]),
-            _fmt(trace.subopt[i]),
-            _fmt(trace.grad_noise_sq[i]),
-            str(int(trace.stage[i])),
-        ]))
-    return "\n".join(lines) + "\n"
+    cols = (trace.t, trace.norm_w, trace.norm_wag, trace.subopt,
+            trace.grad_noise_sq, trace.stage)
+    rows = zip(*(np.asarray(c).tolist() for c in cols), strict=True)
+    return _CSV_HEADER + "\n" + "".join([_CSV_ROW % row for row in rows])
 
 
 def trace_from_csv(text: str) -> RunTrace:

@@ -306,6 +306,35 @@ class TestCli:
         assert error in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("family,params,error", [
+        ("interpolation_least_squares",
+         {"d": 8, "n_atoms": 4, "H": 1.0, "B": float("inf")},
+         "'B' must be a finite number"),
+        ("gaussian_spike",
+         {"H": 1.0, "B": 1.0, "p": 0.5, "s": float("nan"), "sign": 1},
+         "'s' must be a finite number"),
+        ("gaussian_spike",
+         {"H": 1.0, "B": float("nan"), "p": 0.5, "s": 1.0, "sign": 1},
+         "'B' must be a finite number"),
+        ("gaussian_spike",
+         {"H": 1.0, "B": 1.0, "p": 0.5, "s": 1.0, "sign": True},
+         "'sign' must be an integer"),
+        ("growth",
+         {"d": 6, "r": 3, "lam": True, "H": 1.0, "Delta": 1.0},
+         "'lam' must be a finite number"),
+        ("noiseless_quadratic",
+         {"d": 4, "H": 1.0, "B": 1.0, "spread": 10**400},
+         "'spread' must be a finite number")])
+    def test_nonfinite_or_bool_family_param_is_config_error(
+            self, tmp_path, capsys, family, params, error):
+        # json.dumps writes NaN and Infinity, which json.loads accepts
+        problem = {"family": family, "params": params, "seed": 0}
+        path = write_spec(tmp_path, minimal_spec(tmp_path,
+                                                 problems=[problem]))
+        assert cli_main(["run", str(path)]) == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("overrides", {"eta": "fast"}), ("overrides", {"eta": 0.0}),
         ("overrides", {"B": -1.0}), ("overrides", {"B": float("inf")}),

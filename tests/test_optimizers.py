@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from optaccel import (
     DeterministicQuadratic,
@@ -110,6 +111,25 @@ class TestProjectBall:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             project_ball(np.ones(2), 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 64),
+                      elements=st.floats(allow_nan=False)
+                      | st.sampled_from([0.0, -0.0, 1.0, 5e-324])),
+           st.sampled_from(["sphere", "inside", "outside", "any"]),
+           st.floats(1e-300, 1e300))
+    def test_matches_linalg_norm(self, w, where, radius):
+        # the reference norm the projection must reproduce bit for bit
+        norm = float(np.linalg.norm(w))
+        assert math.sqrt(w.dot(w)) == norm
+        if where != "any" and 1e-300 < norm < math.inf:
+            radius = {"sphere": norm, "inside": np.nextafter(norm, math.inf),
+                      "outside": np.nextafter(norm, 0.0)}[where]
+        out = project_ball(w, radius)
+        if norm <= radius:
+            assert out is w
+        else:
+            assert out.tobytes() == (w * (radius / norm)).tobytes()
 
 
 class TestAccStep:

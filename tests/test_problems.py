@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optaccel import (
@@ -20,6 +20,7 @@ from optaccel import (
     sample_batch,
 )
 from optaccel.analysis import gradient_variance_exact, variance_at
+from optaccel.problems import _mix_key
 
 
 class TestInterpolationLeastSquares:
@@ -304,6 +305,167 @@ class TestSampling:
         x, _ = sample_batch(prob, 100000, prob.stream(13))
         freq = float(np.mean(x[:, 0] != 0.0))
         assert abs(freq - 0.25) < 0.02
+
+
+def philox_at(seed, run_seed, t):
+    """A fresh generator at the counter slot of batch ``t`` of a stream."""
+    return np.random.Generator(np.random.Philox(
+        key=_mix_key(seed, run_seed), counter=[0, 0, t, 0]))
+
+
+def reference_sample(prob, gen, n):
+    """``DiscreteLeastSquares.sample`` drawn through ``Generator.choice``."""
+    idx = gen.choice(len(prob.probs), size=n, p=prob.probs)
+    y = prob.label_means[idx] + prob.label_stds[idx] * gen.standard_normal(n)
+    return idx, prob.atoms[idx], y
+
+
+def assert_same_philox_state(got, want):
+    assert got["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+    assert got["state"]["key"].tolist() == want["state"]["key"].tolist()
+    assert got["buffer"].tolist() == want["buffer"].tolist()
+    for field in ("buffer_pos", "has_uint32", "uinteger"):
+        assert got[field] == want[field]
+
+
+def knot_at(u):
+    """Two-atom weights whose normalised CDF has its knot exactly at ``u``
+    while the raw cumulative sum has it just above: a uniform draw equal to
+    ``u`` picks atom 1 through ``choice`` but atom 0 under a ``side="left"``
+    search or an unnormalised CDF."""
+    total = 1.0 + 2.0**-30  # within choice's 1.5e-8 tolerance on the sum
+    a = u * total
+    for _ in range(64):
+        c = total - a
+        if a > u and a / (a + c) == u:
+            return np.array([a, c])
+        a = np.nextafter(a, 2.0) if a / (a + c) < u else np.nextafter(a, 0.0)
+    raise AssertionError(f"no knot found at {u!r}")
+
+
+@st.composite
+def sampled_designs(draw):
+    """A finite-design problem, a batch address ``(run_seed, t)`` and size
+    ``b``: one of the four built-in families, a random design with
+    zero-probability atoms, or a design with a CDF knot on one of the
+    batch's uniform draws."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    run_seed, t = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**40))
+    b = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["interpolation_least_squares", "sign_vector",
+                                 "gaussian_spike", "growth", "zeros", "knot"]))
+    H = draw(st.floats(0.1, 10.0))
+    if kind == "interpolation_least_squares":
+        d = draw(st.integers(1, 8))
+        params = {"d": d, "n_atoms": draw(st.integers(1, d)), "H": H,
+                  "B": draw(st.floats(0.1, 10.0))}
+    elif kind == "sign_vector":
+        n = draw(st.integers(1, 4))
+        params = {"n": n, "H": H, "B": 1.0, "sigma_signs": draw(st.lists(
+            st.sampled_from([-1, 1]), min_size=2 * n, max_size=2 * n))}
+    elif kind == "gaussian_spike":
+        # p = 1 gives the zero-probability atom x = 0
+        params = {"H": H, "B": 1.0, "p": draw(st.sampled_from([0.25, 1.0])
+                                               | st.floats(0.01, 1.0)),
+                  "s": draw(st.floats(0.0, 2.0)), "sign": 1}
+    elif kind == "growth":
+        d = draw(st.integers(2, 8))
+        r = draw(st.integers(1, d - 1))
+        params = {"d": d, "r": r, "lam": H / r * draw(st.floats(0.1, 1.0)),
+                  "H": H, "Delta": 1.0}
+    if kind not in ("zeros", "knot"):
+        prob = problem_from_config({"family": kind, "params": params,
+                                    "seed": seed})
+        return prob, run_seed, t, b
+    if kind == "zeros":
+        n_atoms = draw(st.integers(1, 8))
+        weights = np.array(draw(st.lists(
+            st.sampled_from([0.0, 1.0]) | st.floats(0.01, 1.0),
+            min_size=n_atoms, max_size=n_atoms)))
+        assume(weights.sum() > 0)
+        probs = weights / weights.sum()
+    else:
+        us = philox_at(seed, run_seed, t).random(b)
+        probs = knot_at(us[draw(st.integers(0, b - 1))])
+    n_atoms = len(probs)
+    gen = np.random.default_rng(seed)
+    prob = DiscreteLeastSquares(
+        kind, np.arange(n_atoms, dtype=float)[:, None], probs,
+        gen.standard_normal(n_atoms), np.abs(gen.standard_normal(n_atoms)),
+        ProblemMeta(H=1.0, B=1.0, Lstar=0.0, sigma_star_sq=0.0, lam=0.0,
+                    Delta=1.0), seed, {})
+    return prob, run_seed, t, b
+
+
+class TestSamplerMatchesChoice:
+    """``sample`` draws the same bits as ``Generator.choice`` would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampled_designs())
+    def test_bit_identical_to_choice(self, design):
+        prob, run_seed, t, b = design
+        gen = philox_at(prob.base_seed, run_seed, t)
+        x, y = prob.sample(gen, b)
+        ref = philox_at(prob.base_seed, run_seed, t)
+        idx_ref, x_ref, y_ref = reference_sample(prob, ref, b)
+
+        # the atoms are distinct, so each row of x names its index
+        hits = (x[:, None, :] == prob.atoms[None]).all(axis=-1)
+        assert (hits.sum(axis=1) == 1).all()
+        assert hits.argmax(axis=1).tolist() == idx_ref.tolist()
+        assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+        assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+        assert_same_philox_state(gen.bit_generator.state,
+                                 ref.bit_generator.state)
+
+    def test_knot_design_separates_tie_rules(self):
+        # the property test's knot designs only bite if a draw that lands
+        # on a knot picks the atom above it
+        u = philox_at(5, 6, 7).random(1)[0]
+        probs = knot_at(u)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        assert cdf[0] == u and probs[0] != u
+        assert philox_at(5, 6, 7).choice(2, size=1, p=probs)[0] == 1
+
+    def test_rejects_invalid_probs(self):
+        meta = ProblemMeta(H=1.0, B=1.0, Lstar=0.0, sigma_star_sq=0.0,
+                           lam=0.0, Delta=1.0)
+        for probs in ([0.5, 0.4], [1.5, -0.5], [1.0], [0.5, float("nan")]):
+            with pytest.raises(ValueError, match="probs"):
+                DiscreteLeastSquares("bad", np.eye(2), probs, np.zeros(2),
+                                     np.zeros(2), meta, 0, {})
+
+
+class TestStreamAddressability:
+    """Batch ``t`` is a pure function of ``(seed, run_seed, t)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(0, 2**40), st.integers(1, 9),
+                              st.booleans()), max_size=6),
+           st.integers(0, 2**40), st.integers(1, 33))
+    def test_any_history_matches_fresh_philox(self, seed, run_seed, history,
+                                              t, b):
+        prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0,
+                                           sign=1, seed=seed)
+        stream = prob.stream(run_seed)
+        for position, n, half_word in history:
+            # draws that leave buffered words and a spare 32-bit half
+            stream.position = position
+            gen = stream.next_generator()
+            gen.random(n, dtype=np.float32 if half_word else np.float64)
+        stream.position = t
+        gen = stream.next_generator()
+        fresh = philox_at(seed, run_seed, t)
+        assert_same_philox_state(gen.bit_generator.state,
+                                 fresh.bit_generator.state)
+        stream.position = t
+        x, y = sample_batch(prob, b, stream)
+        x_ref, y_ref = prob.sample(philox_at(seed, run_seed, t), b)
+        assert x.tobytes() == x_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
+        assert stream.position == t + 1
 
 
 class TestMinibatchGradient:
