@@ -126,13 +126,10 @@ class SpeedupTable:
 
     rows: tuple[tuple[int, Optional[int]], ...]
     eps: float
-    problem_hash: str = ""
-    n_seeds: int = 0
 
 
 def time_to_eps(finals: Mapping[tuple[int, int], Sequence[float]],
-                eps: float, problem_hash: str = "",
-                n_seeds: int = 0) -> SpeedupTable:
+                eps: float) -> SpeedupTable:
     """Reduce per-(b, T) final suboptimalities to a speedup table.
 
     ``finals[(b, T)]`` holds the final suboptimality of each seed's run.
@@ -150,8 +147,7 @@ def time_to_eps(finals: Mapping[tuple[int, int], Sequence[float]],
                 hit = T
                 break
         rows.append((b, hit))
-    return SpeedupTable(rows=tuple(rows), eps=float(eps),
-                        problem_hash=problem_hash, n_seeds=n_seeds)
+    return SpeedupTable(rows=tuple(rows), eps=float(eps))
 
 
 def critical_batch(table: SpeedupTable,

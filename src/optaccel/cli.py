@@ -24,8 +24,8 @@ def _build_parser():
     p_run = sub.add_parser("run", help="execute an experiment spec")
     p_run.add_argument("spec", help="path to the experiment spec JSON")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: spec value; "
-                            "OPTACCEL_WORKERS overrides)")
+                       help="worker processes, at least 1 "
+                            "(default: the spec's workers)")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES),

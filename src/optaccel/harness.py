@@ -14,10 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -65,20 +64,6 @@ class ExperimentSpec:
     output_dir: str
     overrides: dict = field(default_factory=dict)
     workers: int = 1
-
-    def to_dict(self) -> dict:
-        return {
-            "problems": [dict(p) for p in self.problems],
-            "algorithm": self.algorithm,
-            "b_grid": list(self.b_grid),
-            "T_grid": list(self.T_grid),
-            "n_seeds": self.n_seeds,
-            "base_seed": self.base_seed,
-            "eps_targets": list(self.eps_targets),
-            "output_dir": self.output_dir,
-            "overrides": dict(self.overrides),
-            "workers": self.workers,
-        }
 
 
 def _validate(raw: dict) -> ExperimentSpec:
@@ -147,15 +132,19 @@ def _validate(raw: dict) -> ExperimentSpec:
             raise SpecError(f"overrides.{key}: must be a finite number "
                             f"{op} {low:g}, got {value!r}")
 
-    workers = raw.get("workers", 1)
-    if not _is_int(workers) or workers < 1:
-        raise SpecError(f"workers: must be a positive integer, got {workers}")
+    workers = _check_workers(raw.get("workers", 1))
 
     return ExperimentSpec(
         problems=tuple(dict(p) for p in problems), algorithm=algorithm,
         b_grid=b_grid, T_grid=T_grid, n_seeds=n_seeds, base_seed=base_seed,
         eps_targets=tuple(float(e) for e in eps_targets),
         output_dir=output_dir, overrides=dict(overrides), workers=workers)
+
+
+def _check_workers(workers):
+    if not _is_int(workers) or workers < 1:
+        raise SpecError(f"workers: must be a positive integer, got {workers}")
+    return workers
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -176,11 +165,11 @@ def load_spec(path) -> ExperimentSpec:
 
 def save_spec(spec: ExperimentSpec, path) -> None:
     """Write a spec as canonical JSON (stable bytes for identical specs)."""
-    Path(path).write_text(canonical_json(spec.to_dict()) + "\n")
+    Path(path).write_text(canonical_json(asdict(spec)) + "\n")
 
 
 def spec_hash(spec: ExperimentSpec) -> str:
-    return sha256_text(canonical_json(spec.to_dict()))
+    return sha256_text(canonical_json(asdict(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +184,9 @@ def _run_cell(cell: dict) -> dict:
     ov = cell["overrides"]
     B_override = ov.get("B")
     lstar = ov.get("lstar")
-    noise_sq = None if lstar is None else 2.0 * problem.meta.H * float(lstar)
     if alg == "acc_mb_sgd":
+        noise_sq = (None if lstar is None
+                    else 2.0 * problem.meta.H * float(lstar))
         _, trace = optimizers.run_acc_mb_sgd(
             problem, b, T, B_override=B_override,
             noise_sq_override=noise_sq, seed=seed)
@@ -209,24 +199,15 @@ def _run_cell(cell: dict) -> dict:
         plan = optimizers.make_budget_plan(
             meta.Delta, T, ov.get("theta", math.e), meta.lam, meta.H, b,
             meta.Lstar if lstar is None else lstar)
-        _, trace = optimizers.run_restarted(problem, plan, seed=seed,
-                                            noise_sq_override=noise_sq)
+        _, trace = optimizers.run_restarted(problem, plan, seed=seed)
     else:
         raise ValueError(f"unknown algorithm {alg!r}")
 
     trace.header["final_subopt"] = trace.final_subopt
-    out = Path(cell["output_dir"])
-    stem = cell["stem"]
-    csv_path = out / f"{stem}.csv"
-    json_path = out / f"{stem}.json"
-    csv_path.write_text(trace_to_csv(trace))
-    json_path.write_text(canonical_json(trace.header) + "\n")
-    return {
-        "stem": stem,
-        "files": [csv_path.name, json_path.name],
-        "final_subopt": trace.final_subopt,
-        "aborted": trace.aborted,
-    }
+    out, stem = Path(cell["output_dir"]), cell["stem"]
+    (out / f"{stem}.csv").write_text(trace_to_csv(trace))
+    (out / f"{stem}.json").write_text(canonical_json(trace.header) + "\n")
+    return {"final_subopt": trace.final_subopt}
 
 
 def _cells_of(spec: ExperimentSpec):
@@ -254,14 +235,13 @@ def _sha256_file(path: Path) -> str:
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
     """Run every cell of a sweep and write the aggregate artifacts.
 
-    Cells execute independently (in parallel when ``workers > 1``; the
-    ``OPTACCEL_WORKERS`` environment variable overrides the spec) and
+    Cells execute independently (in parallel when ``workers > 1``;
+    ``workers`` defaults to the spec's, and below 1 is a ``SpecError``) and
     per-cell failures are recorded in the manifest without aborting the
     others.  Returns the manifest, which lists every artifact with its
     content hash.
     """
-    if workers is None:
-        workers = int(os.environ.get("OPTACCEL_WORKERS", spec.workers))
+    workers = _check_workers(spec.workers if workers is None else workers)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -278,10 +258,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
         else:
             results[cell["stem"]] = (cell, outcome)
 
-    artifacts = []
-    for stem in sorted(results):
-        for name in results[stem][1]["files"]:
-            artifacts.append(name)
+    artifacts = [stem + ext for stem in results for ext in (".csv", ".json")]
 
     summary_rows = _summarize(spec, results)
     summary_path = out / "summary.csv"
@@ -295,7 +272,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
 
     hashes = {name: _sha256_file(out / name) for name in sorted(artifacts)}
     content = {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "spec_hash": spec_hash(spec),
         "artifacts": hashes,
         "failures": sorted(failures, key=lambda f: f["stem"]),
@@ -360,8 +337,7 @@ def _speedup_csv(spec, results):
             outcome["final_subopt"])
     for phash in sorted(by_problem):
         for eps in spec.eps_targets:
-            table = time_to_eps(by_problem[phash], eps, problem_hash=phash,
-                                n_seeds=spec.n_seeds)
+            table = time_to_eps(by_problem[phash], eps)
             for b, T in table.rows:
                 lines.append(f"{phash},{format(eps, _FMT)},{b},"
                              f"{'' if T is None else T},{spec.n_seeds}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,10 +74,6 @@ class StepSchedule:
 
     def gamma_t(self, t: int) -> float:
         return self.gamma * (t + 1)
-
-    def content(self) -> dict:
-        return {"gamma": self.gamma, "T": self.T, "b": self.b,
-                "H": self.H, "B": self.B, "noise_sq": self.noise_sq}
 
 
 def make_schedule(H: float, b: int, T: int, B: float,
@@ -196,8 +192,8 @@ def _run_header(problem, algorithm, b, T, seed, schedule=None, extra=None):
         "seed": int(seed),
     }
     if schedule is not None:
-        hdr["schedule"] = schedule.content()
-        hdr["schedule_hash"] = sha256_text(canonical_json(schedule.content()))[:16]
+        hdr["schedule"] = asdict(schedule)
+        hdr["schedule_hash"] = sha256_text(canonical_json(hdr["schedule"]))[:16]
     if extra:
         hdr.update(extra)
     return hdr
@@ -219,14 +215,37 @@ def run_acc_mb_sgd(problem: Problem, b: int, T: int,
     noise_sq = (2.0 * meta.H * meta.Lstar if noise_sq_override is None
                 else float(noise_sq_override))
     schedule = make_schedule(meta.H, b, T, B, noise_sq)
-    recorder = TraceRecorder(_run_header(problem, "acc_mb_sgd", b, T, seed,
-                                         schedule))
+    header = _run_header(problem, "acc_mb_sgd", b, T, seed, schedule)
+    return _run_stages(problem, header, seed, [schedule])
+
+
+def _run_stages(problem, header, seed, schedules, center=None):
+    """Run the accelerated method through consecutive stages of one stream.
+
+    Each stage restarts from the zero state under its own schedule, and its
+    trace rows continue the step count of the stages before it.  Without a
+    ``center`` there is one stage, numbered 0, at the origin; the run
+    returns its averaged iterate, partial if a step aborted.  With one, the
+    stages are numbered from 1 and each runs in coordinates shifted to the
+    current centre, which then moves by the stage's averaged iterate; the
+    run returns the last centre reached by a completed stage.
+    """
+    recorder = TraceRecorder(header)
     stream = problem.stream(seed)
-    state = _zero_state(problem.d)
+    t_offset = 0
     with _abort_on_nonfinite(recorder):
-        for _ in range(T):
-            state = acc_step(state, schedule, problem, stream, recorder)
-    return state.w_ag, recorder.build()
+        for stage, schedule in enumerate(schedules,
+                                         start=0 if center is None else 1):
+            state = _zero_state(problem.d)
+            for _ in range(schedule.T):
+                # looked up in the module at each call, so a wrapper
+                # installed there sees every step
+                state = acc_step(state, schedule, problem, stream, recorder,
+                                 center, stage, t_offset)
+            if center is not None:
+                center = center + state.w_ag
+            t_offset += schedule.T
+    return (state.w_ag if center is None else center), recorder.build()
 
 
 def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
@@ -329,14 +348,6 @@ class StagePlan:
     def total_iterations(self) -> int:
         return sum(s.T_t for s in self.stages)
 
-    def content(self) -> dict:
-        return {
-            "theta": self.theta, "lam": self.lam, "Delta": self.Delta,
-            "H": self.H, "b": self.b, "Lstar": self.Lstar,
-            "stages": [{"eps_t": s.eps_t, "B_t": s.B_t, "T_t": s.T_t}
-                       for s in self.stages],
-        }
-
 
 def _check_plan_args(Delta: float, theta: float, lam: float) -> None:
     if theta <= 1:
@@ -403,33 +414,20 @@ def make_budget_plan(Delta: float, budget: int, theta: float, lam: float,
     return _plan(stages, Delta, theta, lam, H, b, Lstar)
 
 
-def run_restarted(problem: Problem, plan: StagePlan, seed: int = 0,
-                  noise_sq_override: float | None = None
+def run_restarted(problem: Problem, plan: StagePlan, seed: int = 0
                   ) -> tuple[np.ndarray, RunTrace]:
     """Run the accelerated method stage by stage, re-centering each time.
 
     Every stage restarts the accelerated method from scratch in coordinates
     shifted to the previous stage's output, with the stage's own radius and
-    horizon.  The returned trace is the concatenation over stages with a
-    stage-index column; its norm columns measure distance from the active
-    stage center.
+    horizon, and the noise parameter ``2 H Lstar`` of the plan.  The
+    returned trace is the concatenation over stages with a stage-index
+    column; its norm columns measure distance from the active stage center.
     """
-    noise_sq = (2.0 * plan.H * plan.Lstar if noise_sq_override is None
-                else float(noise_sq_override))
+    noise_sq = 2.0 * plan.H * plan.Lstar
     header = _run_header(problem, "restarted", plan.b, plan.total_iterations,
-                         seed, extra={"plan": plan.content()})
-    recorder = TraceRecorder(header)
-    stream = problem.stream(seed)
-    center = np.zeros(problem.d)
-    t_offset = 0
-    with _abort_on_nonfinite(recorder):
-        for stage_idx, st in enumerate(plan.stages, start=1):
-            schedule = make_schedule(plan.H, plan.b, st.T_t, st.B_t, noise_sq)
-            state = _zero_state(problem.d)
-            for _ in range(st.T_t):
-                state = acc_step(state, schedule, problem, stream, recorder,
-                                 center=center, stage=stage_idx,
-                                 t_offset=t_offset)
-            center = center + state.w_ag
-            t_offset += st.T_t
-    return center, recorder.build()
+                         seed, extra={"plan": asdict(plan)})
+    schedules = (make_schedule(plan.H, plan.b, st.T_t, st.B_t, noise_sq)
+                 for st in plan.stages)
+    return _run_stages(problem, header, seed, schedules,
+                       center=np.zeros(problem.d))

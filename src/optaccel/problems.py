@@ -359,20 +359,24 @@ def make_interpolation_least_squares(d: int, n_atoms: int, H: float, B: float,
         {"d": d, "n_atoms": n_atoms, "H": H, "B": B})
 
 
-def make_sign_vector_problem(n: int, H: float, B: float,
-                             sigma_signs) -> DiscreteLeastSquares:
+def make_sign_vector_problem(n: int, H: float, B: float, sigma_signs,
+                             seed: int = 0) -> DiscreteLeastSquares:
     """Orthogonal-design least squares on 2n coordinates with sign labels.
 
     ``x`` is uniform over the ``2n`` scaled basis vectors ``sqrt(H) e_i`` and
     ``y | x = <x, w*>`` for ``w* = (B / sqrt(2n)) * sigma_signs``.  Each
     coordinate of the minimizer carries one sign, every sampled feature has
-    squared norm exactly ``H``, and ``L(0) - L* = H B**2 / (4 n)``.
+    squared norm exactly ``H``, and ``L(0) - L* = H B**2 / (4 n)``.  The
+    design has no randomness; ``seed`` keys the problem's sampling streams.
     """
     signs = np.asarray(sigma_signs, dtype=float)
     if signs.shape != (2 * n,):
         raise ValueError(f"sigma_signs must have length {2 * n}, got {signs.shape}")
-    if not np.all(np.abs(signs) == 1.0):
-        raise ValueError("sigma_signs entries must be +1 or -1")
+    # integers only: the params record the signs as given, so a float or a
+    # bool read back as an int would change the problem's config hash
+    if not all(_is_int(s) and s in (-1, 1) for s in sigma_signs):
+        raise ValueError(f"sigma_signs entries must be the integers +1 or "
+                         f"-1, got {list(sigma_signs)!r}")
     if H <= 0 or B <= 0:
         raise ValueError("H and B must be positive")
     dim = 2 * n
@@ -384,8 +388,8 @@ def make_sign_vector_problem(n: int, H: float, B: float,
                        lam=float(H / dim), Delta=float(H * B**2 / (4 * n)),
                        wstar=wstar)
     return DiscreteLeastSquares(
-        "sign_vector", atoms, probs, label_means, np.zeros(dim), meta, 0,
-        {"n": n, "H": H, "B": B, "sigma_signs": [int(s) for s in signs]})
+        "sign_vector", atoms, probs, label_means, np.zeros(dim), meta, seed,
+        {"n": n, "H": H, "B": B, "sigma_signs": list(sigma_signs)})
 
 
 def make_gaussian_spike_problem(H: float, B: float, p: float, s: float,
@@ -559,14 +563,11 @@ def problem_from_config(config: dict) -> Problem:
                      else TypeError)
             raise error(f"{family}: parameter {name!r} must be a finite "
                         f"number, got {value!r}")
-    if family != "sign_vector":
-        params["seed"] = config.get("seed", 0)
-        return _FAMILIES[family](**params)
-    prob = _FAMILIES[family](**params)
-    # sign_vector takes no construction seed; thread the config seed into
-    # its sampling streams
-    prob.base_seed = int(config.get("seed", 0))
-    return prob
+    params["seed"] = config.get("seed", 0)
+    if not _is_int(params["seed"]):
+        raise ValueError(f"{family}: seed must be an integer, "
+                         f"got {params['seed']!r}")
+    return _FAMILIES[family](**params)
 
 
 def config_hash(config: dict) -> str:

@@ -1,9 +1,10 @@
 """End-to-end verification suites binding the library's guarantees to
 checkable numbers.
 
-Each suite is fully seeded and therefore deterministic: rerunning it
-reproduces the identical report, whose ``content_hash`` covers everything
-except wall-clock time.  Suite names are the stable CLI surface
+Each suite returns its list of checks, and ``run_suite`` turns them into
+a report.  Suites are fully seeded and therefore deterministic: rerunning
+one reproduces the identical report, whose ``content_hash`` covers
+everything except wall-clock time.  Suite names are the stable CLI surface
 (``optaccel verify <suite>``); thresholds are fixed here, not configurable,
 because they are the package's acceptance contract.
 """
@@ -33,17 +34,6 @@ def _check(name, value, threshold, op, detail=""):
     return {"name": name, "value": float(value), "op": op,
             "threshold": float(threshold), "passed": bool(passed),
             "detail": detail}
-
-
-def _finish(suite, checks, t0):
-    content = {"suite": suite, "checks": checks}
-    return {
-        "suite": suite,
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-        "content_hash": sha256_text(canonical_json(content)),
-        "elapsed_s": round(time.perf_counter() - t0, 3),
-    }
 
 
 # -- shared fixtures ---------------------------------------------------------
@@ -79,7 +69,6 @@ def _family_fixtures():
 
 def suite_assumptions():
     """Per-sample convexity/smoothness and growth certificates, all families."""
-    t0 = time.perf_counter()
     checks = []
     for name, prob in _family_fixtures():
         rep = certify_assumptions(prob, n_probes=1000, seed=0)
@@ -92,12 +81,11 @@ def suite_assumptions():
                              rep.grad_lipschitz_violation, 1e-8, "<="))
         checks.append(_check(f"{name}:growth", rep.growth_violation,
                              1e-10, "<="))
-    return _finish("assumptions", checks, t0)
+    return checks
 
 
 def suite_lemma3():
     """Gradient variance at the minimizer is at most 2 H Lstar."""
-    t0 = time.perf_counter()
     checks = []
     for lstar in (0.01, 0.1, 1.0):
         s = 2.0 * math.sqrt(lstar)  # p = 1/2 makes Lstar = s^2 / 4
@@ -108,12 +96,11 @@ def suite_lemma3():
             f"Lstar={lstar}:variance_bound", est,
             2.0 * prob.meta.H * lstar + 3.0 * se, "<=",
             detail=f"estimate {est:.5g} vs 2*H*Lstar={2 * lstar:.5g} + 3se"))
-    return _finish("lemma3", checks, t0)
+    return checks
 
 
 def suite_lemma1():
     """Projected-update optimality inequality on random instances."""
-    t0 = time.perf_counter()
     gen = np.random.default_rng(77)
     worst, worst_eq = -math.inf, 0.0
     for _ in range(1000):
@@ -132,18 +119,16 @@ def suite_lemma1():
         worst = max(worst, viol)
         _, eq_viol, _ = check_projection_lemma(inst, [w_next])
         worst_eq = max(worst_eq, abs(eq_viol))
-    checks = [
+    return [
         _check("max_violation", worst, 1e-9, "<=",
                detail="1000 instances x 100 ball probes"),
         _check("equality_at_update", worst_eq, 1e-12, "<=",
                detail="probe at the projected update itself"),
     ]
-    return _finish("lemma1", checks, t0)
 
 
 def suite_rate_convex():
     """Convex-case rates: deterministic quadratic and interpolation regimes."""
-    t0 = time.perf_counter()
     checks = []
 
     # zero-noise quadratic: with exact gradients the batch size only enters
@@ -169,7 +154,7 @@ def suite_rate_convex():
         checks.append(_check(f"interpolation:b={b}:slope", fit.slope,
                              slope_max, "<=",
                              detail=f"r^2={fit.r_squared:.4f}"))
-    return _finish("rate_convex", checks, t0)
+    return checks
 
 
 # horizon grids per batch size for the speedup sweep (powers of two wide
@@ -199,7 +184,6 @@ def _speedup_finals(prob):
 
 def suite_speedup():
     """Linear minibatch speedup for the accelerated method; none for SGD."""
-    t0 = time.perf_counter()
     prob = _interp_problem()
     eps = _SPEEDUP_EPS
     threshold = math.sqrt(prob.meta.H * prob.meta.B**2 / eps)
@@ -258,12 +242,11 @@ def suite_speedup():
         spread = math.inf
     checks.append(_check("sgd_no_speedup_spread", spread, 0.25, "<",
                          detail=f"T_to_eps={sgd_tte}"))
-    return _finish("speedup", checks, t0)
+    return checks
 
 
 def suite_rate_restart():
     """Restarted runs converge linearly; plain runs do not."""
-    t0 = time.perf_counter()
     prob = make_growth_problem(d=6, r=3, lam=0.25, H=1.0, Delta=1.0, seed=5)
     delta = prob.meta.Delta
     plan = optimizers.make_stage_plan(Delta=delta, eps=float(np.exp(-5) * delta),
@@ -299,12 +282,11 @@ def suite_rate_restart():
                          r2_loglog - r2_loglin, 0.0, ">",
                          detail=f"log-log r2={r2_loglog:.4f}, "
                                 f"log-linear r2={r2_loglin:.4f}"))
-    return _finish("rate_restart", checks, t0)
+    return checks
 
 
 def suite_sigma_star():
     """Variance-at-minimizer parameterization: rate at b=64, floor at b=1."""
-    t0 = time.perf_counter()
     prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
                                        seed=2)
     meta = prob.meta
@@ -326,7 +308,7 @@ def suite_sigma_star():
     checks.append(_check("b=1:no_acceleration_floor", float(np.median(f1)),
                          floor, ">=",
                          detail="median must stay above sigma*B/(10 sqrt(T))"))
-    return _finish("sigma_star", checks, t0)
+    return checks
 
 
 def _r2(x, y):
@@ -350,10 +332,20 @@ SUITES = {
 
 
 def run_suite(name: str) -> dict:
+    """Run one suite and build its report."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; "
                        f"expected one of {sorted(SUITES)}")
-    return SUITES[name]()
+    t0 = time.perf_counter()
+    checks = SUITES[name]()
+    return {
+        "suite": name,
+        "passed": all(c["passed"] for c in checks),
+        "checks": checks,
+        "content_hash": sha256_text(canonical_json({"suite": name,
+                                                    "checks": checks})),
+        "elapsed_s": round(time.perf_counter() - t0, 3),
+    }
 
 
 def report_lines(report: dict) -> list[str]:

@@ -145,12 +145,6 @@ class TestRunExperiment:
             load_spec(write_spec(tmp_path, raw, "p.json")))
         assert serial["artifacts"] == parallel["artifacts"]
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OPTACCEL_WORKERS", "2")
-        raw = minimal_spec(tmp_path, n_seeds=2)
-        manifest = run_experiment(load_spec(write_spec(tmp_path, raw)))
-        assert manifest["failures"] == []
-
     def test_cell_failure_recorded_without_aborting(self, tmp_path):
         # restarted with a 1-iteration budget cannot fit the first stage
         raw = minimal_spec(tmp_path, algorithm="restarted",
@@ -333,6 +327,35 @@ class TestCli:
                                                  problems=[problem]))
         assert cli_main(["run", str(path)]) == 2
         assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys,
+                                               workers):
+        path = write_spec(tmp_path, minimal_spec(tmp_path))
+        assert cli_main(["run", str(path), "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SpecError, match="workers"):
+            run_experiment(load_spec(path), workers=int(workers))
+
+    @pytest.mark.parametrize("problem,error", [
+        (dict(SIGN_PROBLEM, seed=2.7), "seed must be an integer"),
+        (dict(SIGN_PROBLEM, seed=True), "seed must be an integer"),
+        (dict(GROWTH_PROBLEM, seed=False), "seed must be an integer"),
+        ({"family": "sign_vector",
+          "params": {"n": 1, "H": 1.0, "B": 1.0, "sigma_signs": [True, -1]}},
+         "sigma_signs entries must be the integers"),
+        ({"family": "sign_vector",
+          "params": {"n": 1, "H": 1.0, "B": 1.0, "sigma_signs": [1.0, -1.0]}},
+         "sigma_signs entries must be the integers")])
+    def test_bad_seed_or_signs_is_config_error(self, tmp_path, capsys,
+                                               problem, error):
+        path = write_spec(tmp_path, minimal_spec(tmp_path,
+                                                 problems=[problem]))
+        assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "problems[0]" in err and error in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,12 +15,14 @@ from optaccel import (
     Stage,
     acc_step,
     accel_error_bound,
+    config_hash,
     make_budget_plan,
     make_growth_problem,
     make_interpolation_least_squares,
     make_noiseless_quadratic,
     make_schedule,
     make_stage_plan,
+    problem_from_config,
     project_ball,
     run_acc_mb_sgd,
     run_restarted,
@@ -28,6 +30,9 @@ from optaccel import (
     stage_budget,
 )
 from optaccel.analysis import gradient_variance_exact
+from optaccel.optimizers import NonFiniteGradientError
+from optaccel.trace import (TraceRecorder, canonical_json, sha256_text,
+                            trace_to_csv)
 
 
 def one_dim_quadratic(target=1.0):
@@ -441,3 +446,193 @@ def test_realized_minibatch_variance_bound():
                      + 8 * meta.H * gap / b + 4 * meta.sigma_star_sq / b)
             assert cond_var <= bound * (1 + 1e-9) + 1e-12
             state = acc_step(state, sched, prob, stream)
+
+
+# -- the merged accelerated loop against the two loops it replaced -----------
+
+
+def reference_header(problem, algorithm, b, T, seed, extra):
+    """Run header with each record written out field by field."""
+    cfg = problem.config()
+    return {"problem": cfg, "problem_hash": config_hash(cfg),
+            "algorithm": algorithm, "b": int(b), "T": int(T),
+            "seed": int(seed), **extra}
+
+
+def mark_aborted(recorder, err):
+    recorder.aborted = True
+    recorder.header["abort_reason"] = str(err)
+
+
+def reference_acc_mb_sgd(problem, b, T, B_override=None,
+                         noise_sq_override=None, seed=0):
+    """The plain accelerated loop: one stage 0 at the origin."""
+    meta = problem.meta
+    B = meta.B if B_override is None else float(B_override)
+    noise_sq = (2.0 * meta.H * meta.Lstar if noise_sq_override is None
+                else float(noise_sq_override))
+    schedule = make_schedule(meta.H, b, T, B, noise_sq)
+    content = {"gamma": schedule.gamma, "T": schedule.T, "b": schedule.b,
+               "H": schedule.H, "B": schedule.B, "noise_sq": schedule.noise_sq}
+    recorder = TraceRecorder(reference_header(
+        problem, "acc_mb_sgd", b, T, seed,
+        {"schedule": content,
+         "schedule_hash": sha256_text(canonical_json(content))[:16]}))
+    stream = problem.stream(seed)
+    state = OptimizerState(np.zeros(problem.d), np.zeros(problem.d), 0)
+    try:
+        for _ in range(T):
+            state = acc_step(state, schedule, problem, stream, recorder)
+    except NonFiniteGradientError as err:
+        mark_aborted(recorder, err)
+    return state.w_ag, recorder.build()
+
+
+def reference_restarted(problem, plan, seed=0, noise_sq_override=None):
+    """The restart loop: stages 1..k, each re-centred on the last output."""
+    noise_sq = (2.0 * plan.H * plan.Lstar if noise_sq_override is None
+                else float(noise_sq_override))
+    content = {"theta": plan.theta, "lam": plan.lam, "Delta": plan.Delta,
+               "H": plan.H, "b": plan.b, "Lstar": plan.Lstar,
+               "stages": [{"eps_t": s.eps_t, "B_t": s.B_t, "T_t": s.T_t}
+                          for s in plan.stages]}
+    recorder = TraceRecorder(reference_header(
+        problem, "restarted", plan.b, plan.total_iterations, seed,
+        {"plan": content}))
+    stream = problem.stream(seed)
+    center = np.zeros(problem.d)
+    t_offset = 0
+    try:
+        for stage_idx, stage in enumerate(plan.stages, start=1):
+            schedule = make_schedule(plan.H, plan.b, stage.T_t, stage.B_t,
+                                     noise_sq)
+            state = OptimizerState(np.zeros(problem.d), np.zeros(problem.d), 0)
+            for _ in range(stage.T_t):
+                state = acc_step(state, schedule, problem, stream, recorder,
+                                 center=center, stage=stage_idx,
+                                 t_offset=t_offset)
+            center = center + state.w_ag
+            t_offset += stage.T_t
+    except NonFiniteGradientError as err:
+        mark_aborted(recorder, err)
+    return center, recorder.build()
+
+
+@st.composite
+def family_configs(draw):
+    family = draw(st.sampled_from(["interpolation_least_squares",
+                                   "sign_vector", "gaussian_spike", "growth",
+                                   "noiseless_quadratic"]))
+    H = draw(st.floats(0.1, 10.0))
+    B = draw(st.floats(0.1, 10.0))
+    if family == "interpolation_least_squares":
+        d = draw(st.integers(1, 6))
+        params = {"d": d, "n_atoms": draw(st.integers(1, d)), "H": H, "B": B}
+    elif family == "sign_vector":
+        n = draw(st.integers(1, 3))
+        params = {"n": n, "H": H, "B": B, "sigma_signs": draw(st.lists(
+            st.sampled_from([-1, 1]), min_size=2 * n, max_size=2 * n))}
+    elif family == "gaussian_spike":
+        params = {"H": H, "B": B, "p": draw(st.floats(0.01, 1.0)),
+                  "s": draw(st.floats(0.0, 2.0)),
+                  "sign": draw(st.sampled_from([-1, 1]))}
+    elif family == "growth":
+        d = draw(st.integers(2, 6))
+        r = draw(st.integers(1, d - 1))
+        params = {"d": d, "r": r, "lam": H / r * draw(st.floats(0.1, 1.0)),
+                  "H": H, "Delta": draw(st.floats(0.1, 10.0))}
+    else:
+        params = {"d": draw(st.integers(1, 6)), "H": H, "B": B,
+                  "spread": draw(st.floats(1.0, 100.0))}
+    return {"family": family, "params": params,
+            "seed": draw(st.integers(0, 2**32))}
+
+
+def build(cfg, nan_from):
+    """The configured problem; its gradients are NaN from call ``nan_from``
+    on (never when ``nan_from`` is None)."""
+    prob = problem_from_config(cfg)
+    if nan_from is not None:
+        exact = prob.batch_grad_mean
+        calls = [0]
+
+        def batch_grad_mean(w, batch):
+            calls[0] += 1
+            g = exact(w, batch)
+            return g if calls[0] <= nan_from else np.full_like(g, np.nan)
+
+        prob.batch_grad_mean = batch_grad_mean
+    return prob
+
+
+@st.composite
+def plans(draw, problem_H):
+    """``make_stage_plan`` plans of 0 to 4 stages of a few steps each."""
+    n = draw(st.integers(0, 4))
+    theta = draw(st.floats(1.5, 4.0))
+    Delta = draw(st.floats(0.1, 10.0))
+    eps = 2.0 * Delta if n == 0 else Delta * theta**-n
+    # a growth constant far above H keeps each stage's budget small
+    lam = problem_H * draw(st.floats(20.0, 2000.0))
+    Lstar = draw(st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 1e-6))
+    plan = make_stage_plan(Delta, eps, theta, lam, problem_H,
+                           draw(st.integers(1, 8)), Lstar)
+    assume(len(plan.stages) == n and plan.total_iterations <= 300)
+    return plan
+
+
+def same_run(got, want):
+    (w_got, t_got), (w_want, t_want) = got, want
+    assert w_got.tobytes() == w_want.tobytes()
+    # as lists, so a failure reports the first differing row, not a diff
+    # of two long texts
+    assert (trace_to_csv(t_got).splitlines()
+            == trace_to_csv(t_want).splitlines())
+    assert canonical_json(t_got.header) == canonical_json(t_want.header)
+
+
+class TestOneAcceleratedLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=family_configs(), b=st.integers(1, 8), T=st.integers(1, 60),
+           B_override=st.none() | st.floats(0.1, 10.0),
+           noise_sq_override=st.none() | st.floats(0.0, 2.0),
+           seed=st.integers(0, 2**32), data=st.data())
+    def test_plain_run_matches_reference(self, cfg, b, T, B_override,
+                                         noise_sq_override, seed, data):
+        nan_from = data.draw(st.none() | st.integers(0, T))
+        kwargs = dict(B_override=B_override,
+                      noise_sq_override=noise_sq_override, seed=seed)
+        same_run(run_acc_mb_sgd(build(cfg, nan_from), b, T, **kwargs),
+                 reference_acc_mb_sgd(build(cfg, nan_from), b, T, **kwargs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=family_configs(), seed=st.integers(0, 2**32),
+           harness_noise=st.booleans(), data=st.data())
+    def test_restart_matches_reference(self, cfg, seed, harness_noise, data):
+        H = problem_from_config(cfg).meta.H
+        plan = data.draw(plans(H))
+        nan_from = data.draw(st.none()
+                             | st.integers(0, plan.total_iterations))
+        # the noise value the harness passed before the plan carried it
+        noise = 2.0 * H * plan.Lstar if harness_noise else None
+        same_run(run_restarted(build(cfg, nan_from), plan, seed=seed),
+                 reference_restarted(build(cfg, nan_from), plan, seed=seed,
+                                     noise_sq_override=noise))
+
+    def test_abort_in_a_later_stage_returns_last_centre(self):
+        cfg = {"family": "growth",
+               "params": {"d": 6, "r": 3, "lam": 0.25, "H": 1.0,
+                          "Delta": 1.0}, "seed": 5}
+        plan = make_stage_plan(Delta=1.0, eps=0.05, theta=math.e, lam=25.0,
+                               H=1.0, b=2, Lstar=0.0)
+        assert len(plan.stages) == 3
+        first = plan.stages[0].T_t
+        for nan_from in (0, first - 1, first, first + 1):
+            got = run_restarted(build(cfg, nan_from), plan, seed=4)
+            same_run(got, reference_restarted(build(cfg, nan_from), plan,
+                                              seed=4))
+            assert got[1].aborted and len(got[1].t) == nan_from
+            if nan_from < first:
+                assert not got[0].any()  # aborted in stage 1: the origin
+            else:
+                assert got[0].any()

@@ -101,6 +101,15 @@ class TestSignVector:
         with pytest.raises(ValueError):
             make_sign_vector_problem(n=1, H=1.0, B=1.0, sigma_signs=[1, 2])
 
+    def test_seed_keys_streams_at_construction(self):
+        cfg = {"family": "sign_vector",
+               "params": {"n": 2, "H": 1.0, "B": 1.0,
+                          "sigma_signs": [1, -1, 1, 1]}, "seed": 9}
+        prob = make_sign_vector_problem(**cfg["params"], seed=9)
+        assert prob.base_seed == 9
+        assert prob.config() == cfg
+        assert problem_from_config(cfg).config() == cfg
+
 
 class TestGaussianSpike:
     def test_minimum_value(self):
