@@ -33,8 +33,9 @@ def describe(prob):
     print(f"  closed-form minimum: L* = {lstar:.3e} at ||w*|| = "
           f"{np.linalg.norm(wstar):.4g}")
     rep = certify_assumptions(prob, n_probes=500, seed=0)
-    print(f"  certificate probes ok: {rep.ok()} "
-          f"(worst smoothness violation {rep.smoothness_violation:.1e})")
+    print(f"  certificate probes: worst smoothness violation "
+          f"{rep.smoothness_violation:.1e}, growth violation "
+          f"{rep.growth_violation:.1e}")
 
 
 def main():

@@ -46,7 +46,7 @@ def main():
     print(f"accelerated method, iterations to reach {EPS:g} "
           f"(median over {SEEDS} seeds):")
     print("  b     T_to_eps")
-    for b, T in table.rows:
+    for b, T in table.items():
         print(f"  {b:<5d} {T if T is not None else 'not reached'}")
     bstar = critical_batch(table)
     thr = np.sqrt(prob.meta.H * prob.meta.B**2 / EPS)

@@ -14,9 +14,8 @@ from .optimizers import (
     make_stage_plan, make_budget_plan, run_restarted, accel_error_bound,
 )
 from .analysis import (
-    RateFit, SpeedupTable, exact_min, variance_at, gradient_variance_exact,
-    fit_rate, time_to_eps, critical_batch, check_projection_lemma,
-    certify_assumptions, finite_difference_check,
+    RateFit, exact_min, variance_at, fit_rate, time_to_eps, critical_batch,
+    check_projection_lemma, certify_assumptions,
 )
 from .trace import RunTrace
 

@@ -1,9 +1,8 @@
 """Exact oracles, statistical estimators, and empirical rate diagnostics.
 
-Everything here is a pure function of immutable inputs.  The oracles
-(closed-form minimizers, exact gradient variance) are deliberately
-independent of the optimizer implementations so they can serve as ground
-truth in tests.
+Everything here is a pure function of immutable inputs.  The closed-form
+minimizer is deliberately independent of the optimizer implementations so
+it can serve as ground truth in tests.
 """
 
 from __future__ import annotations
@@ -18,17 +17,14 @@ from .problems import Problem, SampleStream
 
 __all__ = [
     "RateFit",
-    "SpeedupTable",
     "AssumptionReport",
     "exact_min",
     "variance_at",
-    "gradient_variance_exact",
     "fit_rate",
     "time_to_eps",
     "critical_batch",
     "check_projection_lemma",
     "certify_assumptions",
-    "finite_difference_check",
 ]
 
 
@@ -50,12 +46,6 @@ def exact_min(problem: Problem):
     wstar = (np.linalg.pinv(problem.second_moment, rcond=1e-10,
                             hermitian=True) @ problem.cross)
     return wstar, problem.exact_loss(wstar)
-
-
-def gradient_variance_exact(problem: Problem, w) -> float:
-    """Exact ``E ||grad l(w; z) - grad L(w)||**2`` from the design."""
-    g = problem.exact_grad(np.asarray(w, dtype=float))
-    return problem.grad_second_moment(w) - float(g @ g)
 
 
 def variance_at(problem: Problem, w, n_samples: int, seed: int = 0):
@@ -90,7 +80,16 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    grid: tuple[tuple[float, float], ...]
+
+
+def _line_fit(x, y) -> RateFit:
+    """Least-squares line ``y ~ slope * x + intercept`` with its r**2."""
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    r_sq = 1.0 if ss_tot < 1e-30 else 1.0 - float(resid @ resid) / ss_tot
+    return RateFit(slope=float(slope), intercept=float(intercept),
+                   r_squared=r_sq)
 
 
 def fit_rate(grid: Sequence[tuple[float, float]]) -> RateFit:
@@ -104,67 +103,46 @@ def fit_rate(grid: Sequence[tuple[float, float]]) -> RateFit:
         raise ValueError(f"need at least 4 grid points, got {len(pts)}")
     if any(v <= 0 for _, v in pts) or any(T <= 0 for T, _ in pts):
         raise ValueError("grid horizons and values must be positive")
-    log_t = np.log([T for T, _ in pts])
-    log_v = np.log([v for _, v in pts])
-    slope, intercept = np.polyfit(log_t, log_v, 1)
-    resid = log_v - (slope * log_t + intercept)
-    ss_res = float(resid @ resid)
-    ss_tot = float(((log_v - log_v.mean()) ** 2).sum())
-    r_sq = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
-    return RateFit(slope=float(slope), intercept=float(intercept),
-                   r_squared=r_sq, grid=tuple(pts))
-
-
-@dataclass(frozen=True)
-class SpeedupTable:
-    """Per-batch-size iteration counts needed to reach a target error.
-
-    ``rows`` maps each minibatch size to the smallest grid horizon whose
-    median final suboptimality is at most ``eps`` (None when no grid
-    horizon reached it).
-    """
-
-    rows: tuple[tuple[int, Optional[int]], ...]
-    eps: float
+    return _line_fit(np.log([T for T, _ in pts]),
+                     np.log([v for _, v in pts]))
 
 
 def time_to_eps(finals: Mapping[tuple[int, int], Sequence[float]],
-                eps: float) -> SpeedupTable:
+                eps: float) -> dict[int, Optional[int]]:
     """Reduce per-(b, T) final suboptimalities to a speedup table.
 
     ``finals[(b, T)]`` holds the final suboptimality of each seed's run.
-    For each ``b`` the table records the smallest ``T`` in the grid whose
-    median is at most ``eps``.
+    The table maps each ``b``, in ascending order, to the smallest ``T`` in
+    the grid whose median is at most ``eps`` (None when no grid horizon
+    reached it).
     """
     by_b: dict[int, list[tuple[int, float]]] = {}
     for (b, T), vals in finals.items():
         by_b.setdefault(int(b), []).append((int(T), float(np.median(vals))))
-    rows = []
+    table = {}
     for b in sorted(by_b):
-        hit = None
+        table[b] = None
         for T, med in sorted(by_b[b]):
             if med <= eps:
-                hit = T
+                table[b] = T
                 break
-        rows.append((b, hit))
-    return SpeedupTable(rows=tuple(rows), eps=float(eps))
+    return table
 
 
-def critical_batch(table: SpeedupTable,
-                   plateau_ratio: float = 0.8) -> Optional[int]:
-    """Smallest batch size from which the table stops improving.
+def critical_batch(table: Mapping[int, Optional[int]]) -> Optional[int]:
+    """Smallest batch size from which a ``time_to_eps`` table stops improving.
 
     ``b*`` is the smallest ``b`` such that every larger batch size in the
-    table needs at least ``plateau_ratio`` times as many iterations; a
-    plateau must be witnessed by at least one larger entry.  Returns None
-    when the table never saturates.
+    table needs at least 0.8 times as many iterations; a plateau must be
+    witnessed by at least one larger entry.  Returns None when the table
+    never saturates.
     """
-    if len(table.rows) < 4:
+    if len(table) < 4:
         raise ValueError("need at least 4 batch sizes to detect a plateau")
-    ts = [(b, math.inf if T is None else T) for b, T in table.rows]
+    ts = [(b, math.inf if T is None else T) for b, T in table.items()]
     for i, (b, T) in enumerate(ts[:-1]):
         tail = ts[i + 1:]
-        if all(T2 >= plateau_ratio * T for _, T2 in tail):
+        if all(T2 >= 0.8 * T for _, T2 in tail):
             return b
     return None
 
@@ -174,7 +152,7 @@ def critical_batch(table: SpeedupTable,
 # ---------------------------------------------------------------------------
 
 
-def check_projection_lemma(instance, probes, tol: float = 1e-9):
+def check_projection_lemma(instance, probes):
     """Optimality inequality of the projected update against probe points.
 
     ``instance`` is ``(w_t, w_md, g, gamma_t, B)``.  The projected update
@@ -185,7 +163,7 @@ def check_projection_lemma(instance, probes, tol: float = 1e-9):
             + 0.5 ||w - w_t||**2 - 0.5 ||w - w_next||**2
             - 0.5 ||w_next - w_t||**2
 
-    Returns (ok, max_violation, w_next).
+    Returns (max_violation, w_next).
     """
     w_t, w_md, g, gamma_t, B = instance
     from .optimizers import project_ball
@@ -200,7 +178,7 @@ def check_projection_lemma(instance, probes, tol: float = 1e-9):
                - 0.5 * float((w - w_next) @ (w - w_next))
                - 0.5 * float((w_next - w_t) @ (w_next - w_t)))
         max_violation = max(max_violation, lhs - rhs)
-    return max_violation <= tol, max_violation, w_next
+    return max_violation, w_next
 
 
 @dataclass(frozen=True)
@@ -212,14 +190,6 @@ class AssumptionReport:
     smoothness_violation: float
     grad_lipschitz_violation: float
     growth_violation: float
-    n_probes: int
-
-    def ok(self, rel_tol: float = 1e-8, growth_tol: float = 1e-10) -> bool:
-        return (self.nonneg_violation <= rel_tol
-                and self.convexity_violation <= rel_tol
-                and self.smoothness_violation <= rel_tol
-                and self.grad_lipschitz_violation <= rel_tol
-                and self.growth_violation <= growth_tol)
 
 
 def certify_assumptions(problem: Problem, n_probes: int = 1000,
@@ -260,7 +230,7 @@ def certify_assumptions(problem: Problem, n_probes: int = 1000,
                             (gnorm - meta.H * dnorm) / lip_scale)
 
     growth_violation = -math.inf
-    if meta.lam > 0 and meta.wstar is not None:
+    if meta.lam > 0:
         proj = problem.solution_projector()
         probe_w = _ball_points(gen, 2 * meta.B, (n_probes, problem.d))
         for w in probe_w:
@@ -277,30 +247,7 @@ def certify_assumptions(problem: Problem, n_probes: int = 1000,
         smoothness_violation=worst["smooth"],
         grad_lipschitz_violation=worst["lips"],
         growth_violation=growth_violation,
-        n_probes=n_probes,
     )
-
-
-def finite_difference_check(problem: Problem, n_probes: int = 100,
-                            seed: int = 0, h: float = 1e-6) -> float:
-    """Worst relative error of central differences against the gradient."""
-    meta = problem.meta
-    gen = np.random.default_rng(np.random.SeedSequence([seed, 0xFD1F]))
-    stream = SampleStream(problem.base_seed, run_seed=seed ^ 0x90D)
-    batch = problem.sample(stream.next_generator(), n_probes)
-    points = _ball_points(gen, 2 * meta.B, (n_probes, problem.d))
-    worst = 0.0
-    for i in range(n_probes):
-        z = _sample_at(batch, i)
-        w = points[i]
-        g = problem.grad(w, z)
-        for k in range(problem.d):
-            e = np.zeros(problem.d)
-            e[k] = h
-            fd = (problem.loss(w + e, z) - problem.loss(w - e, z)) / (2 * h)
-            denom = max(1.0, abs(g[k]))
-            worst = max(worst, abs(fd - g[k]) / denom)
-    return worst
 
 
 def _ball_points(gen, radius, shape):

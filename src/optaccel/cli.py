@@ -50,9 +50,6 @@ def _build_parser():
                          help="feasible-ball radius")
     p_sched.add_argument("--lstar", type=float, default=0.0,
                          help="minimum expected loss (sets noise to 2*H*lstar)")
-    p_sched.add_argument("--noise-sq", type=float, default=None,
-                         help="gradient variance at the minimizer "
-                              "(overrides --lstar)")
     return parser
 
 
@@ -90,8 +87,7 @@ def _cmd_plotdata(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    noise_sq = (args.noise_sq if args.noise_sq is not None
-                else 2.0 * args.H * args.lstar)
+    noise_sq = 2.0 * args.H * args.lstar
     sched = make_schedule(args.H, args.b, args.T, args.B, noise_sq)
     print(f"gamma = {sched.gamma:.12g}  "
           f"(H={args.H:g}, b={args.b}, T={args.T}, B={args.B:g}, "

@@ -80,9 +80,12 @@ def _validate(raw: dict) -> ExperimentSpec:
         problems = [problems]
     if not isinstance(problems, list) or not problems:
         raise SpecError("problems: empty grid")
+    # each problem is kept as its built config, defaults filled in, so a
+    # cell's stem hashes the same config as its run header
+    configs = []
     for i, p in enumerate(problems):
         try:
-            problem_from_config(p)
+            configs.append(problem_from_config(p).config())
         except Exception as err:  # any build failure is a bad spec
             raise SpecError(f"problems[{i}]: {type(err).__name__}: "
                             f"{err}") from err
@@ -135,7 +138,7 @@ def _validate(raw: dict) -> ExperimentSpec:
     workers = _check_workers(raw.get("workers", 1))
 
     return ExperimentSpec(
-        problems=tuple(dict(p) for p in problems), algorithm=algorithm,
+        problems=tuple(configs), algorithm=algorithm,
         b_grid=b_grid, T_grid=T_grid, n_seeds=n_seeds, base_seed=base_seed,
         eps_targets=tuple(float(e) for e in eps_targets),
         output_dir=output_dir, overrides=dict(overrides), workers=workers)
@@ -185,11 +188,9 @@ def _run_cell(cell: dict) -> dict:
     B_override = ov.get("B")
     lstar = ov.get("lstar")
     if alg == "acc_mb_sgd":
-        noise_sq = (None if lstar is None
-                    else 2.0 * problem.meta.H * float(lstar))
         _, trace = optimizers.run_acc_mb_sgd(
-            problem, b, T, B_override=B_override,
-            noise_sq_override=noise_sq, seed=seed)
+            problem, b, T, B_override=B_override, lstar_override=lstar,
+            seed=seed)
     elif alg == "sgd":
         _, trace = optimizers.run_sgd(problem, b, T, seed=seed,
                                       eta=ov.get("eta"),
@@ -338,7 +339,7 @@ def _speedup_csv(spec, results):
     for phash in sorted(by_problem):
         for eps in spec.eps_targets:
             table = time_to_eps(by_problem[phash], eps)
-            for b, T in table.rows:
+            for b, T in table.items():
                 lines.append(f"{phash},{format(eps, _FMT)},{b},"
                              f"{'' if T is None else T},{spec.n_seeds}")
     return "\n".join(lines) + "\n"

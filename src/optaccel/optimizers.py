@@ -201,20 +201,20 @@ def _run_header(problem, algorithm, b, T, seed, schedule=None, extra=None):
 
 def run_acc_mb_sgd(problem: Problem, b: int, T: int,
                    B_override: float | None = None,
-                   noise_sq_override: float | None = None,
+                   lstar_override: float | None = None,
                    seed: int = 0) -> tuple[np.ndarray, RunTrace]:
     """Run the accelerated method for ``T`` steps from the origin.
 
     The feasible radius defaults to the problem's certified minimizer-norm
-    bound and the noise parameter to twice the smoothness constant times
-    the certified minimum loss; both accept looser upper bounds via the
-    overrides.  Returns the final averaged iterate and the full trace.
+    bound and the minimum loss to the certified one, which sets the noise
+    parameter to twice the smoothness constant times it; both accept
+    looser upper bounds via the overrides.  Returns the final averaged
+    iterate and the full trace.
     """
     meta = problem.meta
     B = meta.B if B_override is None else float(B_override)
-    noise_sq = (2.0 * meta.H * meta.Lstar if noise_sq_override is None
-                else float(noise_sq_override))
-    schedule = make_schedule(meta.H, b, T, B, noise_sq)
+    lstar = meta.Lstar if lstar_override is None else float(lstar_override)
+    schedule = make_schedule(meta.H, b, T, B, 2.0 * meta.H * lstar)
     header = _run_header(problem, "acc_mb_sgd", b, T, seed, schedule)
     return _run_stages(problem, header, seed, [schedule])
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -58,8 +57,8 @@ class ProblemMeta:
         with ``S`` the solution set.  0 when no growth certificate exists.
     Delta : float
         Initial suboptimality bound ``L(0) - Lstar``.
-    wstar : ndarray, optional
-        A known minimizer, when one is available in closed form.
+    wstar : ndarray
+        A minimizer, known in closed form.
     """
 
     H: float
@@ -68,7 +67,7 @@ class ProblemMeta:
     sigma_star_sq: float
     lam: float
     Delta: float
-    wstar: Optional[np.ndarray] = None
+    wstar: np.ndarray
 
 
 def _mix_key(*parts: int) -> np.ndarray:
@@ -114,9 +113,8 @@ class Problem:
     ``base_seed``, the design moments ``second_moment`` (``E[x x']``, or
     the Hessian) and ``cross`` (the normal equations' right-hand side),
     and the methods ``sample``, ``loss``, ``grad``, ``batch_grad_mean``,
-    ``exact_loss``, ``exact_grad``, ``suboptimality`` and
-    ``grad_second_moment``.  Instances are immutable after construction
-    and safe to share across workers.
+    ``exact_loss``, ``exact_grad`` and ``suboptimality``.  Instances are
+    immutable after construction and safe to share across workers.
     """
 
     d: int
@@ -231,8 +229,6 @@ class DiscreteLeastSquares(Problem):
         ``0.5 ||F (w - wstar)||**2`` which stays accurate even when it is
         far below the rounding floor of ``exact_loss``.
         """
-        if self.meta.wstar is None:
-            return self.exact_loss(w) - self.meta.Lstar
         # ``dot`` rather than ``@``: these run every step, and at small d
         # matmul's dispatch costs more than the arithmetic
         u = self._F.dot(np.asarray(w, dtype=float) - self.meta.wstar)
@@ -240,18 +236,9 @@ class DiscreteLeastSquares(Problem):
 
     def exact_grad(self, w):
         w = np.asarray(w, dtype=float)
-        if self.meta.wstar is None:
-            return (self._F.dot(w) - self._Fy).dot(self._F)
         # F'(F w - Fy) = F'F (w - wstar) at the stationary wstar; the centred
         # form keeps its relative accuracy as w approaches the minimizer
         return self._F.dot(w - self.meta.wstar).dot(self._F)
-
-    def grad_second_moment(self, w):
-        """Exact ``E ||grad l(w; z)||**2`` from the per-atom closed form."""
-        w = np.asarray(w, dtype=float)
-        resid_sq = (self.atoms @ w - self.label_means) ** 2 + self.label_stds**2
-        atom_norm_sq = np.einsum("ja,ja->j", self.atoms, self.atoms)
-        return float(self.probs @ (atom_norm_sq * resid_sq))
 
 
 class DeterministicQuadratic(Problem):
@@ -296,10 +283,6 @@ class DeterministicQuadratic(Problem):
 
     def exact_grad(self, w):
         return self.A @ (np.asarray(w, dtype=float) - self.wstar_vec)
-
-    def grad_second_moment(self, w):
-        g = self.exact_grad(w)
-        return float(g @ g)
 
 
 # ---------------------------------------------------------------------------

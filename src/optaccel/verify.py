@@ -17,8 +17,9 @@ import time
 import numpy as np
 
 from . import optimizers
-from .analysis import (certify_assumptions, check_projection_lemma,
-                       critical_batch, fit_rate, time_to_eps, variance_at)
+from .analysis import (_line_fit, certify_assumptions,
+                       check_projection_lemma, critical_batch, fit_rate,
+                       time_to_eps, variance_at)
 from .optimizers import accel_error_bound, run_acc_mb_sgd, run_restarted, run_sgd
 from .problems import (make_gaussian_spike_problem, make_growth_problem,
                        make_interpolation_least_squares,
@@ -115,9 +116,9 @@ def suite_lemma1():
         probes *= ((gen.uniform(size=(100, 1)) ** (1.0 / d)) * B
                    / np.linalg.norm(probes, axis=1, keepdims=True))
         inst = (w_t, w_md, g, gamma_t, B)
-        _, viol, w_next = check_projection_lemma(inst, probes)
+        viol, w_next = check_projection_lemma(inst, probes)
         worst = max(worst, viol)
-        _, eq_viol, _ = check_projection_lemma(inst, [w_next])
+        eq_viol, _ = check_projection_lemma(inst, [w_next])
         worst_eq = max(worst_eq, abs(eq_viol))
     return [
         _check("max_violation", worst, 1e-9, "<=",
@@ -188,17 +189,16 @@ def suite_speedup():
     eps = _SPEEDUP_EPS
     threshold = math.sqrt(prob.meta.H * prob.meta.B**2 / eps)
     table = time_to_eps(_speedup_finals(prob), eps)
-    rows = dict(table.rows)
     checks = []
 
-    reached = [T for _, T in table.rows if T is not None]
+    reached = [T for T in table.values() if T is not None]
     mono = all(t2 <= t1 for t1, t2 in zip(reached, reached[1:]))
     checks.append(_check("table_monotone", 1.0 if mono else 0.0, 1.0, ">=",
-                         detail=f"rows={table.rows}"))
+                         detail=f"rows={tuple(table.items())}"))
 
     tested = 0
     for b in sorted(_SPEEDUP_GRIDS)[:-1]:
-        T1, T2 = rows.get(b), rows.get(2 * b)
+        T1, T2 = table.get(b), table.get(2 * b)
         if T1 is None or T2 is None or T1 <= threshold:
             continue  # saturated or unreached: outside the noise-dominated regime
         tested += 1
@@ -264,7 +264,7 @@ def suite_rate_restart():
 
     cum = np.cumsum([st.T_t for st in plan.stages]).astype(float)
     checks.append(_check("restarted_log_linear_r2",
-                         _r2(cum, np.log(med)), 0.95, ">="))
+                         _line_fit(cum, np.log(med)).r_squared, 0.95, ">="))
 
     # plain accelerated run on the same total budget, probed at octave
     # checkpoints: a power law should explain it better than a line
@@ -276,8 +276,8 @@ def suite_rate_restart():
     med_tr = np.median(np.array(subs), axis=0)
     cps = np.array(sorted(T_total // 2**k for k in range(5)), dtype=int)
     vals = np.array([med_tr[c - 1] for c in cps])
-    r2_loglog = _r2(np.log(cps.astype(float)), np.log(vals))
-    r2_loglin = _r2(cps.astype(float), np.log(vals))
+    r2_loglog = _line_fit(np.log(cps.astype(float)), np.log(vals)).r_squared
+    r2_loglin = _line_fit(cps.astype(float), np.log(vals)).r_squared
     checks.append(_check("plain_power_law_vs_linear",
                          r2_loglog - r2_loglin, 0.0, ">",
                          detail=f"log-log r2={r2_loglog:.4f}, "
@@ -290,34 +290,26 @@ def suite_sigma_star():
     prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
                                        seed=2)
     meta = prob.meta
-    sigma_sq = meta.sigma_star_sq
-    sigma = math.sqrt(sigma_sq)
+    # sigma_*^2 = 2 H Lstar exactly for this problem, so the default noise
+    # parameter of each run is sigma_*^2
+    sigma = math.sqrt(meta.sigma_star_sq)
     T = 1024
     checks = []
 
-    f64 = [run_acc_mb_sgd(prob, b=64, T=T, noise_sq_override=sigma_sq,
-                          seed=s)[1].final_subopt for s in range(40)]
-    bound = accel_error_bound(T, meta.H, meta.B**2, 64, Lstar=sigma_sq / (2 * meta.H))
+    f64 = [run_acc_mb_sgd(prob, b=64, T=T, seed=s)[1].final_subopt
+           for s in range(40)]
+    bound = accel_error_bound(T, meta.H, meta.B**2, 64, Lstar=meta.Lstar)
     checks.append(_check("b=64:median_within_bound", float(np.median(f64)),
                          3.0 * bound, "<=",
                          detail=f"bound={bound:.4g}"))
 
-    f1 = [run_acc_mb_sgd(prob, b=1, T=T, noise_sq_override=sigma_sq,
-                         seed=s)[1].final_subopt for s in range(40)]
+    f1 = [run_acc_mb_sgd(prob, b=1, T=T, seed=s)[1].final_subopt
+          for s in range(40)]
     floor = sigma * meta.B / (10.0 * math.sqrt(T))
     checks.append(_check("b=1:no_acceleration_floor", float(np.median(f1)),
                          floor, ">=",
                          detail="median must stay above sigma*B/(10 sqrt(T))"))
     return checks
-
-
-def _r2(x, y):
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot < 1e-30:
-        return 1.0
-    return 1.0 - float(resid @ resid) / ss_tot
 
 
 SUITES = {

@@ -6,11 +6,17 @@ once per session and every test prints its own pass/fail line, so
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from optaccel.harness import load_spec, run_experiment
-from optaccel.verify import run_suite
+from optaccel.verify import SUITES, run_suite
+
+# every suite's report content hash: whatever changes a suite's checks,
+# values, thresholds or details shows here
+PINNED = json.loads((Path(__file__).parent / "golden"
+                     / "verify_report_hashes.json").read_text())
 
 _CACHE = {}
 
@@ -81,12 +87,10 @@ def test_criterion_09_sigma_star_setting():
 
 
 def test_criterion_10_reproducibility(tmp_path):
-    # verify suites: identical content hashes on rerun (representative
-    # subset; the heavier suites share the same fixed-seed machinery)
-    for name in ("assumptions", "lemma1", "lemma3", "sigma_star"):
-        first = suite(name)
-        again = run_suite(name)
-        assert again["content_hash"] == first["content_hash"], name
+    # verify suites: every report's content hash equals its pinned value
+    assert sorted(PINNED) == sorted(SUITES)
+    for name, pinned in PINNED.items():
+        assert suite(name)["content_hash"] == pinned, name
 
     # experiments: identical artifact hashes on rerun, serial == parallel
     raw = {
@@ -106,5 +110,5 @@ def test_criterion_10_reproducibility(tmp_path):
     assert m1["content_hash"] == m2["content_hash"]
     m3 = run_experiment(spec, workers=3)
     assert m3["artifacts"] == m1["artifacts"]
-    print("[PASS] criterion 10 (reproducibility): suite hashes and "
+    print("[PASS] criterion 10 (reproducibility): pinned suite hashes and "
           f"manifest {m1['content_hash'][:12]} stable across reruns")

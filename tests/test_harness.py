@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optaccel import harness, make_sign_vector_problem
+from optaccel import harness, make_schedule, make_sign_vector_problem
 from optaccel.cli import main as cli_main
 from optaccel.harness import (ExperimentSpec, SpecError, emit_plotdata,
                               load_spec, run_experiment, save_spec, spec_hash)
@@ -186,6 +186,22 @@ class TestRunExperiment:
         assert len(tte) >= 2
         assert all(b <= a for a, b in zip(tte, tte[1:]))
 
+    def test_cells_join_headers_by_problem_hash(self, tmp_path):
+        # the spec leaves the problem's seed and spread to their defaults
+        problem = {"family": "noiseless_quadratic",
+                   "params": {"d": 4, "H": 1, "B": 1.0}}
+        spec = load_spec(write_spec(tmp_path, minimal_spec(
+            tmp_path, problems=[problem])))
+        manifest = run_experiment(spec)
+        name = next(n for n in manifest["artifacts"] if n.endswith(".json"))
+        header = json.loads((tmp_path / "out" / name).read_text())
+        summary = (tmp_path / "out" / "summary.csv").read_text()
+        assert name.startswith("0e6f6172f193d97f_")
+        assert header["problem_hash"] == "0e6f6172f193d97f"
+        assert summary.splitlines()[1].startswith("0e6f6172f193d97f,")
+        save_spec(spec, tmp_path / "canon.json")
+        assert spec_hash(load_spec(tmp_path / "canon.json")) == spec_hash(spec)
+
     def test_sgd_cells_with_eta_override(self, tmp_path):
         raw = minimal_spec(tmp_path, algorithm="sgd",
                            overrides={"eta": 0.25})
@@ -277,6 +293,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "gamma = 0.0833333333333" in out
         assert "3,1.5,0.333333333333" in out
+
+    def test_schedule_lstar_sets_noise_term(self, capsys):
+        argv = ["schedule", "--H", "1", "--b", "64", "--T", "1024",
+                "--B", "1"]
+        assert cli_main(argv + ["--lstar", "0.5"]) == 0
+        gamma = make_schedule(1, 64, 1024, 1, 1.0).gamma
+        assert gamma == math.sqrt(64 / 1024**3)  # the noise term binds
+        assert capsys.readouterr().out.startswith(f"gamma = {gamma:.12g} ")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--noise-sq", "1"])
+        assert exc.value.code == 2
 
     def test_run_reports_cell_failures(self, tmp_path, capsys):
         raw = minimal_spec(tmp_path, algorithm="restarted", b_grid=[8],

@@ -29,10 +29,10 @@ from optaccel import (
     run_sgd,
     stage_budget,
 )
-from optaccel.analysis import gradient_variance_exact
 from optaccel.optimizers import NonFiniteGradientError
 from optaccel.trace import (TraceRecorder, canonical_json, sha256_text,
                             trace_to_csv)
+from oracles import gradient_variance
 
 
 def one_dim_quadratic(target=1.0):
@@ -440,7 +440,7 @@ def test_realized_minibatch_variance_bound():
         for t in range(T):
             beta_inv = 1.0 / sched.beta(t)
             w_md = beta_inv * state.w + (1 - beta_inv) * state.w_ag
-            cond_var = gradient_variance_exact(prob, w_md) / b
+            cond_var = gradient_variance(prob, w_md) / b
             gap = prob.suboptimality(state.w_ag)
             bound = (8 * meta.H**2 * meta.B**2 / (b * sched.beta(t)**2)
                      + 8 * meta.H * gap / b + 4 * meta.sigma_star_sq / b)
@@ -465,13 +465,12 @@ def mark_aborted(recorder, err):
 
 
 def reference_acc_mb_sgd(problem, b, T, B_override=None,
-                         noise_sq_override=None, seed=0):
+                         lstar_override=None, seed=0):
     """The plain accelerated loop: one stage 0 at the origin."""
     meta = problem.meta
     B = meta.B if B_override is None else float(B_override)
-    noise_sq = (2.0 * meta.H * meta.Lstar if noise_sq_override is None
-                else float(noise_sq_override))
-    schedule = make_schedule(meta.H, b, T, B, noise_sq)
+    lstar = meta.Lstar if lstar_override is None else float(lstar_override)
+    schedule = make_schedule(meta.H, b, T, B, 2.0 * meta.H * lstar)
     content = {"gamma": schedule.gamma, "T": schedule.T, "b": schedule.b,
                "H": schedule.H, "B": schedule.B, "noise_sq": schedule.noise_sq}
     recorder = TraceRecorder(reference_header(
@@ -595,13 +594,13 @@ class TestOneAcceleratedLoop:
     @settings(max_examples=150, deadline=None)
     @given(cfg=family_configs(), b=st.integers(1, 8), T=st.integers(1, 60),
            B_override=st.none() | st.floats(0.1, 10.0),
-           noise_sq_override=st.none() | st.floats(0.0, 2.0),
+           lstar_override=st.none() | st.floats(0.0, 1.0),
            seed=st.integers(0, 2**32), data=st.data())
     def test_plain_run_matches_reference(self, cfg, b, T, B_override,
-                                         noise_sq_override, seed, data):
+                                         lstar_override, seed, data):
         nan_from = data.draw(st.none() | st.integers(0, T))
-        kwargs = dict(B_override=B_override,
-                      noise_sq_override=noise_sq_override, seed=seed)
+        kwargs = dict(B_override=B_override, lstar_override=lstar_override,
+                      seed=seed)
         same_run(run_acc_mb_sgd(build(cfg, nan_from), b, T, **kwargs),
                  reference_acc_mb_sgd(build(cfg, nan_from), b, T, **kwargs))
 

@@ -19,8 +19,9 @@ from optaccel import (
     problem_from_config,
     sample_batch,
 )
-from optaccel.analysis import gradient_variance_exact, variance_at
+from optaccel.analysis import variance_at
 from optaccel.problems import _mix_key
+from oracles import gradient_variance
 
 
 class TestInterpolationLeastSquares:
@@ -40,7 +41,7 @@ class TestInterpolationLeastSquares:
     def test_zero_variance_at_interpolator(self):
         prob = make_interpolation_least_squares(d=6, n_atoms=3, H=1.5, B=2.0,
                                                 seed=4)
-        assert gradient_variance_exact(prob, prob.meta.wstar) == pytest.approx(
+        assert gradient_variance(prob, prob.meta.wstar) == pytest.approx(
             0.0, abs=1e-14)
         # every per-sample gradient vanishes at the planted point
         batch = sample_batch(prob, 64, prob.stream(0))
@@ -122,7 +123,7 @@ class TestGaussianSpike:
         prob = make_gaussian_spike_problem(H=1.0, B=2.0, p=0.3, s=0.0, sign=-1,
                                            seed=0)
         assert prob.meta.Lstar == 0.0
-        assert gradient_variance_exact(prob, prob.meta.wstar) == pytest.approx(
+        assert gradient_variance(prob, prob.meta.wstar) == pytest.approx(
             0.0, abs=1e-14)
 
     def test_monte_carlo_gradient_second_moment(self):
@@ -131,7 +132,7 @@ class TestGaussianSpike:
                                            seed=5)
         est, se = variance_at(prob, prob.meta.wstar, 100000, seed=3)
         assert 0.9 * 0.5 <= est <= 1.1 * 0.5
-        assert gradient_variance_exact(prob, prob.meta.wstar) == pytest.approx(0.5)
+        assert gradient_variance(prob, prob.meta.wstar) == pytest.approx(0.5)
 
     def test_rejects_bad_probability(self):
         for p in (0.0, -0.1, 1.5):
@@ -197,20 +198,19 @@ class TestGrowthProblem:
 def finite_designs(draw):
     """A random finite design with n_atoms <= d, plus a query point.
 
-    With a certified minimizer the label means are fitted exactly by it,
-    as in every built-in family; without one they are arbitrary.
+    The label means are fitted exactly by the certified minimizer, as in
+    every built-in family.
     """
     d = draw(st.integers(1, 12))
     n_atoms = draw(st.integers(1, d))
     weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_atoms,
                                      max_size=n_atoms)))
     probs = weights / weights.sum()
-    noisy, certified = draw(st.booleans()), draw(st.booleans())
+    noisy = draw(st.booleans())
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     atoms = gen.standard_normal((n_atoms, d))
-    wstar = gen.standard_normal(d) if certified else None
-    label_means = (atoms @ wstar if certified
-                   else gen.standard_normal(n_atoms))
+    wstar = gen.standard_normal(d)
+    label_means = atoms @ wstar
     label_stds = (np.abs(gen.standard_normal(n_atoms)) if noisy
                   else np.zeros(n_atoms))
     meta = ProblemMeta(H=1.0, B=1.0, Lstar=0.5 * probs @ label_stds**2,
@@ -246,20 +246,14 @@ class TestFactorClosedForms:
 
         assert_within_rounding(prob.second_moment, M, absM)
         assert_within_rounding(prob.exact_loss(w), loss, loss_scale)
+        # the gradient is taken about wstar, which fits the labels up to
+        # their rounding
         wstar = prob.meta.wstar
-        if wstar is None:
-            assert_within_rounding(prob.exact_grad(w), M @ w - c,
-                                   absM @ aw + absc)
-            assert_within_rounding(prob.suboptimality(w),
-                                   loss - prob.meta.Lstar, loss_scale)
-        else:
-            # the gradient is taken about wstar, which fits the labels up
-            # to their rounding
-            assert_within_rounding(prob.exact_grad(w), M @ w - c,
-                                   absM @ (aw + np.abs(wstar)) + absc)
-            v = w - wstar
-            assert_within_rounding(prob.suboptimality(w), 0.5 * v @ M @ v,
-                                   0.5 * np.abs(v) @ absM @ np.abs(v))
+        assert_within_rounding(prob.exact_grad(w), M @ w - c,
+                               absM @ (aw + np.abs(wstar)) + absc)
+        v = w - wstar
+        assert_within_rounding(prob.suboptimality(w), 0.5 * v @ M @ v,
+                               0.5 * np.abs(v) @ absM @ np.abs(v))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 16).flatmap(
@@ -398,11 +392,12 @@ def sampled_designs(draw):
         probs = knot_at(us[draw(st.integers(0, b - 1))])
     n_atoms = len(probs)
     gen = np.random.default_rng(seed)
+    # sampling reads none of the certificates, so these are placeholders
     prob = DiscreteLeastSquares(
         kind, np.arange(n_atoms, dtype=float)[:, None], probs,
         gen.standard_normal(n_atoms), np.abs(gen.standard_normal(n_atoms)),
         ProblemMeta(H=1.0, B=1.0, Lstar=0.0, sigma_star_sq=0.0, lam=0.0,
-                    Delta=1.0), seed, {})
+                    Delta=1.0, wstar=np.zeros(1)), seed, {})
     return prob, run_seed, t, b
 
 
@@ -439,7 +434,7 @@ class TestSamplerMatchesChoice:
 
     def test_rejects_invalid_probs(self):
         meta = ProblemMeta(H=1.0, B=1.0, Lstar=0.0, sigma_star_sq=0.0,
-                           lam=0.0, Delta=1.0)
+                           lam=0.0, Delta=1.0, wstar=np.zeros(2))
         for probs in ([0.5, 0.4], [1.5, -0.5], [1.0], [0.5, float("nan")]):
             with pytest.raises(ValueError, match="probs"):
                 DiscreteLeastSquares("bad", np.eye(2), probs, np.zeros(2),
