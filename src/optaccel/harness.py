@@ -6,7 +6,9 @@ minibatch/horizon grids, and seeds.  Each (problem, b, T, seed) cell runs
 independently, writes its own trace CSV and header JSON, and the aggregate
 summary/speedup tables are derived afterwards.  Rerunning an identical spec
 reproduces byte-identical artifacts; the manifest's content hash covers
-everything except its own timestamp.
+everything except its timestamp and timings.  Every artifact is written
+under a temporary name and renamed into place, so an interrupted sweep
+leaves no half-written file under an artifact's name.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -155,12 +158,16 @@ def load_spec(path) -> ExperimentSpec:
 
     Unknown keys are rejected; parse errors report line and column.
     """
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise SpecError(f"{path}: parse error at line {err.lineno} "
                         f"column {err.colno}: {err.msg}") from err
+    except (ValueError, RecursionError) as err:
+        # bytes that are not UTF-8, integers past the digit limit, nesting
+        # deeper than the decoder's recursion
+        raise SpecError(f"{path}: unreadable spec: {type(err).__name__}: "
+                        f"{err}") from err
     if not isinstance(raw, dict):
         raise SpecError(f"{path}: spec must be a JSON object")
     return _validate(raw)
@@ -178,6 +185,18 @@ def spec_hash(spec: ExperimentSpec) -> str:
 # ---------------------------------------------------------------------------
 # cell execution
 # ---------------------------------------------------------------------------
+
+
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to a sibling temporary name, then rename it onto
+    ``path``: an interrupted write leaves nothing under ``path``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _run_cell(cell: dict) -> dict:
@@ -206,9 +225,9 @@ def _run_cell(cell: dict) -> dict:
 
     trace.header["final_subopt"] = trace.final_subopt
     out, stem = Path(cell["output_dir"]), cell["stem"]
-    (out / f"{stem}.csv").write_text(trace_to_csv(trace))
-    (out / f"{stem}.json").write_text(canonical_json(trace.header) + "\n")
-    return {"final_subopt": trace.final_subopt}
+    _write(out / f"{stem}.csv", trace_to_csv(trace))
+    _write(out / f"{stem}.json", canonical_json(trace.header) + "\n")
+    return {"final_subopt": trace.final_subopt, "rows": len(trace.t)}
 
 
 def _cells_of(spec: ExperimentSpec):
@@ -261,15 +280,12 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
 
     artifacts = [stem + ext for stem in results for ext in (".csv", ".json")]
 
-    summary_rows = _summarize(spec, results)
-    summary_path = out / "summary.csv"
-    summary_path.write_text(_summary_csv(summary_rows))
-    artifacts.append(summary_path.name)
+    _write(out / "summary.csv", _summary_csv(_summarize(spec, results)))
+    artifacts.append("summary.csv")
 
     if spec.eps_targets:
-        speedup_path = out / "speedup.csv"
-        speedup_path.write_text(_speedup_csv(spec, results))
-        artifacts.append(speedup_path.name)
+        _write(out / "speedup.csv", _speedup_csv(spec, results))
+        artifacts.append("speedup.csv")
 
     hashes = {name: _sha256_file(out / name) for name in sorted(artifacts)}
     content = {
@@ -281,16 +297,24 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
     manifest = dict(content)
     manifest["content_hash"] = sha256_text(canonical_json(content))
     manifest["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    # wall time and steps completed (trace rows) per second of each cell
+    manifest["timing"] = {
+        cell["stem"]: {"wall_s": o["wall_s"],
+                       "steps_per_s": o.get("rows", 0) / o["wall_s"]}
+        for cell, o in zip(cells, outcomes)}
+    _write(out / "manifest.json",
+           json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return manifest
 
 
 def _run_cell_safe(cell: dict) -> dict:
+    t0 = time.perf_counter()
     try:
-        return _run_cell(cell)
+        outcome = _run_cell(cell)
     except Exception as err:  # per-cell isolation is the contract
-        return {"error": f"{type(err).__name__}: {err}"}
+        outcome = {"error": f"{type(err).__name__}: {err}"}
+    outcome["wall_s"] = time.perf_counter() - t0
+    return outcome
 
 
 def _summarize(spec, results):

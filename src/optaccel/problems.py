@@ -115,6 +115,11 @@ class Problem:
     and the methods ``sample``, ``loss``, ``grad``, ``batch_grad_mean``,
     ``exact_loss``, ``exact_grad`` and ``suboptimality``.  Instances are
     immutable after construction and safe to share across workers.
+
+    ``batch_grad_mean(w, batch)`` consumes its batch: it may overwrite the
+    batch's feature array, so a caller that needs the batch afterwards
+    passes a copy.  ``sample`` returns a fresh, writable float64 feature
+    array for that reason.
     """
 
     d: int
@@ -209,11 +214,18 @@ class DiscreteLeastSquares(Problem):
         return x * (float(x @ w) - float(y))
 
     def batch_grad_mean(self, w, batch):
+        """Mean per-sample gradient over ``batch``; consumes the batch.
+
+        The per-sample gradients ``x[i] * r[i]`` are written into ``x``
+        itself (which must be a writable float64 array, as ``sample``
+        returns), so afterwards ``x`` holds them and no ``b x d`` array is
+        allocated per step.  The mean reduces over the sample axis in a
+        fixed deterministic order.
+        """
         x, y = batch
         r = x @ w - y
-        # mean of per-sample gradients, reduced over the sample axis in a
-        # fixed deterministic order
-        return np.add.reduce(x * r[:, None], axis=0) / len(r)
+        np.multiply(x, r[:, None], out=x)
+        return np.add.reduce(x, axis=0) / len(r)
 
     # -- closed forms -------------------------------------------------------
 
@@ -494,7 +506,9 @@ def minibatch_gradient(problem: Problem, w, batch):
     """Arithmetic mean of the per-sample gradients over a batch.
 
     The reduction runs over the sample axis in a fixed deterministic order,
-    so identical batches always produce bit-identical gradients.
+    so identical batches always produce bit-identical gradients.  The call
+    consumes the batch: a finite design's feature array ``x`` holds the
+    per-sample gradients afterwards (see ``Problem``).
     """
     return problem.batch_grad_mean(np.asarray(w, dtype=float), batch)
 
@@ -550,7 +564,15 @@ def problem_from_config(config: dict) -> Problem:
     if not _is_int(params["seed"]):
         raise ValueError(f"{family}: seed must be an integer, "
                          f"got {params['seed']!r}")
-    return _FAMILIES[family](**params)
+    problem = _FAMILIES[family](**params)
+    # finite parameters can still overflow what is built from them; 4 H B**2
+    # bounds ||F (w - wstar)||**2 over the ball of radius B
+    meta = problem.meta
+    if not np.isfinite([meta.Lstar, meta.sigma_star_sq, meta.lam, meta.Delta,
+                        4.0 * meta.H * meta.B * meta.B]).all():
+        raise ValueError(f"{family}: parameters overflow a float: certified "
+                         f"constants and 4*H*B**2 must be finite")
+    return problem
 
 
 def config_hash(config: dict) -> str:

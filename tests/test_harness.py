@@ -2,16 +2,22 @@
 
 import json
 import math
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optaccel import harness, make_schedule, make_sign_vector_problem
 from optaccel.cli import main as cli_main
 from optaccel.harness import (ExperimentSpec, SpecError, emit_plotdata,
                               load_spec, run_experiment, save_spec, spec_hash)
+from optaccel.problems import problem_from_config
 from optaccel.trace import trace_from_csv
+from strategies import family_configs
 
 SIGN_PROBLEM = {"family": "sign_vector",
                 "params": {"n": 2, "H": 1.0, "B": 1.0,
@@ -213,6 +219,70 @@ class TestRunExperiment:
         assert header["eta"] == 0.25
 
 
+    def test_timing_kept_out_of_content_hash(self, tmp_path):
+        spec = load_spec(write_spec(tmp_path, minimal_spec(
+            tmp_path, b_grid=[1, 2], workers=2)))
+        m1 = run_experiment(spec)
+        m2 = run_experiment(spec, workers=1)
+        assert m1["content_hash"] == m2["content_hash"]
+        for m in (m1, m2):
+            stems = {n[:-len(".csv")] for n in m["artifacts"]
+                     if n.endswith(".csv") and n != "summary.csv"}
+            assert set(m["timing"]) == stems
+            for t in m["timing"].values():
+                assert t["wall_s"] > 0 and t["steps_per_s"] > 0
+        on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert on_disk["timing"] == m2["timing"]
+
+
+class TestCrashSafeWrites:
+    """An interrupted write leaves no file under the artifact's name."""
+
+    RAW = {"b_grid": [1, 2], "eps_targets": [0.5]}
+
+    def names(self, out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    @pytest.mark.parametrize("victim", [
+        "_b1_T16_s0.csv", "_b2_T16_s0.json", "summary.csv", "speedup.csv",
+        "manifest.json"])
+    def test_interrupted_write_then_rerun(self, tmp_path, monkeypatch,
+                                          victim):
+        spec = load_spec(write_spec(tmp_path, minimal_spec(tmp_path,
+                                                           **self.RAW)))
+        out = Path(spec.output_dir)
+        run_experiment(spec)
+        want = self.names(out)
+        assert sum(n.endswith(victim) for n in want) == 1
+        shutil.rmtree(out)
+
+        real_write_text = Path.write_text
+
+        def interrupted(path, data, *args, **kwargs):
+            if victim in path.name:
+                # half the bytes reach the disk, then the run is killed
+                real_write_text(path, data[:len(data) // 2])
+                raise KeyboardInterrupt
+            return real_write_text(path, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(spec)
+        # neither the final name nor the temporary one is left behind
+        assert not any(victim in n for n in self.names(out))
+        monkeypatch.undo()
+
+        run_experiment(spec)
+        got = self.names(out)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            if name != "manifest.json":
+                assert got[name] == want[name]
+        manifest = json.loads(got["manifest.json"])
+        assert manifest["content_hash"] == \
+            json.loads(want["manifest.json"])["content_hash"]
+
+
 class TestPlotdata:
     def run_small(self, tmp_path, **kw):
         raw = minimal_spec(tmp_path, **kw)
@@ -356,6 +426,41 @@ class TestCli:
         assert error in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("family,params", [
+        ("interpolation_least_squares",
+         {"d": 4, "n_atoms": 2, "H": 1.0, "B": 1e160}),
+        ("growth",
+         {"d": 4, "r": 2, "lam": 0.1, "H": 1.0, "Delta": 1.7e308}),
+        ("noiseless_quadratic",
+         {"d": 3, "H": 1.7e308, "B": 1.0, "spread": 10.0}),
+        ("noiseless_quadratic",
+         {"d": 3, "H": 1.0, "B": 1e160, "spread": 10.0})])
+    def test_overflowing_family_params_are_config_error(
+            self, tmp_path, capsys, family, params):
+        # finite parameters whose problem has an infinite Delta or B, found
+        # by TestSpecFuzz; the overflow is deliberate, so it is not a warning
+        problem = {"family": family, "params": params, "seed": 0}
+        path = write_spec(tmp_path, minimal_spec(tmp_path,
+                                                 problems=[problem]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(["run", str(path)]) == 2
+        assert "parameters overflow a float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data,error", [
+        (b"[" * 100_000 + b"]" * 100_000, "RecursionError"),
+        (b'{"problems": ' + b"9" * 5000 + b"}", "ValueError"),
+        (b'{"output_dir": "\xff"}', "UnicodeDecodeError")],
+        ids=["deep_nesting", "long_integer", "not_utf8"])
+    def test_unreadable_spec_is_config_error(self, tmp_path, capsys, data,
+                                             error):
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        with pytest.raises(SpecError, match=error):
+            load_spec(path)
+        assert cli_main(["run", str(path)]) == 2
+        assert f"unreadable spec: {error}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_config_error(self, tmp_path, capsys,
                                                workers):
@@ -435,3 +540,94 @@ class TestCli:
         assert "suite lemma3: PASS" in captured.err
         on_disk = json.loads(report_path.read_text())
         assert on_disk["content_hash"] == printed["content_hash"]
+
+
+# -- spec fuzzing -------------------------------------------------------------
+
+# numbers at and beyond the edges json.loads lets through
+_EDGE_NUMBERS = st.sampled_from([
+    0, -1, 1, 2**53 + 1, 2**64, -2**63, 10**400, 0.0, -0.0, 5e-324, 1e-300,
+    1e300, 1.7976931348623157e308, -1e308, float("nan"), float("inf"),
+    float("-inf")])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _EDGE_NUMBERS
+    | st.text(max_size=8),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=3)),
+    max_leaves=6)
+# values a hand-written spec might hold, so that some mutants are accepted
+_PLAUSIBLE = (st.integers(-2, 8) | st.floats(-1.0, 100.0)
+              | st.lists(st.integers(1, 8), max_size=3))
+
+
+@st.composite
+def mutated_specs(draw):
+    """A valid spec document with up to three of its values replaced or
+    removed."""
+    raw = {"problems": [draw(family_configs())],
+           "algorithm": draw(st.sampled_from(["acc_mb_sgd", "sgd",
+                                              "restarted"])),
+           "b_grid": [1, 4], "T_grid": [16], "n_seeds": 1, "base_seed": 0,
+           "eps_targets": [0.1], "output_dir": "out",
+           "overrides": {"theta": 2.0}, "workers": 1}
+    for _ in range(draw(st.integers(0, 3))):
+        problem = raw["problems"][0] if (
+            isinstance(raw.get("problems"), list) and raw["problems"]
+            and isinstance(raw["problems"][0], dict)) else None
+        params = problem.get("params") if problem else None
+        holders = [raw] + [h for h in (problem, params, raw.get("overrides"))
+                           if isinstance(h, dict)]
+        holder = draw(st.sampled_from(holders))
+        key = draw(st.sampled_from(sorted(holder)) | st.text(max_size=6)
+                   if holder else st.text(max_size=6))
+        if key in holder and draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = draw(_PLAUSIBLE | _EDGE_NUMBERS | _JSON_VALUES)
+    return raw
+
+
+def assert_finite_problem(prob):
+    meta = prob.meta
+    for name in ("H", "B", "Lstar", "sigma_star_sq", "lam", "Delta"):
+        assert math.isfinite(getattr(meta, name)), name
+    assert np.isfinite(meta.wstar).all()
+    assert np.isfinite(prob.second_moment).all()
+    assert np.isfinite(prob.cross).all()
+
+
+class TestSpecFuzz:
+    """A malformed spec is a ``SpecError`` and exit 2; an accepted one
+    builds finite problems and survives ``save_spec``/``load_spec``."""
+
+    def check(self, path):
+        try:
+            spec = load_spec(path)
+        except SpecError:
+            # rejected specs never reach a run, so nothing is written
+            assert cli_main(["run", str(path)]) == 2
+            return
+        for cfg in spec.problems:
+            assert_finite_problem(problem_from_config(cfg))
+        save_spec(spec, path.with_name("canon.json"))
+        assert spec_hash(load_spec(path.with_name("canon.json"))) == \
+            spec_hash(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_specs())
+    def test_mutated_documents(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(raw))
+            self.check(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_specs(), st.data())
+    def test_damaged_text(self, raw, data):
+        text = json.dumps(raw).encode()
+        cut = data.draw(st.integers(0, len(text)))
+        junk = data.draw(st.binary(max_size=8))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_bytes(text[:cut] + junk + text[cut:])
+            self.check(path)

@@ -1,11 +1,14 @@
 """Problem-family construction, metadata exactness, and sampling contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optaccel import (
+    DeterministicQuadratic,
     DiscreteLeastSquares,
     ProblemMeta,
     SampleStream,
@@ -22,6 +25,7 @@ from optaccel import (
 from optaccel.analysis import variance_at
 from optaccel.problems import _mix_key
 from oracles import gradient_variance
+from strategies import family_configs
 
 
 class TestInterpolationLeastSquares:
@@ -472,6 +476,16 @@ class TestStreamAddressability:
         assert stream.position == t + 1
 
 
+def reference_batch_grad_mean(prob, w, batch):
+    """The gradient formula that allocated a fresh ``b x d`` product array;
+    it leaves ``batch`` as it was."""
+    if isinstance(prob, DeterministicQuadratic):
+        return prob.exact_grad(w)
+    x, y = batch
+    r = x @ w - y
+    return np.add.reduce(x * r[:, None], axis=0) / len(r)
+
+
 class TestMinibatchGradient:
     def test_identical_samples_collapse(self):
         prob = make_sign_vector_problem(n=2, H=1.0, B=1.0,
@@ -479,8 +493,47 @@ class TestMinibatchGradient:
         x = np.tile(prob.atoms[2], (5, 1))
         y = np.full(5, prob.label_means[2])
         w = np.array([0.3, -0.2, 0.5, 0.1])
+        untouched = x.copy()  # the call consumes x
         g = minibatch_gradient(prob, w, (x, y))
-        np.testing.assert_allclose(g, prob.grad(w, (x[0], y[0])), rtol=1e-15)
+        np.testing.assert_allclose(g, prob.grad(w, (untouched[0], y[0])),
+                                   rtol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=family_configs(), b=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1), pool=st.integers(1, 4),
+           hand_built=st.booleans())
+    def test_bit_identical_to_reference(self, cfg, b, seed, pool, hand_built):
+        prob = problem_from_config(cfg)
+        gen = np.random.default_rng(seed)
+        w = gen.standard_normal(prob.d) * 10.0 ** gen.uniform(-3, 3)
+        if hand_built and isinstance(prob, DiscreteLeastSquares):
+            # rows drawn from a pool of at most ``pool`` atoms, so rows repeat
+            idx = gen.integers(0, min(pool, len(prob.atoms)), b)
+            batch = (prob.atoms[idx], gen.standard_normal(b))
+        else:
+            batch = sample_batch(prob, b, prob.stream(seed))
+        x0 = batch[0].copy()
+        want = reference_batch_grad_mean(prob, w, (x0, batch[1]))
+        got = minibatch_gradient(prob, w, batch)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if isinstance(prob, DiscreteLeastSquares):
+            # the batch now holds its per-sample gradients
+            per_sample = x0 * (x0 @ w - batch[1])[:, None]
+            assert batch[0].tobytes() == per_sample.tobytes()
+
+    def test_allocates_no_batch_sized_array(self):
+        prob = make_interpolation_least_squares(d=2048, n_atoms=16, H=1.0,
+                                                B=4.0, seed=334)
+        b = 256
+        batch = sample_batch(prob, b, prob.stream(0))
+        w = np.full(prob.d, 1e-3)
+        tracemalloc.start()
+        try:
+            minibatch_gradient(prob, w, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < b * prob.d * 8 / 4
 
     def test_two_sample_hand_value(self):
         # samples {(0,0), (1,0)} at w=1: (0 + 1*(1-0)) / 2 = 0.5
