@@ -19,6 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -175,7 +176,7 @@ def load_spec(path) -> ExperimentSpec:
 
 def save_spec(spec: ExperimentSpec, path) -> None:
     """Write a spec as canonical JSON (stable bytes for identical specs)."""
-    Path(path).write_text(canonical_json(asdict(spec)) + "\n")
+    _write(Path(path), canonical_json(asdict(spec)) + "\n")
 
 
 def spec_hash(spec: ExperimentSpec) -> str:
@@ -257,9 +258,9 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
 
     Cells execute independently (in parallel when ``workers > 1``;
     ``workers`` defaults to the spec's, and below 1 is a ``SpecError``) and
-    per-cell failures are recorded in the manifest without aborting the
-    others.  Returns the manifest, which lists every artifact with its
-    content hash.
+    per-cell failures, a worker process that died among them, are recorded
+    in the manifest without aborting the others.  Returns the manifest,
+    which lists every artifact with its content hash.
     """
     workers = _check_workers(spec.workers if workers is None else workers)
     out = Path(spec.output_dir)
@@ -269,7 +270,8 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
     results, failures = {}, []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell_safe, cells))
+            futures = [pool.submit(_run_cell_safe, c) for c in cells]
+            outcomes = [_pool_outcome(f) for f in futures]
     else:
         outcomes = [_run_cell_safe(c) for c in cells]
     for cell, outcome in zip(cells, outcomes):
@@ -297,10 +299,12 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
     manifest = dict(content)
     manifest["content_hash"] = sha256_text(canonical_json(content))
     manifest["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    # wall time and steps completed (trace rows) per second of each cell
+    # wall time and steps completed (trace rows) per second of each cell;
+    # a cell lost with its worker has neither
     manifest["timing"] = {
         cell["stem"]: {"wall_s": o["wall_s"],
-                       "steps_per_s": o.get("rows", 0) / o["wall_s"]}
+                       "steps_per_s": (o.get("rows", 0) / o["wall_s"]
+                                       if o["wall_s"] else 0.0)}
         for cell, o in zip(cells, outcomes)}
     _write(out / "manifest.json",
            json.dumps(manifest, sort_keys=True, indent=1) + "\n")
@@ -315,6 +319,14 @@ def _run_cell_safe(cell: dict) -> dict:
         outcome = {"error": f"{type(err).__name__}: {err}"}
     outcome["wall_s"] = time.perf_counter() - t0
     return outcome
+
+
+def _pool_outcome(future) -> dict:
+    """A worker's outcome; a cell whose worker died is a failed cell."""
+    try:
+        return future.result()
+    except BrokenProcessPool as err:
+        return {"error": f"BrokenProcessPool: {err}", "wall_s": 0.0}
 
 
 def _summarize(spec, results):
@@ -414,5 +426,5 @@ def emit_plotdata(kind: str, inputs, out_path) -> str:
         raise ValueError(f"unknown plotdata kind {kind!r}; expected "
                          "rate_curve, speedup_curve, or stage_decay")
     text = "\n".join(rows) + "\n"
-    Path(out_path).write_text(text)
+    _write(Path(out_path), text)
     return text

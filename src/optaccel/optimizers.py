@@ -110,7 +110,7 @@ def project_ball(w: np.ndarray, B: float) -> np.ndarray:
     return w * (B / norm)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OptimizerState:
     """Projected iterate, averaged iterate, and the step counter."""
 
@@ -131,44 +131,39 @@ def acc_step(state: OptimizerState, schedule: StepSchedule, problem: Problem,
 
     State vectors live in coordinates relative to ``center`` (the origin for
     plain runs); gradients are evaluated at the corresponding absolute
-    point.  Diagnostics for the completed step are appended to ``recorder``
-    when one is given.
+    point.  The completed step's vectors are appended to ``recorder`` when
+    one is given; every one of them is a fresh array that no later step
+    writes into, as ``TraceRecorder.append`` requires.
     """
     t = state.t
     if t >= schedule.T:
         raise ValueError(f"step t={t} beyond schedule horizon T={schedule.T}")
     beta_inv = 1.0 / schedule.beta(t)
     gamma_t = schedule.gamma_t(t)
-    w_md = beta_inv * state.w + (1.0 - beta_inv) * state.w_ag
+    w_ag_part = (1.0 - beta_inv) * state.w_ag
+    w_md = beta_inv * state.w + w_ag_part
 
     query = w_md if center is None else center + w_md
     g = _checked_gradient(problem, query, schedule.b, stream, t)
 
     w_next = project_ball(state.w - gamma_t * g, schedule.B)
-    w_ag_next = beta_inv * w_next + (1.0 - beta_inv) * state.w_ag
+    w_ag_next = beta_inv * w_next + w_ag_part
 
     if recorder is not None:
         point = w_ag_next if center is None else center + w_ag_next
-        _record(recorder, problem, t_offset + t + 1, w_next, w_ag_next,
-                point, query, g, stage)
+        recorder.append(t_offset + t + 1, w_next, w_ag_next, point, query, g,
+                        stage)
     return OptimizerState(w=w_next, w_ag=w_ag_next, t=t + 1)
 
 
 def _checked_gradient(problem, query, b, stream, t):
     batch = sample_batch(problem, b, stream)
     g = minibatch_gradient(problem, query, batch)
-    if not np.isfinite(g).all():
+    # a finite squared norm implies finite entries; only an overflowing or
+    # non-finite one needs the entry-wise test
+    if not (math.isfinite(g.dot(g)) or np.isfinite(g).all()):
         raise NonFiniteGradientError(f"non-finite gradient at step t={t}")
     return g
-
-
-def _record(recorder, problem, t, w, w_avg, point, query, g, stage):
-    """Append one trace row: the norms of ``w`` and ``w_avg``, ``subopt`` at
-    ``point``, and ``g``'s deviation from the exact gradient at ``query``."""
-    subopt = problem.suboptimality(point)
-    delta = g - problem.exact_grad(query)
-    recorder.append(t, math.sqrt(w.dot(w)), math.sqrt(w_avg.dot(w_avg)),
-                    subopt, float(delta @ delta), stage)
 
 
 @contextmanager
@@ -230,7 +225,7 @@ def _run_stages(problem, header, seed, schedules, center=None):
     current centre, which then moves by the stage's averaged iterate; the
     run returns the last centre reached by a completed stage.
     """
-    recorder = TraceRecorder(header)
+    recorder = TraceRecorder(header, problem)
     stream = problem.stream(seed)
     t_offset = 0
     with _abort_on_nonfinite(recorder):
@@ -265,7 +260,7 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
         step = min(step, float(eta))
     header = _run_header(problem, "sgd", b, T, seed,
                          extra={"eta": step, "B": B})
-    recorder = TraceRecorder(header)
+    recorder = TraceRecorder(header, problem)
     stream = problem.stream(seed)
     w = np.zeros(problem.d)
     w_avg = np.zeros(problem.d)  # stays the origin if step 0 aborts
@@ -277,7 +272,8 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
             prefix.append(prefix[-1] + w_next)
             lo = (t + 1) // 2  # average w_{lo+1} .. w_{t+1}
             w_avg = (prefix[t + 1] - prefix[lo]) / (t + 1 - lo)
-            _record(recorder, problem, t + 1, w_next, w_avg, w_avg, w, g, 0)
+            # w, w_next and w_avg are fresh each step and never written
+            recorder.append(t + 1, w_next, w_avg, w_avg, w, g, 0)
             w = w_next
     return w_avg, recorder.build()
 

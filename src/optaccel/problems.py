@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rowwise import gemv, rowdot, vecmat
 from .trace import canonical_json, sha256_text
 
 __all__ = [
@@ -106,6 +107,12 @@ class SampleStream:
         return self._gen
 
 
+def _stack(w):
+    """``w`` as a ``(k, d)`` float stack, and whether it was one point."""
+    w = np.asarray(w, dtype=float)
+    return (w[None, :], True) if w.ndim == 1 else (w, False)
+
+
 class Problem:
     """Base stochastic objective: sampling plus per-sample loss/gradient.
 
@@ -115,6 +122,11 @@ class Problem:
     and the methods ``sample``, ``loss``, ``grad``, ``batch_grad_mean``,
     ``exact_loss``, ``exact_grad`` and ``suboptimality``.  Instances are
     immutable after construction and safe to share across workers.
+
+    ``suboptimality`` and ``exact_grad`` take one ``(d,)`` point, giving a
+    float and a ``(d,)`` gradient, or a ``(k, d)`` stack of points, giving
+    ``(k,)`` and ``(k, d)`` arrays whose row ``i`` equals the call on point
+    ``i`` bit for bit (see ``rowwise``).
 
     ``batch_grad_mean(w, batch)`` consumes its batch: it may overwrite the
     batch's feature array, so a caller that needs the batch afterwards
@@ -239,18 +251,20 @@ class DiscreteLeastSquares(Problem):
         The expected loss is quadratic and the certified ``wstar`` is an
         exact stationary point, so the gap equals the second-order term
         ``0.5 ||F (w - wstar)||**2`` which stays accurate even when it is
-        far below the rounding floor of ``exact_loss``.
+        far below the rounding floor of ``exact_loss``.  See ``Problem``
+        for stacked points.
         """
-        # ``dot`` rather than ``@``: these run every step, and at small d
-        # matmul's dispatch costs more than the arithmetic
-        u = self._F.dot(np.asarray(w, dtype=float) - self.meta.wstar)
-        return 0.5 * float(u.dot(u))
+        X, one = _stack(w)
+        u = gemv(self._F, X - self.meta.wstar)
+        gap = 0.5 * rowdot(u, u)
+        return float(gap[0]) if one else gap
 
     def exact_grad(self, w):
-        w = np.asarray(w, dtype=float)
+        X, one = _stack(w)
         # F'(F w - Fy) = F'F (w - wstar) at the stationary wstar; the centred
         # form keeps its relative accuracy as w approaches the minimizer
-        return self._F.dot(w - self.meta.wstar).dot(self._F)
+        g = vecmat(gemv(self._F, X - self.meta.wstar), self._F)
+        return g[0] if one else g
 
 
 class DeterministicQuadratic(Problem):
@@ -287,14 +301,18 @@ class DeterministicQuadratic(Problem):
         return self.exact_grad(w)
 
     def exact_loss(self, w):
-        v = np.asarray(w, dtype=float) - self.wstar_vec
-        return float(0.5 * v @ self.A @ v)
+        return self.suboptimality(w)  # the minimum loss is 0
 
     def suboptimality(self, w):
-        return self.exact_loss(w)
+        X, one = _stack(w)
+        v = X - self.wstar_vec
+        gap = rowdot(vecmat(0.5 * v, self.A), v)
+        return float(gap[0]) if one else gap
 
     def exact_grad(self, w):
-        return self.A @ (np.asarray(w, dtype=float) - self.wstar_vec)
+        X, one = _stack(w)
+        g = gemv(self.A, X - self.wstar_vec)
+        return g[0] if one else g
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +582,11 @@ def problem_from_config(config: dict) -> Problem:
     if not _is_int(params["seed"]):
         raise ValueError(f"{family}: seed must be an integer, "
                          f"got {params['seed']!r}")
-    problem = _FAMILIES[family](**params)
-    # finite parameters can still overflow what is built from them; 4 H B**2
-    # bounds ||F (w - wstar)||**2 over the ball of radius B
+    # finite parameters can still overflow what is built from them; the
+    # check below rejects such a problem, so the overflow is no warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        problem = _FAMILIES[family](**params)
+    # 4 H B**2 bounds ||F (w - wstar)||**2 over the ball of radius B
     meta = problem.meta
     if not np.isfinite([meta.Lstar, meta.sigma_star_sq, meta.lam, meta.Delta,
                         4.0 * meta.H * meta.B * meta.B]).all():

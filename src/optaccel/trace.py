@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rowwise import rowdot
+
 __all__ = ["RunTrace", "trace_to_csv", "trace_from_csv", "canonical_json"]
 
 _CSV_HEADER = "t,norm_w,norm_wag,subopt,grad_noise_sq,stage"
@@ -58,34 +60,62 @@ class RunTrace:
         return out
 
 
+# the pending rows are evaluated once their vectors hold about this many
+# elements (32 KiB): at small d enough rows to spread a block's fixed NumPy
+# calls thin, at large d little memory kept alive by reference
+_BLOCK_ELEMENTS = 4096
+# the columns of no rows, so that ``build`` always has a block to join
+_NO_ROWS = (np.zeros(0, dtype=int), *[np.zeros(0)] * 4, np.zeros(0, dtype=int))
+
+
 class TraceRecorder:
-    """Append-only builder used inside the optimizer loops."""
+    """Append-only builder used inside the optimizer loops.
 
-    def __init__(self, header: dict):
+    ``append`` keeps a step's vectors by reference.  Whenever the pending
+    rows hold about ``_BLOCK_ELEMENTS`` vector elements, and once more in
+    ``build``, the block's columns are evaluated together through
+    ``problem.suboptimality`` and ``problem.exact_grad`` on stacked points
+    and the ``rowwise`` kernels; row ``i`` of each is bit-identical to
+    evaluating step ``i`` alone, so the trace does not depend on where
+    blocks end.  A caller must never write into an array after passing it
+    to ``append``.
+    """
+
+    def __init__(self, header: dict, problem):
         self.header = dict(header)
-        self.rows: list[tuple] = []
+        self.problem = problem
         self.aborted = False
+        # each row holds five d-vectors
+        self.block_rows = max(1, _BLOCK_ELEMENTS // (5 * problem.d))
+        self._pending: list[tuple] = []
+        self._blocks: list[tuple] = [_NO_ROWS]
 
-    def append(self, t, norm_w, norm_wag, subopt, grad_noise_sq, stage):
-        self.rows.append((t, norm_w, norm_wag, subopt, grad_noise_sq, stage))
+    def append(self, t, w, w_avg, point, query, g, stage):
+        """Record step ``t`` of restart stage ``stage``: the norms of ``w``
+        and ``w_avg``, the suboptimality at ``point``, and the squared
+        deviation of the minibatch gradient ``g`` from the exact gradient
+        at ``query``, where ``g`` was taken."""
+        self._pending.append((t, w, w_avg, point, query, g, stage))
+        if len(self._pending) == self.block_rows:
+            self._flush()
+
+    def _flush(self):
+        t, *vectors, stage = zip(*self._pending)
+        self._pending = []
+        W, W_avg, P, Q, G = map(np.array, vectors)
+        deviation = G - self.problem.exact_grad(Q)
+        self._blocks.append((
+            np.array(t, dtype=int), np.sqrt(rowdot(W, W)),
+            np.sqrt(rowdot(W_avg, W_avg)), self.problem.suboptimality(P),
+            rowdot(deviation, deviation), np.array(stage, dtype=int)))
 
     def build(self) -> RunTrace:
-        if self.rows:
-            cols = list(zip(*self.rows))
-        else:
-            cols = [[] for _ in range(6)]
+        if self._pending:
+            self._flush()
+        cols = [np.concatenate(col) for col in zip(*self._blocks)]
         hdr = dict(self.header)
         hdr["aborted"] = self.aborted
-        return RunTrace(
-            header=hdr,
-            t=np.asarray(cols[0], dtype=int),
-            norm_w=np.asarray(cols[1], dtype=float),
-            norm_wag=np.asarray(cols[2], dtype=float),
-            subopt=np.asarray(cols[3], dtype=float),
-            grad_noise_sq=np.asarray(cols[4], dtype=float),
-            stage=np.asarray(cols[5], dtype=int),
-            aborted=self.aborted,
-        )
+        return RunTrace(hdr, *cols, aborted=self.aborted)
 
 
 # one row in one format call; "%.17g" renders a float exactly as

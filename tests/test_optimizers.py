@@ -1,6 +1,7 @@
 """Schedule arithmetic, single-step traces, run invariants, restarts."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from optaccel import (
     OptimizerState,
     ProblemMeta,
     Stage,
+    StagePlan,
     acc_step,
     accel_error_bound,
     config_hash,
@@ -29,10 +31,12 @@ from optaccel import (
     run_sgd,
     stage_budget,
 )
+import optaccel.trace
 from optaccel.optimizers import NonFiniteGradientError
 from optaccel.trace import (TraceRecorder, canonical_json, sha256_text,
                             trace_to_csv)
-from oracles import gradient_variance
+from oracles import (ScalarRowRecorder, gradient_variance, reference_acc_step,
+                     reference_sgd)
 from strategies import family_configs
 
 
@@ -452,7 +456,8 @@ def test_realized_minibatch_variance_bound():
             state = acc_step(state, sched, prob, stream)
 
 
-# -- the merged accelerated loop against the two loops it replaced -----------
+# -- the merged accelerated loop against the two loops it replaced, and the
+# block-evaluated trace against per-step recording ---------------------------
 
 
 def reference_header(problem, algorithm, b, T, seed, extra):
@@ -477,7 +482,7 @@ def reference_acc_mb_sgd(problem, b, T, B_override=None,
     schedule = make_schedule(meta.H, b, T, B, 2.0 * meta.H * lstar)
     content = {"gamma": schedule.gamma, "T": schedule.T, "b": schedule.b,
                "H": schedule.H, "B": schedule.B, "noise_sq": schedule.noise_sq}
-    recorder = TraceRecorder(reference_header(
+    recorder = ScalarRowRecorder(reference_header(
         problem, "acc_mb_sgd", b, T, seed,
         {"schedule": content,
          "schedule_hash": sha256_text(canonical_json(content))[:16]}))
@@ -485,7 +490,8 @@ def reference_acc_mb_sgd(problem, b, T, B_override=None,
     state = OptimizerState(np.zeros(problem.d), np.zeros(problem.d), 0)
     try:
         for _ in range(T):
-            state = acc_step(state, schedule, problem, stream, recorder)
+            state = reference_acc_step(state, schedule, problem, stream,
+                                       recorder)
     except NonFiniteGradientError as err:
         mark_aborted(recorder, err)
     return state.w_ag, recorder.build()
@@ -499,7 +505,7 @@ def reference_restarted(problem, plan, seed=0, noise_sq_override=None):
                "H": plan.H, "b": plan.b, "Lstar": plan.Lstar,
                "stages": [{"eps_t": s.eps_t, "B_t": s.B_t, "T_t": s.T_t}
                           for s in plan.stages]}
-    recorder = TraceRecorder(reference_header(
+    recorder = ScalarRowRecorder(reference_header(
         problem, "restarted", plan.b, plan.total_iterations, seed,
         {"plan": content}))
     stream = problem.stream(seed)
@@ -511,9 +517,9 @@ def reference_restarted(problem, plan, seed=0, noise_sq_override=None):
                                      noise_sq)
             state = OptimizerState(np.zeros(problem.d), np.zeros(problem.d), 0)
             for _ in range(stage.T_t):
-                state = acc_step(state, schedule, problem, stream, recorder,
-                                 center=center, stage=stage_idx,
-                                 t_offset=t_offset)
+                state = reference_acc_step(state, schedule, problem, stream,
+                                           recorder, center=center,
+                                           stage=stage_idx, t_offset=t_offset)
             center = center + state.w_ag
             t_offset += stage.T_t
     except NonFiniteGradientError as err:
@@ -554,6 +560,56 @@ def plans(draw, problem_H):
     return plan
 
 
+@contextmanager
+def rows_per_block(cfg, rows):
+    """Inside the block the trace recorder evaluates ``rows`` rows at a time
+    for ``cfg``'s problem; its own blocks are far longer than these runs."""
+    problem = problem_from_config(cfg)
+    saved = optaccel.trace._BLOCK_ELEMENTS
+    optaccel.trace._BLOCK_ELEMENTS = 5 * problem.d * rows
+    try:
+        assert TraceRecorder({}, problem).block_rows == rows
+        yield
+    finally:
+        optaccel.trace._BLOCK_ELEMENTS = saved
+
+
+def near_blocks(block):
+    """Step counts just below, at and just above one to three blocks."""
+    return st.sampled_from(sorted({max(1, m * block + off)
+                                   for m in (1, 2, 3) for off in (-1, 0, 1)}))
+
+
+def aborts(T, block):
+    """None, or the number of gradients a run of ``T`` steps gets before its
+    first NaN one, often at or inside a block's edges."""
+    edges = [n for n in (block // 2, block - 1, block, block + 1,
+                         block + block // 2) if 0 <= n <= T]
+    choice = st.none() | st.integers(0, T)
+    return choice | st.sampled_from(edges) if edges else choice
+
+
+@st.composite
+def block_edge_plans(draw, problem_H, block):
+    """Plans of 1 to 4 stages whose budgets add up to a step count near a
+    block boundary; the stage constants are drawn, not planned."""
+    total = draw(near_blocks(block))
+    n = draw(st.integers(1, 4)) if total > 4 else 1
+    cuts = draw(st.lists(st.integers(1, total - 1), min_size=n - 1,
+                         max_size=n - 1, unique=True)) if n > 1 else []
+    bounds = [0, *sorted(cuts), total]
+    theta = draw(st.floats(1.5, 4.0))
+    Delta = draw(st.floats(0.1, 10.0))
+    lam = problem_H * draw(st.floats(0.01, 1.0))
+    stages = tuple(
+        Stage(eps_t=Delta * theta**-(i + 1),
+              B_t=math.sqrt(2.0 * theta**-i * Delta / lam),
+              T_t=bounds[i + 1] - bounds[i]) for i in range(n))
+    return StagePlan(theta=theta, stages=stages, lam=lam, Delta=Delta,
+                     H=problem_H, b=draw(st.integers(1, 8)),
+                     Lstar=draw(st.sampled_from([0.0, 1e-6])))
+
+
 def same_run(got, want):
     (w_got, t_got), (w_want, t_want) = got, want
     assert w_got.tobytes() == w_want.tobytes()
@@ -566,16 +622,20 @@ def same_run(got, want):
 
 class TestOneAcceleratedLoop:
     @settings(max_examples=150, deadline=None)
-    @given(cfg=family_configs(), b=st.integers(1, 8), T=st.integers(1, 60),
+    @given(cfg=family_configs(), b=st.integers(1, 8),
            B_override=st.none() | st.floats(0.1, 10.0),
            lstar_override=st.none() | st.floats(0.0, 1.0),
            seed=st.integers(0, 2**32), data=st.data())
-    def test_plain_run_matches_reference(self, cfg, b, T, B_override,
+    def test_plain_run_matches_reference(self, cfg, b, B_override,
                                          lstar_override, seed, data):
-        nan_from = data.draw(st.none() | st.integers(0, T))
+        block = data.draw(st.integers(1, 80), label="rows per block")
+        T = data.draw(st.integers(1, 60) | near_blocks(block), label="T")
+        nan_from = data.draw(aborts(T, block), label="nan_from")
         kwargs = dict(B_override=B_override, lstar_override=lstar_override,
                       seed=seed)
-        same_run(run_acc_mb_sgd(build(cfg, nan_from), b, T, **kwargs),
+        with rows_per_block(cfg, block):
+            got = run_acc_mb_sgd(build(cfg, nan_from), b, T, **kwargs)
+        same_run(got,
                  reference_acc_mb_sgd(build(cfg, nan_from), b, T, **kwargs))
 
     @settings(max_examples=150, deadline=None)
@@ -583,14 +643,16 @@ class TestOneAcceleratedLoop:
            harness_noise=st.booleans(), data=st.data())
     def test_restart_matches_reference(self, cfg, seed, harness_noise, data):
         H = problem_from_config(cfg).meta.H
-        plan = data.draw(plans(H))
-        nan_from = data.draw(st.none()
-                             | st.integers(0, plan.total_iterations))
+        block = data.draw(st.integers(1, 80), label="rows per block")
+        plan = data.draw(plans(H) | block_edge_plans(H, block), label="plan")
+        nan_from = data.draw(aborts(plan.total_iterations, block),
+                             label="nan_from")
         # the noise value the harness passed before the plan carried it
         noise = 2.0 * H * plan.Lstar if harness_noise else None
-        same_run(run_restarted(build(cfg, nan_from), plan, seed=seed),
-                 reference_restarted(build(cfg, nan_from), plan, seed=seed,
-                                     noise_sq_override=noise))
+        with rows_per_block(cfg, block):
+            got = run_restarted(build(cfg, nan_from), plan, seed=seed)
+        same_run(got, reference_restarted(build(cfg, nan_from), plan,
+                                          seed=seed, noise_sq_override=noise))
 
     def test_abort_in_a_later_stage_returns_last_centre(self):
         cfg = {"family": "growth",
@@ -609,3 +671,20 @@ class TestOneAcceleratedLoop:
                 assert not got[0].any()  # aborted in stage 1: the origin
             else:
                 assert got[0].any()
+
+
+class TestSgdLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=family_configs(), b=st.integers(1, 8),
+           eta=st.none() | st.floats(1e-3, 2.0),
+           B_override=st.none() | st.floats(0.1, 10.0),
+           seed=st.integers(0, 2**32), data=st.data())
+    def test_matches_per_step_recording(self, cfg, b, eta, B_override, seed,
+                                        data):
+        block = data.draw(st.integers(1, 80), label="rows per block")
+        T = data.draw(st.integers(1, 60) | near_blocks(block), label="T")
+        nan_from = data.draw(aborts(T, block), label="nan_from")
+        kwargs = dict(seed=seed, eta=eta, B_override=B_override)
+        with rows_per_block(cfg, block):
+            got = run_sgd(build(cfg, nan_from), b, T, **kwargs)
+        same_run(got, reference_sgd(build(cfg, nan_from), b, T, **kwargs))

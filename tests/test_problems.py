@@ -24,7 +24,7 @@ from optaccel import (
 )
 from optaccel.analysis import variance_at
 from optaccel.problems import _mix_key
-from oracles import gradient_variance
+from oracles import dot_exact_grad, dot_suboptimality, gradient_variance
 from strategies import family_configs
 
 
@@ -271,6 +271,29 @@ class TestFactorClosedForms:
         lam = evals[evals > 1e-10 * evals.max()].min()
         # eigvalsh is accurate to a multiple of the largest eigenvalue
         assert_within_rounding(prob.meta.lam, lam, evals.max())
+
+
+class TestStackedClosedForms:
+    """A ``(k, d)`` stack of points evaluates row by row, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=family_configs(), k=st.integers(1, 300),
+           seed=st.integers(0, 2**32))
+    def test_rows_match_single_points_and_dot_forms(self, cfg, k, seed):
+        prob = problem_from_config(cfg)
+        gen = np.random.default_rng(seed)
+        X = prob.meta.B * gen.standard_normal((k, prob.d))
+        # the minimizer itself, where the gap and gradient are exact zeros
+        X[gen.random(k) < 0.1] = prob.meta.wstar
+        gaps, grads = prob.suboptimality(X), prob.exact_grad(X)
+        assert gaps.shape == (k,) and grads.shape == (k, prob.d)
+        for i, x in enumerate(X):
+            gap = prob.suboptimality(x)
+            assert isinstance(gap, float)
+            want = np.float64(dot_suboptimality(prob, x)).tobytes()
+            assert np.float64(gap).tobytes() == gaps[i].tobytes() == want
+            want = dot_exact_grad(prob, x).tobytes()
+            assert prob.exact_grad(x).tobytes() == grads[i].tobytes() == want
 
 
 class TestSampling:
