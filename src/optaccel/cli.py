@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
-from .harness import SpecError, emit_plotdata, load_spec, run_experiment
+from .harness import (SpecError, _write, emit_plotdata, load_spec,
+                      run_experiment)
 from .optimizers import make_schedule
 from .verify import SUITES, report_lines, run_suite
 
@@ -69,14 +71,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite)
+    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     # machine-readable report on stdout, human-readable summary on stderr
-    print(json.dumps(report, indent=1, sort_keys=True))
+    print(text, end="")
     for line in report_lines(report):
         print(line, file=sys.stderr)
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write(Path(args.report), text)
     return 0 if report["passed"] else 1
 
 

@@ -13,7 +13,6 @@ leaves no half-written file under an artifact's name.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -27,7 +26,8 @@ import numpy as np
 
 from . import optimizers
 from .analysis import time_to_eps
-from .problems import _is_finite, _is_int, config_hash, problem_from_config
+from .problems import (_ball_bounds, _is_finite, _is_int, config_hash,
+                       problem_from_config)
 from .trace import canonical_json, sha256_text, trace_from_csv, trace_to_csv
 
 __all__ = [
@@ -80,19 +80,21 @@ def _validate(raw: dict) -> ExperimentSpec:
         raise SpecError(f"missing spec keys: {sorted(missing)}")
 
     problems = raw["problems"]
-    if isinstance(problems, dict):
-        problems = [problems]
     if not isinstance(problems, list) or not problems:
-        raise SpecError("problems: empty grid")
+        raise SpecError("problems: must be a non-empty list")
     # each problem is kept as its built config, defaults filled in, so a
     # cell's stem hashes the same config as its run header
-    configs = []
+    built, hashes = [], []
     for i, p in enumerate(problems):
         try:
-            configs.append(problem_from_config(p).config())
+            built.append(problem_from_config(p))
         except Exception as err:  # any build failure is a bad spec
             raise SpecError(f"problems[{i}]: {type(err).__name__}: "
                             f"{err}") from err
+        hashes.append(config_hash(built[-1].config()))
+        if hashes[-1] in hashes[:-1]:
+            raise SpecError(f"problems[{i}]: duplicates problems"
+                            f"[{hashes.index(hashes[-1])}]")
 
     algorithm = raw["algorithm"]
     if algorithm not in _ALGORITHMS:
@@ -138,11 +140,17 @@ def _validate(raw: dict) -> ExperimentSpec:
         if not _is_finite(value) or value < low or (op == ">" and value == low):
             raise SpecError(f"overrides.{key}: must be a finite number "
                             f"{op} {low:g}, got {value!r}")
+    # problem_from_config checks the ball bounds at B; here at overrides.B
+    for i, problem in enumerate(built):
+        if "B" in overrides and not np.isfinite(
+                _ball_bounds(problem.meta.H, overrides["B"])).all():
+            raise SpecError(f"problems[{i}]: parameters overflow a float "
+                            f"with overrides.B")
 
     workers = _check_workers(raw.get("workers", 1))
 
     return ExperimentSpec(
-        problems=tuple(configs), algorithm=algorithm,
+        problems=tuple(p.config() for p in built), algorithm=algorithm,
         b_grid=b_grid, T_grid=T_grid, n_seeds=n_seeds, base_seed=base_seed,
         eps_targets=tuple(float(e) for e in eps_targets),
         output_dir=output_dir, overrides=dict(overrides), workers=workers)
@@ -188,9 +196,10 @@ def spec_hash(spec: ExperimentSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text: str) -> str:
     """Write ``text`` to a sibling temporary name, then rename it onto
-    ``path``: an interrupted write leaves nothing under ``path``."""
+    ``path``: an interrupted write leaves nothing under ``path``.  Returns
+    the sha256 of the ASCII text, which is the file's bytes."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)
@@ -198,10 +207,12 @@ def _write(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return sha256_text(text)
 
 
 def _run_cell(cell: dict) -> dict:
-    """Execute one (problem, algorithm, b, T, seed) cell and write artifacts."""
+    """Run one (problem, algorithm, b, T, seed) cell, write its trace CSV
+    and header JSON, and return their digests with the cell's outcome."""
     problem = problem_from_config(cell["problem"])
     alg, b, T, seed = cell["algorithm"], cell["b"], cell["T"], cell["seed"]
     ov = cell["overrides"]
@@ -226,9 +237,11 @@ def _run_cell(cell: dict) -> dict:
 
     trace.header["final_subopt"] = trace.final_subopt
     out, stem = Path(cell["output_dir"]), cell["stem"]
-    _write(out / f"{stem}.csv", trace_to_csv(trace))
-    _write(out / f"{stem}.json", canonical_json(trace.header) + "\n")
-    return {"final_subopt": trace.final_subopt, "rows": len(trace.t)}
+    digests = {f"{stem}.csv": _write(out / f"{stem}.csv", trace_to_csv(trace)),
+               f"{stem}.json": _write(out / f"{stem}.json",
+                                      canonical_json(trace.header) + "\n")}
+    return {"artifacts": digests, "final_subopt": trace.final_subopt,
+            "rows": len(trace.t)}
 
 
 def _cells_of(spec: ExperimentSpec):
@@ -249,51 +262,47 @@ def _cells_of(spec: ExperimentSpec):
                     }
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
     """Run every cell of a sweep and write the aggregate artifacts.
 
     Cells execute independently (in parallel when ``workers > 1``;
     ``workers`` defaults to the spec's, and below 1 is a ``SpecError``) and
-    per-cell failures, a worker process that died among them, are recorded
-    in the manifest without aborting the others.  Returns the manifest,
-    which lists every artifact with its content hash.
+    per-cell failures are recorded in the manifest without aborting the
+    others; cells lost with a dying worker are rerun alone, so only a cell
+    that kills its own worker fails.  Returns the manifest, which lists
+    every artifact with the sha256 of the bytes written.
     """
     workers = _check_workers(spec.workers if workers is None else workers)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     cells = list(_cells_of(spec))
-    results, failures = {}, []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell_safe, c) for c in cells]
-            outcomes = [_pool_outcome(f) for f in futures]
+            futures = [_submit(pool, c) for c in cells]
+        outcomes = [_pool_outcome(f, c) for f, c in zip(futures, cells)]
     else:
         outcomes = [_run_cell_safe(c) for c in cells]
+    # finals[(problem_hash, b, T)]: final suboptimality per completed seed
+    artifacts, failures, finals = {}, [], {}
     for cell, outcome in zip(cells, outcomes):
         if "error" in outcome:
             failures.append({"stem": cell["stem"], "error": outcome["error"]})
-        else:
-            results[cell["stem"]] = (cell, outcome)
+            continue
+        artifacts.update(outcome["artifacts"])
+        finals.setdefault((cell["problem_hash"], cell["b"], cell["T"]),
+                          []).append(outcome["final_subopt"])
 
-    artifacts = [stem + ext for stem in results for ext in (".csv", ".json")]
-
-    _write(out / "summary.csv", _summary_csv(_summarize(spec, results)))
-    artifacts.append("summary.csv")
-
+    artifacts["summary.csv"] = _write(out / "summary.csv",
+                                      _summary_csv(spec, finals))
     if spec.eps_targets:
-        _write(out / "speedup.csv", _speedup_csv(spec, results))
-        artifacts.append("speedup.csv")
+        artifacts["speedup.csv"] = _write(out / "speedup.csv",
+                                          _speedup_csv(spec, finals))
 
-    hashes = {name: _sha256_file(out / name) for name in sorted(artifacts)}
     content = {
         "spec": asdict(spec),
         "spec_hash": spec_hash(spec),
-        "artifacts": hashes,
+        "artifacts": dict(sorted(artifacts.items())),
         "failures": sorted(failures, key=lambda f: f["stem"]),
     }
     manifest = dict(content)
@@ -321,61 +330,49 @@ def _run_cell_safe(cell: dict) -> dict:
     return outcome
 
 
-def _pool_outcome(future) -> dict:
-    """A worker's outcome; a cell whose worker died is a failed cell."""
+def _submit(pool, cell):
     try:
-        return future.result()
+        return pool.submit(_run_cell_safe, cell)
+    except BrokenProcessPool:  # a worker died before this submit
+        return None
+
+
+def _pool_outcome(future, cell=None) -> dict:
+    """A worker's outcome.  A dying worker fails every cell its pool holds
+    or has yet to take (``future`` None): each is rerun alone in a fresh
+    one-worker pool, and one that kills that worker too is a failed cell."""
+    try:
+        if future is not None:
+            return future.result()
     except BrokenProcessPool as err:
-        return {"error": f"BrokenProcessPool: {err}", "wall_s": 0.0}
+        if cell is None:
+            return {"error": f"BrokenProcessPool: {err}", "wall_s": 0.0}
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(_run_cell_safe, cell)
+    return _pool_outcome(future)
 
 
-def _summarize(spec, results):
-    groups: dict[tuple, list[float]] = {}
-    info = {}
-    for stem, (cell, outcome) in results.items():
-        key = (cell["problem_hash"], cell["algorithm"], cell["b"], cell["T"])
-        groups.setdefault(key, []).append(outcome["final_subopt"])
-        info[key] = cell["problem"]["family"]
-    rows = []
-    for key in sorted(groups):
-        vals = np.sort(np.array(groups[key]))
-        rows.append({
-            "problem_hash": key[0], "family": info[key],
-            "algorithm": key[1], "b": key[2], "T": key[3],
-            "n_seeds": len(vals),
-            "median_subopt": float(np.median(vals)),
-            "q25_subopt": float(np.quantile(vals, 0.25)),
-            "q75_subopt": float(np.quantile(vals, 0.75)),
-            "min_subopt": float(vals[0]), "max_subopt": float(vals[-1]),
-        })
-    return rows
-
-
-_SUMMARY_COLS = ["problem_hash", "family", "algorithm", "b", "T", "n_seeds",
-                 "median_subopt", "q25_subopt", "q75_subopt", "min_subopt",
-                 "max_subopt"]
-
-
-def _summary_csv(rows):
-    lines = [",".join(_SUMMARY_COLS)]
-    for r in rows:
-        lines.append(",".join(
-            format(r[c], _FMT) if isinstance(r[c], float) else str(r[c])
-            for c in _SUMMARY_COLS))
+def _summary_csv(spec, finals):
+    family = {config_hash(p): p["family"] for p in spec.problems}
+    lines = ["problem_hash,family,algorithm,b,T,n_seeds,median_subopt,"
+             "q25_subopt,q75_subopt,min_subopt,max_subopt"]
+    for (phash, b, T), vals in sorted(finals.items()):
+        vals = np.sort(vals)
+        stats = (np.median(vals), np.quantile(vals, 0.25),
+                 np.quantile(vals, 0.75), vals[0], vals[-1])
+        lines.append(",".join([phash, family[phash], spec.algorithm, str(b),
+                               str(T), str(len(vals))]
+                              + [format(float(v), _FMT) for v in stats]))
     return "\n".join(lines) + "\n"
 
 
-def _speedup_csv(spec, results):
+def _speedup_csv(spec, finals):
     lines = ["problem_hash,eps,b,T_to_eps,n_seeds"]
-    by_problem: dict[str, dict[tuple[int, int], list[float]]] = {}
-    for stem, (cell, outcome) in results.items():
-        finals = by_problem.setdefault(cell["problem_hash"], {})
-        finals.setdefault((cell["b"], cell["T"]), []).append(
-            outcome["final_subopt"])
-    for phash in sorted(by_problem):
+    for phash in sorted({key[0] for key in finals}):
+        by_bT = {(b, T): vals for (p, b, T), vals in finals.items()
+                 if p == phash}
         for eps in spec.eps_targets:
-            table = time_to_eps(by_problem[phash], eps)
-            for b, T in table.items():
+            for b, T in time_to_eps(by_bT, eps).items():
                 lines.append(f"{phash},{format(eps, _FMT)},{b},"
                              f"{'' if T is None else T},{spec.n_seeds}")
     return "\n".join(lines) + "\n"

@@ -586,13 +586,22 @@ def problem_from_config(config: dict) -> Problem:
     # check below rejects such a problem, so the overflow is no warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         problem = _FAMILIES[family](**params)
-    # 4 H B**2 bounds ||F (w - wstar)||**2 over the ball of radius B
     meta = problem.meta
     if not np.isfinite([meta.Lstar, meta.sigma_star_sq, meta.lam, meta.Delta,
-                        4.0 * meta.H * meta.B * meta.B]).all():
+                        *_ball_bounds(meta.H, meta.B)]).all():
         raise ValueError(f"{family}: parameters overflow a float: certified "
-                         f"constants and 4*H*B**2 must be finite")
+                         f"constants, 4*H*B**2 and (4*H*B)**2 must be finite")
     return problem
+
+
+def _ball_bounds(H: float, B: float) -> list[float]:
+    """``4 H B**2`` bounds ``||F (w - wstar)||**2`` on the ball of radius
+    ``B``, and ``(4 H B)**2`` the squared deviation of a noiseless design's
+    sample gradient ``x x'(w - wstar)`` from its mean (both have norm at
+    most ``H ||w - wstar|| <= 2 H B``).  As Python floats, a bound that
+    overflows is ``inf``, with no warning."""
+    dev = 4.0 * H * B
+    return [dev * B, dev * dev]
 
 
 def config_hash(config: dict) -> str:

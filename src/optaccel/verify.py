@@ -146,12 +146,8 @@ def suite_rate_convex():
 
     prob = _interp_problem()
     for b, slope_max in ((1, -0.9), (64, -1.7)):
-        grid = []
-        for T in (64, 128, 256, 512, 1024, 2048, 4096):
-            finals = [run_acc_mb_sgd(prob, b=b, T=T, seed=s)[1].final_subopt
-                      for s in range(20)]
-            grid.append((T, float(np.median(finals))))
-        fit = fit_rate(grid)
+        fit = fit_rate([(T, float(np.median(_finals(prob, b, T, 20))))
+                        for T in (64, 128, 256, 512, 1024, 2048, 4096)])
         checks.append(_check(f"interpolation:b={b}:slope", fit.slope,
                              slope_max, "<=",
                              detail=f"r^2={fit.r_squared:.4f}"))
@@ -173,14 +169,10 @@ _SPEEDUP_GRIDS = {
 }
 
 
-def _speedup_finals(prob):
-    finals = {}
-    for b, Ts in _SPEEDUP_GRIDS.items():
-        for T in Ts:
-            finals[(b, T)] = [
-                run_acc_mb_sgd(prob, b=b, T=T, seed=s)[1].final_subopt
-                for s in range(20)]
-    return finals
+def _finals(prob, b, T, n_seeds):
+    """Final suboptimality of the accelerated run of each seed."""
+    return [run_acc_mb_sgd(prob, b=b, T=T, seed=s)[1].final_subopt
+            for s in range(n_seeds)]
 
 
 def suite_speedup():
@@ -188,7 +180,9 @@ def suite_speedup():
     prob = _interp_problem()
     eps = _SPEEDUP_EPS
     threshold = math.sqrt(prob.meta.H * prob.meta.B**2 / eps)
-    table = time_to_eps(_speedup_finals(prob), eps)
+    table = time_to_eps({(b, T): _finals(prob, b, T, 20)
+                         for b, Ts in _SPEEDUP_GRIDS.items() for T in Ts},
+                        eps)
     checks = []
 
     reached = [T for T in table.values() if T is not None]
@@ -296,15 +290,13 @@ def suite_sigma_star():
     T = 1024
     checks = []
 
-    f64 = [run_acc_mb_sgd(prob, b=64, T=T, seed=s)[1].final_subopt
-           for s in range(40)]
+    f64 = _finals(prob, 64, T, 40)
     bound = accel_error_bound(T, meta.H, meta.B**2, 64, Lstar=meta.Lstar)
     checks.append(_check("b=64:median_within_bound", float(np.median(f64)),
                          3.0 * bound, "<=",
                          detail=f"bound={bound:.4g}"))
 
-    f1 = [run_acc_mb_sgd(prob, b=1, T=T, seed=s)[1].final_subopt
-          for s in range(40)]
+    f1 = _finals(prob, 1, T, 40)
     floor = sigma * meta.B / (10.0 * math.sqrt(T))
     checks.append(_check("b=1:no_acceleration_floor", float(np.median(f1)),
                          floor, ">=",

@@ -1,10 +1,12 @@
 """Spec validation, experiment execution, manifests, plotdata, CLI."""
 
+import hashlib
 import json
 import math
 import os
 import shutil
 import tempfile
+from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import asdict
 from pathlib import Path
 
@@ -152,6 +154,12 @@ class TestRunExperiment:
         parallel = run_experiment(
             load_spec(write_spec(tmp_path, raw, "p.json")))
         assert serial["artifacts"] == parallel["artifacts"]
+        # each digest is of the bytes on disk, not of what was meant
+        for run, manifest in (("serial", serial), ("parallel", parallel)):
+            assert manifest["artifacts"] == {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (tmp_path / run).iterdir()
+                if p.name != "manifest.json"}
 
     def test_cell_failure_recorded_without_aborting(self, tmp_path):
         # restarted with a 1-iteration budget cannot fit the first stage
@@ -285,9 +293,10 @@ class TestCrashSafeWrites:
             json.loads(want["manifest.json"])["content_hash"]
 
 
-    @pytest.mark.parametrize("writer", ["save_spec", "emit_plotdata"])
+    @pytest.mark.parametrize("writer", ["save_spec", "emit_plotdata",
+                                        "verify_report"])
     def test_interrupted_rename_leaves_nothing(self, tmp_path, monkeypatch,
-                                               writer):
+                                               capsys, writer):
         spec = load_spec(write_spec(tmp_path, minimal_spec(tmp_path)))
         run_experiment(spec)
         target = tmp_path / "written.txt"
@@ -295,6 +304,12 @@ class TestCrashSafeWrites:
             def write():
                 save_spec(spec, target)
                 return canonical_json(asdict(spec)) + "\n"
+        elif writer == "verify_report":
+            def write():
+                # the report printed on stdout is the one written
+                capsys.readouterr()
+                cli_main(["verify", "lemma3", "--report", str(target)])
+                return capsys.readouterr().out
         else:
             def write():
                 return emit_plotdata(
@@ -340,17 +355,47 @@ class TestDyingWorker:
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
         assert (out / "summary.csv").exists()
-        done = [n[:-len(".csv")] for n in manifest["artifacts"]
-                if n.endswith(".csv") and n != "summary.csv"]
-        failed = [f["stem"] for f in manifest["failures"]]
-        assert victim in failed
-        # every cell once: written in full, or a failure
-        assert sorted(done + failed) == sorted(stems)
-        assert all(f"{stem}.json" in manifest["artifacts"] for stem in done)
+        # the cells queued behind the dying one are rerun: only the victim
+        # fails, and every other cell is as a serial run writes it
+        assert [f["stem"] for f in manifest["failures"]] == [victim]
+        assert manifest["failures"][0]["error"].startswith(
+            "BrokenProcessPool: ")
+        assert manifest["timing"][victim]["steps_per_s"] == 0
         assert set(manifest["timing"]) == set(stems)
-        for f in manifest["failures"]:
-            assert f["error"].startswith("BrokenProcessPool: ")
-            assert manifest["timing"][f["stem"]]["steps_per_s"] == 0
+        monkeypatch.undo()
+        serial = run_experiment(load_spec(path), workers=1)
+        cells = {n: h for n, h in serial["artifacts"].items()
+                 if n != "summary.csv"}
+        assert len(cells) == 2 * len(stems)
+        assert {n: h for n, h in manifest["artifacts"].items()
+                if n != "summary.csv"} == {
+            n: h for n, h in cells.items() if not n.startswith(victim)}
+
+    def test_worker_dying_before_every_cell_is_queued(self, tmp_path,
+                                                      monkeypatch):
+        spec = load_spec(write_spec(tmp_path, minimal_spec(
+            tmp_path, b_grid=[1, 2, 3, 4], workers=2)))
+        stems = [c["stem"] for c in harness._cells_of(spec)]
+        run_cell = harness._run_cell
+
+        def dying(cell):
+            if cell["stem"] == stems[0]:
+                os._exit(1)
+            return run_cell(cell)
+
+        class SlowSubmit(ProcessPoolExecutor):
+            # the first cell's worker is dead before the next submit
+            def submit(self, fn, cell):
+                future = super().submit(fn, cell)
+                if cell["stem"] == stems[0]:
+                    wait([future])
+                return future
+
+        monkeypatch.setattr(harness, "_run_cell", dying)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SlowSubmit)
+        manifest = run_experiment(spec)
+        assert [f["stem"] for f in manifest["failures"]] == [stems[0]]
+        assert len(manifest["artifacts"]) == 2 * 3 + 1
 
 
 class TestPlotdata:
@@ -504,15 +549,23 @@ class TestCli:
         ("noiseless_quadratic",
          {"d": 3, "H": 1.7e308, "B": 1.0, "spread": 10.0}),
         ("noiseless_quadratic",
-         {"d": 3, "H": 1.0, "B": 1e160, "spread": 10.0})])
+         {"d": 3, "H": 1.0, "B": 1e160, "spread": 10.0}),
+        # (4 H B)**2, which bounds the squared gradient deviation, overflows
+        ("interpolation_least_squares",
+         {"d": 4, "n_atoms": 2, "H": 1e200, "B": 1e50}),
+        ("interpolation_least_squares",
+         {"d": 4, "n_atoms": 2, "H": 1e100, "B": 1.0, "overrides.B": 1e60})])
     def test_overflowing_family_params_are_config_error(
             self, tmp_path, capsys, family, params):
         # finite parameters whose problem has an infinite Delta or B, found
         # by TestSpecFuzz; the finite check reports them, with no overflow
         # warning first (a warning fails the run under the test settings)
+        params = dict(params)
+        overrides = {"B": params.pop("overrides.B")} \
+            if "overrides.B" in params else {}
         problem = {"family": family, "params": params, "seed": 0}
-        path = write_spec(tmp_path, minimal_spec(tmp_path,
-                                                 problems=[problem]))
+        path = write_spec(tmp_path, minimal_spec(
+            tmp_path, problems=[problem], overrides=overrides))
         assert cli_main(["run", str(path)]) == 2
         assert "parameters overflow a float" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -568,13 +621,18 @@ class TestCli:
         ("overrides", {"eta": float("nan")}), ("overrides", {"eta": 10**400}),
         ("overrides", [["eta", 0.25]]),
         ("eps_targets", [float("nan"), True]), ("eps_targets", [True]),
-        ("eps_targets", [float("inf")]), ("eps_targets", [0.0])])
+        ("eps_targets", [float("inf")]), ("eps_targets", [0.0]),
+        ("problems", GROWTH_PROBLEM),
+        # the same problem twice once the default seed is filled in
+        ("problems", [dict(GROWTH_PROBLEM, seed=0),
+                      {"family": "growth", "params": GROWTH_PROBLEM["params"]}
+                      ])])
     def test_bad_override_or_target_is_config_error(self, tmp_path, capsys,
                                                      key, value):
         # json.dumps writes NaN and Infinity, which json.loads accepts
-        raw = minimal_spec(tmp_path, algorithm="restarted", b_grid=[8],
-                           T_grid=[400], problems=[GROWTH_PROBLEM],
-                           **{key: value})
+        raw = minimal_spec(tmp_path, **{
+            "algorithm": "restarted", "b_grid": [8], "T_grid": [400],
+            "problems": [GROWTH_PROBLEM], key: value})
         assert cli_main(["run", str(write_spec(tmp_path, raw))]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
