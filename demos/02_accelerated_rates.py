@@ -20,7 +20,7 @@ from optaccel import (
 
 
 def main():
-    sched = make_schedule(H=1.0, b=8, T=6, B=1.0, noise_sq=0.0)
+    sched = make_schedule(H=1.0, b=8, T=6, B=1.0, lstar=0.0)
     print("schedule for (H=1, b=8, T=6, B=1, no noise): "
           f"gamma = {sched.gamma:.5g}")
     print("  t, beta_t, gamma_t:",

@@ -9,7 +9,7 @@ from .problems import (
     problem_from_config, config_hash,
 )
 from .optimizers import (
-    StepSchedule, OptimizerState, make_schedule, project_ball, acc_step,
+    StepSchedule, make_schedule, project_ball, acc_step,
     run_acc_mb_sgd, run_sgd, stage_budget, Stage, StagePlan,
     make_stage_plan, make_budget_plan, run_restarted, accel_error_bound,
 )

@@ -88,11 +88,10 @@ def _cmd_plotdata(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    noise_sq = 2.0 * args.H * args.lstar
-    sched = make_schedule(args.H, args.b, args.T, args.B, noise_sq)
+    sched = make_schedule(args.H, args.b, args.T, args.B, args.lstar)
     print(f"gamma = {sched.gamma:.12g}  "
           f"(H={args.H:g}, b={args.b}, T={args.T}, B={args.B:g}, "
-          f"noise_sq={noise_sq:g})")
+          f"noise_sq={sched.noise_sq:g})")
     print("t,beta_t,gamma_t")
     for t in range(sched.T):
         print(f"{t},{sched.beta(t):.12g},{sched.gamma_t(t):.12g}")

@@ -40,7 +40,9 @@ __all__ = [
     "emit_plotdata",
 ]
 
-_ALGORITHMS = ("acc_mb_sgd", "sgd", "restarted")
+# algorithm -> the overrides it reads
+_ALGORITHMS = {"acc_mb_sgd": ("B", "lstar"), "sgd": ("B", "eta"),
+               "restarted": ("lstar", "theta")}
 # override -> (comparison, bound) that its value must satisfy
 _OVERRIDES = {"B": (">", 0.0), "lstar": (">=", 0.0), "theta": (">", 1.0),
               "eta": (">", 0.0)}
@@ -97,8 +99,9 @@ def _validate(raw: dict) -> ExperimentSpec:
                             f"[{hashes.index(hashes[-1])}]")
 
     algorithm = raw["algorithm"]
-    if algorithm not in _ALGORITHMS:
-        raise SpecError(f"algorithm: must be one of {_ALGORITHMS}, "
+    # a JSON list or object would not hash
+    if not isinstance(algorithm, str) or algorithm not in _ALGORITHMS:
+        raise SpecError(f"algorithm: must be one of {tuple(_ALGORITHMS)}, "
                         f"got {algorithm!r}")
 
     def int_grid(name):
@@ -131,10 +134,11 @@ def _validate(raw: dict) -> ExperimentSpec:
     overrides = raw.get("overrides", {})
     if not isinstance(overrides, dict):
         raise SpecError("overrides: must be a JSON object")
-    bad = set(overrides) - set(_OVERRIDES)
+    # a key the algorithm never reads would still enter the spec hash
+    bad = set(overrides) - set(_ALGORITHMS[algorithm])
     if bad:
-        raise SpecError(f"overrides: unknown keys {sorted(bad)}; "
-                        f"allowed: {tuple(_OVERRIDES)}")
+        raise SpecError(f"overrides: {algorithm} does not read "
+                        f"{sorted(bad)}; it reads {_ALGORITHMS[algorithm]}")
     for key, value in overrides.items():
         op, low = _OVERRIDES[key]
         if not _is_finite(value) or value < low or (op == ">" and value == low):
@@ -143,7 +147,7 @@ def _validate(raw: dict) -> ExperimentSpec:
     # problem_from_config checks the ball bounds at B; here at overrides.B
     for i, problem in enumerate(built):
         if "B" in overrides and not np.isfinite(
-                _ball_bounds(problem.meta.H, overrides["B"])).all():
+                _ball_bounds(problem, overrides["B"])).all():
             raise SpecError(f"problems[{i}]: parameters overflow a float "
                             f"with overrides.B")
 
@@ -212,7 +216,7 @@ def _write(path: Path, text: str) -> str:
 
 def _run_cell(cell: dict) -> dict:
     """Run one (problem, algorithm, b, T, seed) cell, write its trace CSV
-    and header JSON, and return their digests with the cell's outcome."""
+    and header JSON, and return their digests with the run's outcome."""
     problem = problem_from_config(cell["problem"])
     alg, b, T, seed = cell["algorithm"], cell["b"], cell["T"], cell["seed"]
     ov = cell["overrides"]
@@ -235,13 +239,12 @@ def _run_cell(cell: dict) -> dict:
     else:
         raise ValueError(f"unknown algorithm {alg!r}")
 
-    trace.header["final_subopt"] = trace.final_subopt
     out, stem = Path(cell["output_dir"]), cell["stem"]
     digests = {f"{stem}.csv": _write(out / f"{stem}.csv", trace_to_csv(trace)),
                f"{stem}.json": _write(out / f"{stem}.json",
                                       canonical_json(trace.header) + "\n")}
     return {"artifacts": digests, "final_subopt": trace.final_subopt,
-            "rows": len(trace.t)}
+            "aborted": trace.aborted, "rows": len(trace.t)}
 
 
 def _cells_of(spec: ExperimentSpec):
@@ -283,15 +286,17 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
         outcomes = [_pool_outcome(f, c) for f, c in zip(futures, cells)]
     else:
         outcomes = [_run_cell_safe(c) for c in cells]
-    # finals[(problem_hash, b, T)]: final suboptimality per completed seed
+    # finals[(problem_hash, b, T)]: final suboptimality per completed seed;
+    # an aborted run's files are listed, its partial value left out
     artifacts, failures, finals = {}, [], {}
     for cell, outcome in zip(cells, outcomes):
         if "error" in outcome:
             failures.append({"stem": cell["stem"], "error": outcome["error"]})
             continue
         artifacts.update(outcome["artifacts"])
-        finals.setdefault((cell["problem_hash"], cell["b"], cell["T"]),
-                          []).append(outcome["final_subopt"])
+        if not outcome["aborted"]:
+            finals.setdefault((cell["problem_hash"], cell["b"], cell["T"]),
+                              []).append(outcome["final_subopt"])
 
     artifacts["summary.csv"] = _write(out / "summary.csv",
                                       _summary_csv(spec, finals))

@@ -20,12 +20,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .problems import Problem, SampleStream, config_hash, minibatch_gradient, sample_batch
-from .trace import RunTrace, TraceRecorder, canonical_json, sha256_text
+from .problems import Problem, SampleStream, minibatch_gradient, sample_batch
+from .trace import RunTrace, TraceRecorder, config_hash
 
 __all__ = [
     "StepSchedule",
-    "OptimizerState",
     "NonFiniteGradientError",
     "make_schedule",
     "project_ball",
@@ -58,8 +57,8 @@ class StepSchedule:
 
     ``beta(t) = 1 + t/6`` and ``gamma_t(t) = gamma * (t + 1)``; the base
     stepsize satisfies ``2 H gamma_t(t) <= beta(t)`` for every ``t < T``.
-    ``noise_sq`` is the gradient variance bound at the minimizer (by
-    default twice the smoothness constant times the minimum loss).
+    ``noise_sq`` is the gradient variance bound at the minimizer, twice
+    the smoothness constant times the minimum loss.
     """
 
     gamma: float
@@ -77,10 +76,11 @@ class StepSchedule:
 
 
 def make_schedule(H: float, b: int, T: int, B: float,
-                  noise_sq: float) -> StepSchedule:
+                  lstar: float) -> StepSchedule:
     """Build the schedule for a run of horizon ``T`` with batches of size ``b``.
 
-    The base stepsize is
+    With ``noise_sq = 2 H lstar`` (``lstar`` bounds the minimum loss from
+    above), the base stepsize is
     ``min(1 / (12 H), b / (24 H (T + 1)), sqrt(b B**2 / (noise_sq T**3)))``,
     the last term treated as infinite when ``noise_sq`` is zero.
     """
@@ -88,8 +88,9 @@ def make_schedule(H: float, b: int, T: int, B: float,
         raise ValueError(f"H and B must be positive, got H={H}, B={B}")
     if T < 1 or b < 1:
         raise ValueError(f"T and b must be >= 1, got T={T}, b={b}")
-    if noise_sq < 0:
-        raise ValueError(f"noise_sq must be >= 0, got {noise_sq}")
+    if lstar < 0:
+        raise ValueError(f"lstar must be >= 0, got {lstar}")
+    noise_sq = 2.0 * H * lstar
     gamma = min(1.0 / (12.0 * H), b / (24.0 * H * (T + 1)))
     if noise_sq > 0:
         gamma = min(gamma, math.sqrt(b * B**2 / (noise_sq * T**3)))
@@ -110,50 +111,32 @@ def project_ball(w: np.ndarray, B: float) -> np.ndarray:
     return w * (B / norm)
 
 
-@dataclass(slots=True)
-class OptimizerState:
-    """Projected iterate, averaged iterate, and the step counter."""
+def acc_step(w: np.ndarray, w_ag: np.ndarray, t: int,
+             schedule: StepSchedule, problem: Problem, stream: SampleStream,
+             recorder: TraceRecorder, center: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Step ``t`` of the accelerated method; returns the next ``w, w_ag``.
 
-    w: np.ndarray
-    w_ag: np.ndarray
-    t: int
-
-
-def _zero_state(d: int) -> OptimizerState:
-    return OptimizerState(w=np.zeros(d), w_ag=np.zeros(d), t=0)
-
-
-def acc_step(state: OptimizerState, schedule: StepSchedule, problem: Problem,
-             stream: SampleStream, recorder: TraceRecorder | None = None,
-             center: np.ndarray | None = None, stage: int = 0,
-             t_offset: int = 0) -> OptimizerState:
-    """One update of the accelerated method.
-
-    State vectors live in coordinates relative to ``center`` (the origin for
+    The iterates live in coordinates relative to ``center`` (the origin for
     plain runs); gradients are evaluated at the corresponding absolute
-    point.  The completed step's vectors are appended to ``recorder`` when
-    one is given; every one of them is a fresh array that no later step
-    writes into, as ``TraceRecorder.append`` requires.
+    point.  The step's vectors are appended to ``recorder``; every one of
+    them is a fresh array that no later step writes into, as
+    ``TraceRecorder.append`` requires.
     """
-    t = state.t
     if t >= schedule.T:
         raise ValueError(f"step t={t} beyond schedule horizon T={schedule.T}")
     beta_inv = 1.0 / schedule.beta(t)
     gamma_t = schedule.gamma_t(t)
-    w_ag_part = (1.0 - beta_inv) * state.w_ag
-    w_md = beta_inv * state.w + w_ag_part
+    w_ag_part = (1.0 - beta_inv) * w_ag
+    w_md = beta_inv * w + w_ag_part
 
     query = w_md if center is None else center + w_md
     g = _checked_gradient(problem, query, schedule.b, stream, t)
 
-    w_next = project_ball(state.w - gamma_t * g, schedule.B)
+    w_next = project_ball(w - gamma_t * g, schedule.B)
     w_ag_next = beta_inv * w_next + w_ag_part
-
-    if recorder is not None:
-        point = w_ag_next if center is None else center + w_ag_next
-        recorder.append(t_offset + t + 1, w_next, w_ag_next, point, query, g,
-                        stage)
-    return OptimizerState(w=w_next, w_ag=w_ag_next, t=t + 1)
+    recorder.append(w_next, w_ag_next, query, g)
+    return w_next, w_ag_next
 
 
 def _checked_gradient(problem, query, b, stream, t):
@@ -168,30 +151,11 @@ def _checked_gradient(problem, query, b, stream, t):
 
 @contextmanager
 def _abort_on_nonfinite(recorder):
-    """Mark the trace aborted, with its reason, on a non-finite gradient."""
+    """Stop the run, recording why, on a non-finite gradient."""
     try:
         yield
     except NonFiniteGradientError as err:
-        recorder.aborted = True
-        recorder.header["abort_reason"] = str(err)
-
-
-def _run_header(problem, algorithm, b, T, seed, schedule=None, extra=None):
-    cfg = problem.config()
-    hdr = {
-        "problem": cfg,
-        "problem_hash": config_hash(cfg),
-        "algorithm": algorithm,
-        "b": int(b),
-        "T": int(T),
-        "seed": int(seed),
-    }
-    if schedule is not None:
-        hdr["schedule"] = asdict(schedule)
-        hdr["schedule_hash"] = sha256_text(canonical_json(hdr["schedule"]))[:16]
-    if extra:
-        hdr.update(extra)
-    return hdr
+        recorder.abort_reason = str(err)
 
 
 def run_acc_mb_sgd(problem: Problem, b: int, T: int,
@@ -209,38 +173,38 @@ def run_acc_mb_sgd(problem: Problem, b: int, T: int,
     meta = problem.meta
     B = meta.B if B_override is None else float(B_override)
     lstar = meta.Lstar if lstar_override is None else float(lstar_override)
-    schedule = make_schedule(meta.H, b, T, B, 2.0 * meta.H * lstar)
-    header = _run_header(problem, "acc_mb_sgd", b, T, seed, schedule)
-    return _run_stages(problem, header, seed, [schedule])
+    schedule = make_schedule(meta.H, b, T, B, lstar)
+    content = asdict(schedule)
+    recorder = TraceRecorder(problem, "acc_mb_sgd", b, T, seed,
+                             schedule=content,
+                             schedule_hash=config_hash(content))
+    return _run_stages(problem, recorder, seed, [schedule])
 
 
-def _run_stages(problem, header, seed, schedules, center=None):
+def _run_stages(problem, recorder, seed, schedules, center=None):
     """Run the accelerated method through consecutive stages of one stream.
 
-    Each stage restarts from the zero state under its own schedule, and its
-    trace rows continue the step count of the stages before it.  Without a
-    ``center`` there is one stage, numbered 0, at the origin; the run
-    returns its averaged iterate, partial if a step aborted.  With one, the
-    stages are numbered from 1 and each runs in coordinates shifted to the
-    current centre, which then moves by the stage's averaged iterate; the
-    run returns the last centre reached by a completed stage.
+    Each stage restarts from the origin under its own schedule.  Without a
+    ``center`` there is one stage, numbered 0; the run returns its averaged
+    iterate, partial if a step aborted.  With one, the stages are numbered
+    from 1 and each runs in coordinates shifted to the current centre,
+    which then moves by the stage's averaged iterate; the run returns the
+    last centre reached by a completed stage.
     """
-    recorder = TraceRecorder(header, problem)
     stream = problem.stream(seed)
-    t_offset = 0
     with _abort_on_nonfinite(recorder):
         for stage, schedule in enumerate(schedules,
                                          start=0 if center is None else 1):
-            state = _zero_state(problem.d)
-            for _ in range(schedule.T):
+            recorder.start_stage(stage, center)
+            w, w_ag = np.zeros(problem.d), np.zeros(problem.d)
+            for t in range(schedule.T):
                 # looked up in the module at each call, so a wrapper
                 # installed there sees every step
-                state = acc_step(state, schedule, problem, stream, recorder,
-                                 center, stage, t_offset)
+                w, w_ag = acc_step(w, w_ag, t, schedule, problem, stream,
+                                   recorder, center)
             if center is not None:
-                center = center + state.w_ag
-            t_offset += schedule.T
-    return (state.w_ag if center is None else center), recorder.build()
+                center = center + w_ag
+    return (w_ag if center is None else center), recorder.build()
 
 
 def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
@@ -258,9 +222,7 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
     step = 1.0 / (2.0 * meta.H)
     if eta is not None:
         step = min(step, float(eta))
-    header = _run_header(problem, "sgd", b, T, seed,
-                         extra={"eta": step, "B": B})
-    recorder = TraceRecorder(header, problem)
+    recorder = TraceRecorder(problem, "sgd", b, T, seed, eta=step, B=B)
     stream = problem.stream(seed)
     w = np.zeros(problem.d)
     w_avg = np.zeros(problem.d)  # stays the origin if step 0 aborts
@@ -273,7 +235,7 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
             lo = (t + 1) // 2  # average w_{lo+1} .. w_{t+1}
             w_avg = (prefix[t + 1] - prefix[lo]) / (t + 1 - lo)
             # w, w_next and w_avg are fresh each step and never written
-            recorder.append(t + 1, w_next, w_avg, w_avg, w, g, 0)
+            recorder.append(w_next, w_avg, w, g)
             w = w_next
     return w_avg, recorder.build()
 
@@ -420,10 +382,9 @@ def run_restarted(problem: Problem, plan: StagePlan, seed: int = 0
     returned trace is the concatenation over stages with a stage-index
     column; its norm columns measure distance from the active stage center.
     """
-    noise_sq = 2.0 * plan.H * plan.Lstar
-    header = _run_header(problem, "restarted", plan.b, plan.total_iterations,
-                         seed, extra={"plan": asdict(plan)})
-    schedules = (make_schedule(plan.H, plan.b, st.T_t, st.B_t, noise_sq)
+    recorder = TraceRecorder(problem, "restarted", plan.b,
+                             plan.total_iterations, seed, plan=asdict(plan))
+    schedules = (make_schedule(plan.H, plan.b, st.T_t, st.B_t, plan.Lstar)
                  for st in plan.stages)
-    return _run_stages(problem, header, seed, schedules,
+    return _run_stages(problem, recorder, seed, schedules,
                        center=np.zeros(problem.d))

@@ -12,13 +12,14 @@ noiseless case where every sample reveals the exact objective.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rowwise import gemv, rowdot, vecmat
-from .trace import canonical_json, sha256_text
+from .trace import config_hash
 
 __all__ = [
     "ProblemMeta",
@@ -588,22 +589,22 @@ def problem_from_config(config: dict) -> Problem:
         problem = _FAMILIES[family](**params)
     meta = problem.meta
     if not np.isfinite([meta.Lstar, meta.sigma_star_sq, meta.lam, meta.Delta,
-                        *_ball_bounds(meta.H, meta.B)]).all():
+                        *_ball_bounds(problem, meta.B)]).all():
         raise ValueError(f"{family}: parameters overflow a float: certified "
-                         f"constants, 4*H*B**2 and (4*H*B)**2 must be finite")
+                         f"constants and ball bounds must be finite")
     return problem
 
 
-def _ball_bounds(H: float, B: float) -> list[float]:
-    """``4 H B**2`` bounds ``||F (w - wstar)||**2`` on the ball of radius
-    ``B``, and ``(4 H B)**2`` the squared deviation of a noiseless design's
-    sample gradient ``x x'(w - wstar)`` from its mean (both have norm at
-    most ``H ||w - wstar|| <= 2 H B``).  As Python floats, a bound that
-    overflows is ``inf``, with no warning."""
+def _ball_bounds(problem: Problem, B: float) -> list[float]:
+    """On the ball of radius ``B``, ``4 H B**2`` bounds ``||F (w -
+    wstar)||**2`` and ``(4 H B + 16 sqrt(H) s_max)**2`` the squared
+    deviation of a sample gradient from its mean: ``x x'(w - wstar)`` has
+    norm at most ``H ||w - wstar|| <= 2 H B``, and label noise adds
+    ``sqrt(H) s |z|`` with ``s_max`` the largest label std (0 if none) and
+    ``|z| <= 13.71`` for any normal NumPy's float64 sampler returns.  As
+    Python floats, a bound that overflows is ``inf``, with no warning."""
+    H = problem.meta.H
+    s_max = float(max(getattr(problem, "label_stds", ()), default=0.0))
     dev = 4.0 * H * B
-    return [dev * B, dev * dev]
-
-
-def config_hash(config: dict) -> str:
-    """Stable content hash of a declarative problem config."""
-    return sha256_text(canonical_json(config))[:16]
+    noisy = dev + 16.0 * math.sqrt(H) * s_max
+    return [dev * B, noisy * noisy]

@@ -1,4 +1,5 @@
-"""Per-iteration run records and their on-disk CSV/JSON formats."""
+"""Run records: the per-iteration trace, its header, and their on-disk
+CSV/JSON formats."""
 
 from __future__ import annotations
 
@@ -65,15 +66,17 @@ class RunTrace:
 # calls thin, at large d little memory kept alive by reference
 _BLOCK_ELEMENTS = 4096
 # the columns of no rows, so that ``build`` always has a block to join
-_NO_ROWS = (np.zeros(0, dtype=int), *[np.zeros(0)] * 4, np.zeros(0, dtype=int))
+_NO_ROWS = (*[np.zeros(0)] * 4, np.zeros(0, dtype=int))
 
 
 class TraceRecorder:
-    """Append-only builder used inside the optimizer loops.
+    """One run's record: the header (problem, algorithm, ``b``, ``T``, seed
+    and the algorithm's own ``fields``), rows numbered from 1 and labelled
+    with the current stage, and the outcome.
 
     ``append`` keeps a step's vectors by reference.  Whenever the pending
-    rows hold about ``_BLOCK_ELEMENTS`` vector elements, and once more in
-    ``build``, the block's columns are evaluated together through
+    rows hold about ``_BLOCK_ELEMENTS`` vector elements, at ``start_stage``
+    and in ``build``, the block's columns are evaluated together through
     ``problem.suboptimality`` and ``problem.exact_grad`` on stacked points
     and the ``rowwise`` kernels; row ``i`` of each is bit-identical to
     evaluating step ``i`` alone, so the trace does not depend on where
@@ -81,41 +84,62 @@ class TraceRecorder:
     to ``append``.
     """
 
-    def __init__(self, header: dict, problem):
-        self.header = dict(header)
+    def __init__(self, problem, algorithm: str, b: int, T: int, seed: int,
+                 **fields):
+        cfg = problem.config()
+        self.header = {"problem": cfg, "problem_hash": config_hash(cfg),
+                       "algorithm": algorithm, "b": int(b), "T": int(T),
+                       "seed": int(seed), **fields}
         self.problem = problem
-        self.aborted = False
+        # set when a run stops early; ``build`` records it in the header
+        self.abort_reason: str | None = None
         # each row holds five d-vectors
         self.block_rows = max(1, _BLOCK_ELEMENTS // (5 * problem.d))
         self._pending: list[tuple] = []
         self._blocks: list[tuple] = [_NO_ROWS]
+        self._stage = 0
+        self._center = None
 
-    def append(self, t, w, w_avg, point, query, g, stage):
-        """Record step ``t`` of restart stage ``stage``: the norms of ``w``
-        and ``w_avg``, the suboptimality at ``point``, and the squared
+    def start_stage(self, stage: int, center: np.ndarray) -> None:
+        """Label the rows that follow with restart stage ``stage``, whose
+        vectors are relative to ``center``."""
+        if self._pending:
+            self._flush()
+        self._stage, self._center = stage, center
+
+    def append(self, w, w_avg, query, g):
+        """Record the next step: the norms of ``w`` and ``w_avg``, the
+        suboptimality at the absolute point of ``w_avg``, and the squared
         deviation of the minibatch gradient ``g`` from the exact gradient
         at ``query``, where ``g`` was taken."""
-        self._pending.append((t, w, w_avg, point, query, g, stage))
+        self._pending.append((w, w_avg, query, g))
         if len(self._pending) == self.block_rows:
             self._flush()
 
     def _flush(self):
-        t, *vectors, stage = zip(*self._pending)
+        W, W_avg, Q, G = map(np.array, zip(*self._pending))
         self._pending = []
-        W, W_avg, P, Q, G = map(np.array, vectors)
+        # elementwise, so each row equals the step's own ``center + w_avg``
+        P = W_avg if self._center is None else self._center + W_avg
         deviation = G - self.problem.exact_grad(Q)
         self._blocks.append((
-            np.array(t, dtype=int), np.sqrt(rowdot(W, W)),
-            np.sqrt(rowdot(W_avg, W_avg)), self.problem.suboptimality(P),
-            rowdot(deviation, deviation), np.array(stage, dtype=int)))
+            np.sqrt(rowdot(W, W)), np.sqrt(rowdot(W_avg, W_avg)),
+            self.problem.suboptimality(P), rowdot(deviation, deviation),
+            np.full(len(W), self._stage)))
 
     def build(self) -> RunTrace:
+        """The trace, its header completed with the run's outcome."""
         if self._pending:
             self._flush()
         cols = [np.concatenate(col) for col in zip(*self._blocks)]
-        hdr = dict(self.header)
-        hdr["aborted"] = self.aborted
-        return RunTrace(hdr, *cols, aborted=self.aborted)
+        aborted = self.abort_reason is not None
+        hdr = dict(self.header, aborted=aborted)
+        if aborted:
+            hdr["abort_reason"] = self.abort_reason
+        trace = RunTrace(hdr, np.arange(1, len(cols[0]) + 1), *cols,
+                         aborted=aborted)
+        hdr["final_subopt"] = trace.final_subopt
+        return trace
 
 
 # one row in one format call; "%.17g" renders a float exactly as
@@ -151,3 +175,8 @@ def trace_from_csv(text: str) -> RunTrace:
 def sha256_text(text: str) -> str:
     """Hex sha256 of a string's UTF-8 bytes."""
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def config_hash(config: dict) -> str:
+    """Stable content hash of a declarative record (config or schedule)."""
+    return sha256_text(canonical_json(config))[:16]

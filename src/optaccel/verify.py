@@ -223,11 +223,10 @@ def suite_speedup():
                 _, tr = run_sgd(prob, b=b, T=2048, seed=s, eta=eta)
                 subs.append(tr.subopt)
             med = np.median(np.array(subs), axis=0)
-            hit = np.flatnonzero(med <= eps)
-            if len(hit):
-                t_hit = int(hit[0]) + 1
-                if best is None or t_hit < best:
-                    best = t_hit
+            t_hit = time_to_eps({(b, t): [m] for t, m in enumerate(med, 1)},
+                                eps)[b]
+            if t_hit is not None and (best is None or t_hit < best):
+                best = t_hit
         sgd_tte[b] = best
     if all(v is not None for v in sgd_tte.values()):
         vals = list(sgd_tte.values())

@@ -1,11 +1,12 @@
 """Reference oracles that the tests compare the library against."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from optaccel import (DeterministicQuadratic, OptimizerState, config_hash,
-                      minibatch_gradient, project_ball, sample_batch)
+from optaccel import (DeterministicQuadratic, config_hash, minibatch_gradient,
+                      project_ball, sample_batch)
 from optaccel.optimizers import NonFiniteGradientError
 from optaccel.trace import RunTrace
 
@@ -66,11 +67,13 @@ class ScalarRowRecorder:
         cols = list(zip(*self.rows)) if self.rows else [[] for _ in range(6)]
         hdr = dict(self.header)
         hdr["aborted"] = self.aborted
+        subopt = np.asarray(cols[3], dtype=float)
+        hdr["final_subopt"] = float(subopt[-1]) if len(subopt) else math.nan
         return RunTrace(
             header=hdr, t=np.asarray(cols[0], dtype=int),
             norm_w=np.asarray(cols[1], dtype=float),
             norm_wag=np.asarray(cols[2], dtype=float),
-            subopt=np.asarray(cols[3], dtype=float),
+            subopt=subopt,
             grad_noise_sq=np.asarray(cols[4], dtype=float),
             stage=np.asarray(cols[5], dtype=int), aborted=self.aborted)
 
@@ -89,6 +92,15 @@ def checked_gradient(problem, query, b, stream, t):
     if not np.isfinite(g).all():
         raise NonFiniteGradientError(f"non-finite gradient at step t={t}")
     return g
+
+
+@dataclass
+class OptimizerState:
+    """Projected iterate, averaged iterate, and the step counter."""
+
+    w: np.ndarray
+    w_ag: np.ndarray
+    t: int
 
 
 def reference_acc_step(state, schedule, problem, stream, recorder=None,

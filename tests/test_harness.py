@@ -33,6 +33,11 @@ GROWTH_PROBLEM = {"family": "growth",
                   "seed": 5}
 
 
+# the overrides each algorithm reads
+READS = {"acc_mb_sgd": ("B", "lstar"), "sgd": ("B", "eta"),
+         "restarted": ("lstar", "theta")}
+
+
 def minimal_spec(tmp_path, **kw):
     raw = {
         "problems": [SIGN_PROBLEM],
@@ -186,6 +191,44 @@ class TestRunExperiment:
         assert header["aborted"] is True
         assert "non-finite gradient at step t=0" in header["abort_reason"]
         assert math.isnan(header["final_subopt"])
+
+    def test_aborted_cells_stay_out_of_the_tables(self, tmp_path,
+                                                  monkeypatch):
+        spec = load_spec(write_spec(tmp_path, minimal_spec(tmp_path,
+                                                           n_seeds=2)))
+        built = []
+
+        def build(cfg):
+            # the first cell's problem (seed 0) gives NaN gradients from
+            # step 3 on
+            prob = problem_from_config(cfg)
+            if not built:
+                exact, calls = prob.batch_grad_mean, [0]
+
+                def batch_grad_mean(w, batch):
+                    calls[0] += 1
+                    g = exact(w, batch)
+                    return g if calls[0] <= 3 else np.full_like(g, np.nan)
+
+                prob.batch_grad_mean = batch_grad_mean
+            built.append(prob)
+            return prob
+
+        monkeypatch.setattr(harness, "problem_from_config", build)
+        manifest = run_experiment(spec)
+        assert manifest["failures"] == []
+        out = tmp_path / "out"
+        headers = {n: json.loads((out / n).read_text())
+                   for n in manifest["artifacts"] if n.endswith(".json")}
+        assert len(headers) == 2  # the aborted cell's files are listed
+        aborted = next(h for n, h in headers.items() if n.endswith("_s0.json"))
+        completed = next(h for n, h in headers.items()
+                         if n.endswith("_s1.json"))
+        assert aborted["aborted"] and not completed["aborted"]
+        assert "step t=3" in aborted["abort_reason"]
+        row = (out / "summary.csv").read_text().splitlines()[1].split(",")
+        assert row[5] == "1"  # n_seeds: completed seeds only
+        assert float(row[6]) == completed["final_subopt"]
 
     def test_speedup_table_written_and_monotone(self, tmp_path):
         raw = minimal_spec(
@@ -483,7 +526,7 @@ class TestCli:
         argv = ["schedule", "--H", "1", "--b", "64", "--T", "1024",
                 "--B", "1"]
         assert cli_main(argv + ["--lstar", "0.5"]) == 0
-        gamma = make_schedule(1, 64, 1024, 1, 1.0).gamma
+        gamma = make_schedule(1, 64, 1024, 1, 0.5).gamma
         assert gamma == math.sqrt(64 / 1024**3)  # the noise term binds
         assert capsys.readouterr().out.startswith(f"gamma = {gamma:.12g} ")
         with pytest.raises(SystemExit) as exc:
@@ -554,7 +597,11 @@ class TestCli:
         ("interpolation_least_squares",
          {"d": 4, "n_atoms": 2, "H": 1e200, "B": 1e50}),
         ("interpolation_least_squares",
-         {"d": 4, "n_atoms": 2, "H": 1e100, "B": 1.0, "overrides.B": 1e60})])
+         {"d": 4, "n_atoms": 2, "H": 1e100, "B": 1.0, "overrides.B": 1e60}),
+        # the label noise sqrt(H) s z of an informative sample overflows
+        # the squared gradient, while p H s**2 stays finite
+        ("gaussian_spike",
+         {"H": 1e150, "B": 1e-100, "p": 0.01, "s": 3e79, "sign": 1})])
     def test_overflowing_family_params_are_config_error(
             self, tmp_path, capsys, family, params):
         # finite parameters whose problem has an infinite Delta or B, found
@@ -629,19 +676,47 @@ class TestCli:
                       ])])
     def test_bad_override_or_target_is_config_error(self, tmp_path, capsys,
                                                      key, value):
+        # each override value is checked under an algorithm that reads the
+        # key, so the value check, not the unread-key check, rejects it
+        algorithm, error = "restarted", key
+        if key == "overrides" and isinstance(value, dict):
+            (name,) = value
+            algorithm = next(a for a, keys in READS.items() if name in keys)
+            error = f"overrides.{name}: must be a finite number"
         # json.dumps writes NaN and Infinity, which json.loads accepts
         raw = minimal_spec(tmp_path, **{
-            "algorithm": "restarted", "b_grid": [8], "T_grid": [400],
+            "algorithm": algorithm, "b_grid": [8], "T_grid": [400],
             "problems": [GROWTH_PROBLEM], key: value})
         assert cli_main(["run", str(write_spec(tmp_path, raw))]) == 2
-        assert key in capsys.readouterr().err
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("algorithm,overrides,unread", [
+        ("acc_mb_sgd", {"eta": 0.25}, ["eta"]),
+        ("acc_mb_sgd", {"B": 2.0, "theta": 2.0}, ["theta"]),
+        ("sgd", {"lstar": 0.0}, ["lstar"]),
+        ("sgd", {"eta": 0.25, "theta": 2.0}, ["theta"]),
+        ("restarted", {"B": 2.0}, ["B"]),
+        ("restarted", {"eta": 0.25, "theta": 2.0, "step": 1}, ["eta", "step"])])
+    def test_override_the_algorithm_never_reads_is_config_error(
+            self, tmp_path, capsys, algorithm, overrides, unread):
+        # an unread key would change nothing but the spec hash
+        raw = minimal_spec(tmp_path, algorithm=algorithm, b_grid=[8],
+                           T_grid=[400], problems=[GROWTH_PROBLEM],
+                           overrides=overrides)
+        assert cli_main(["run", str(write_spec(tmp_path, raw))]) == 2
+        assert f"overrides: {algorithm} does not read {unread}" in \
+            capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_boundary_overrides_accepted(self, tmp_path):
-        raw = minimal_spec(tmp_path, overrides={"B": 2, "lstar": 0,
-                                                "theta": 1.5, "eta": 0.25},
-                           eps_targets=[1, 0.5])
-        assert load_spec(write_spec(tmp_path, raw)).overrides["lstar"] == 0
+        for algorithm, overrides in (
+                ("acc_mb_sgd", {"B": 2, "lstar": 0}),
+                ("sgd", {"B": 2, "eta": 0.25}),
+                ("restarted", {"lstar": 0, "theta": 1.5})):
+            raw = minimal_spec(tmp_path, algorithm=algorithm,
+                               overrides=overrides, eps_targets=[1, 0.5])
+            assert load_spec(write_spec(tmp_path, raw)).overrides == overrides
 
     def test_plotdata_cli(self, tmp_path):
         raw = minimal_spec(tmp_path, T_grid=[8, 16])
@@ -688,16 +763,22 @@ _PLAUSIBLE = (st.integers(-2, 8) | st.floats(-1.0, 100.0)
               | st.lists(st.integers(1, 8), max_size=3))
 
 
+# a valid value of each override
+_OVERRIDE_VALUES = {"B": 2.0, "lstar": 0.0, "theta": 2.0, "eta": 0.25}
+
+
 @st.composite
 def mutated_specs(draw):
     """A valid spec document with up to three of its values replaced or
     removed."""
-    raw = {"problems": [draw(family_configs())],
-           "algorithm": draw(st.sampled_from(["acc_mb_sgd", "sgd",
-                                              "restarted"])),
+    algorithm = draw(st.sampled_from(["acc_mb_sgd", "sgd", "restarted"]))
+    # overrides the algorithm reads, so the unmutated spec is valid
+    keys = draw(st.lists(st.sampled_from(READS[algorithm]), unique=True))
+    raw = {"problems": [draw(family_configs())], "algorithm": algorithm,
            "b_grid": [1, 4], "T_grid": [16], "n_seeds": 1, "base_seed": 0,
            "eps_targets": [0.1], "output_dir": "out",
-           "overrides": {"theta": 2.0}, "workers": 1}
+           "overrides": {k: _OVERRIDE_VALUES[k] for k in keys},
+           "workers": 1}
     for _ in range(draw(st.integers(0, 3))):
         problem = raw["problems"][0] if (
             isinstance(raw.get("problems"), list) and raw["problems"]

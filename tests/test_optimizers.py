@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 from optaccel import (
     DeterministicQuadratic,
-    OptimizerState,
     ProblemMeta,
     Stage,
     StagePlan,
@@ -35,8 +34,8 @@ import optaccel.trace
 from optaccel.optimizers import NonFiniteGradientError
 from optaccel.trace import (TraceRecorder, canonical_json, sha256_text,
                             trace_to_csv)
-from oracles import (ScalarRowRecorder, gradient_variance, reference_acc_step,
-                     reference_sgd)
+from oracles import (OptimizerState, ScalarRowRecorder, gradient_variance,
+                     reference_acc_step, reference_sgd)
 from strategies import family_configs
 
 
@@ -52,14 +51,15 @@ def one_dim_quadratic(target=1.0):
 
 class TestSchedule:
     def test_branch_examples(self):
-        assert make_schedule(H=1, b=12, T=11, B=1, noise_sq=0).gamma == \
+        assert make_schedule(H=1, b=12, T=11, B=1, lstar=0).gamma == \
             pytest.approx(1 / 24)
-        assert make_schedule(H=1, b=1, T=1, B=1, noise_sq=0).gamma == \
+        assert make_schedule(H=1, b=1, T=1, B=1, lstar=0).gamma == \
             pytest.approx(1 / 48)
 
     def test_noise_limited_branch(self):
         # re-derive each branch by scalar arithmetic
-        H, b, T, B, noise_sq = 1.0, 1, 100, 1.0, 2 * 1.0 * 0.01
+        H, b, T, B, lstar = 1.0, 1, 100, 1.0, 0.01
+        noise_sq = 2 * H * lstar
         smooth = 1 / (12 * H)
         horizon = b / (24 * H * (T + 1))
         noise = math.sqrt(b * B**2 / (noise_sq * T**3))
@@ -67,7 +67,8 @@ class TestSchedule:
         assert horizon == pytest.approx(1 / 2424) == pytest.approx(4.125e-4,
                                                                    rel=1e-3)
         assert noise == pytest.approx(7.071e-3, rel=1e-3)
-        sched = make_schedule(H, b, T, B, noise_sq)
+        sched = make_schedule(H, b, T, B, lstar)
+        assert sched.noise_sq == noise_sq
         assert sched.gamma == pytest.approx(min(smooth, horizon, noise))
         assert sched.gamma == pytest.approx(1 / 2424)
 
@@ -77,8 +78,8 @@ class TestSchedule:
             H = float(gen.uniform(0.1, 10))
             b = int(gen.integers(1, 512))
             T = int(gen.integers(1, 2000))
-            noise_sq = float(gen.uniform(0, 4)) * (gen.uniform() > 0.5)
-            sched = make_schedule(H, b, T, 1.0, noise_sq)
+            lstar = float(gen.uniform(0, 4)) * (gen.uniform() > 0.5)
+            sched = make_schedule(H, b, T, 1.0, lstar)
             for t in range(T):
                 assert 2 * H * sched.gamma_t(t) <= sched.beta(t) + 1e-12
 
@@ -89,8 +90,8 @@ class TestSchedule:
             H = float(gen.uniform(0.1, 10))
             b = int(gen.integers(1, 256))
             T = int(gen.integers(2, 1000))
-            noise_sq = float(gen.uniform(0, 2))
-            s = make_schedule(H, b, T, 1.0, noise_sq)
+            lstar = float(gen.uniform(0, 2))
+            s = make_schedule(H, b, T, 1.0, lstar)
             for t in range(T - 1):
                 lhs = (s.beta(t + 1) - 1 + 8 * H * s.gamma_t(t + 1) / b) \
                     * s.gamma_t(t + 1)
@@ -98,8 +99,8 @@ class TestSchedule:
 
     def test_rejections(self):
         for kwargs in ({"H": 0}, {"B": -1}, {"T": 0}, {"b": 0},
-                       {"noise_sq": -0.1}):
-            full = {"H": 1.0, "b": 1, "T": 1, "B": 1.0, "noise_sq": 0.0}
+                       {"lstar": -0.1}):
+            full = {"H": 1.0, "b": 1, "T": 1, "B": 1.0, "lstar": 0.0}
             full.update(kwargs)
             with pytest.raises(ValueError):
                 make_schedule(**full)
@@ -149,10 +150,12 @@ class TestAccStep:
     def test_first_step_momentum_is_identity(self):
         # beta_0 = 1 forces w_md = w_0 and w_ag_1 = w_1
         prob = one_dim_quadratic()
-        sched = make_schedule(H=1.0, b=1, T=4, B=1.0, noise_sq=0.0)
-        state = OptimizerState(np.zeros(1), np.zeros(1), 0)
-        out = acc_step(state, sched, prob, prob.stream(0))
-        np.testing.assert_array_equal(out.w, out.w_ag)
+        sched = make_schedule(H=1.0, b=1, T=4, B=1.0, lstar=0.0)
+        recorder = TraceRecorder(prob, "acc_mb_sgd", 1, 4, 0)
+        w, w_ag = acc_step(np.zeros(1), np.zeros(1), 0, sched, prob,
+                           prob.stream(0), recorder)
+        np.testing.assert_array_equal(w, w_ag)
+        assert recorder.build().t.tolist() == [1]
 
     def test_single_iteration_hand_trace(self):
         # gamma = 1/48, g = -1, w_1 = 1/48, w_ag_1 = 1/48
@@ -434,7 +437,7 @@ def test_realized_minibatch_variance_bound():
     #   Var(g | w_md) <= 8 H^2 B^2 / (b beta_t^2) + 8 H (L(w_ag) - L*) / b
     #                    + 4 sigma*^2 / b
     from optaccel import make_gaussian_spike_problem, sample_batch
-    from optaccel.optimizers import make_schedule, acc_step, OptimizerState
+    from optaccel.optimizers import make_schedule, acc_step
 
     for prob in (
         make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0, sign=1, seed=3),
@@ -442,18 +445,20 @@ def test_realized_minibatch_variance_bound():
     ):
         meta = prob.meta
         b, T = 4, 60
-        sched = make_schedule(meta.H, b, T, meta.B, meta.sigma_star_sq)
+        # sigma_*^2 = 2 H Lstar for both problems
+        sched = make_schedule(meta.H, b, T, meta.B, meta.Lstar)
         stream = prob.stream(7)
-        state = OptimizerState(np.zeros(prob.d), np.zeros(prob.d), 0)
+        recorder = TraceRecorder(prob, "acc_mb_sgd", b, T, 7)
+        w = w_ag = np.zeros(prob.d)
         for t in range(T):
             beta_inv = 1.0 / sched.beta(t)
-            w_md = beta_inv * state.w + (1 - beta_inv) * state.w_ag
+            w_md = beta_inv * w + (1 - beta_inv) * w_ag
             cond_var = gradient_variance(prob, w_md) / b
-            gap = prob.suboptimality(state.w_ag)
+            gap = prob.suboptimality(w_ag)
             bound = (8 * meta.H**2 * meta.B**2 / (b * sched.beta(t)**2)
                      + 8 * meta.H * gap / b + 4 * meta.sigma_star_sq / b)
             assert cond_var <= bound * (1 + 1e-9) + 1e-12
-            state = acc_step(state, sched, prob, stream)
+            w, w_ag = acc_step(w, w_ag, t, sched, prob, stream, recorder)
 
 
 # -- the merged accelerated loop against the two loops it replaced, and the
@@ -479,7 +484,7 @@ def reference_acc_mb_sgd(problem, b, T, B_override=None,
     meta = problem.meta
     B = meta.B if B_override is None else float(B_override)
     lstar = meta.Lstar if lstar_override is None else float(lstar_override)
-    schedule = make_schedule(meta.H, b, T, B, 2.0 * meta.H * lstar)
+    schedule = make_schedule(meta.H, b, T, B, lstar)
     content = {"gamma": schedule.gamma, "T": schedule.T, "b": schedule.b,
                "H": schedule.H, "B": schedule.B, "noise_sq": schedule.noise_sq}
     recorder = ScalarRowRecorder(reference_header(
@@ -497,10 +502,8 @@ def reference_acc_mb_sgd(problem, b, T, B_override=None,
     return state.w_ag, recorder.build()
 
 
-def reference_restarted(problem, plan, seed=0, noise_sq_override=None):
+def reference_restarted(problem, plan, seed=0):
     """The restart loop: stages 1..k, each re-centred on the last output."""
-    noise_sq = (2.0 * plan.H * plan.Lstar if noise_sq_override is None
-                else float(noise_sq_override))
     content = {"theta": plan.theta, "lam": plan.lam, "Delta": plan.Delta,
                "H": plan.H, "b": plan.b, "Lstar": plan.Lstar,
                "stages": [{"eps_t": s.eps_t, "B_t": s.B_t, "T_t": s.T_t}
@@ -514,7 +517,7 @@ def reference_restarted(problem, plan, seed=0, noise_sq_override=None):
     try:
         for stage_idx, stage in enumerate(plan.stages, start=1):
             schedule = make_schedule(plan.H, plan.b, stage.T_t, stage.B_t,
-                                     noise_sq)
+                                     plan.Lstar)
             state = OptimizerState(np.zeros(problem.d), np.zeros(problem.d), 0)
             for _ in range(stage.T_t):
                 state = reference_acc_step(state, schedule, problem, stream,
@@ -568,7 +571,7 @@ def rows_per_block(cfg, rows):
     saved = optaccel.trace._BLOCK_ELEMENTS
     optaccel.trace._BLOCK_ELEMENTS = 5 * problem.d * rows
     try:
-        assert TraceRecorder({}, problem).block_rows == rows
+        assert TraceRecorder(problem, "", 1, 1, 0).block_rows == rows
         yield
     finally:
         optaccel.trace._BLOCK_ELEMENTS = saved
@@ -639,20 +642,17 @@ class TestOneAcceleratedLoop:
                  reference_acc_mb_sgd(build(cfg, nan_from), b, T, **kwargs))
 
     @settings(max_examples=150, deadline=None)
-    @given(cfg=family_configs(), seed=st.integers(0, 2**32),
-           harness_noise=st.booleans(), data=st.data())
-    def test_restart_matches_reference(self, cfg, seed, harness_noise, data):
+    @given(cfg=family_configs(), seed=st.integers(0, 2**32), data=st.data())
+    def test_restart_matches_reference(self, cfg, seed, data):
         H = problem_from_config(cfg).meta.H
         block = data.draw(st.integers(1, 80), label="rows per block")
         plan = data.draw(plans(H) | block_edge_plans(H, block), label="plan")
         nan_from = data.draw(aborts(plan.total_iterations, block),
                              label="nan_from")
-        # the noise value the harness passed before the plan carried it
-        noise = 2.0 * H * plan.Lstar if harness_noise else None
         with rows_per_block(cfg, block):
             got = run_restarted(build(cfg, nan_from), plan, seed=seed)
         same_run(got, reference_restarted(build(cfg, nan_from), plan,
-                                          seed=seed, noise_sq_override=noise))
+                                          seed=seed))
 
     def test_abort_in_a_later_stage_returns_last_centre(self):
         cfg = {"family": "growth",
