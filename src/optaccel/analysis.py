@@ -13,7 +13,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .problems import Problem, SampleStream
+from .problems import Problem
+from .rowwise import gemv, rowdot
 
 __all__ = [
     "RateFit",
@@ -57,11 +58,8 @@ def variance_at(problem: Problem, w, n_samples: int, seed: int = 0):
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     w = np.asarray(w, dtype=float)
-    gen = SampleStream(problem.base_seed, run_seed=seed).next_generator()
-    x, y = problem.sample(gen, n_samples)
-    if x.shape[1] == 0:  # full-information problem: zero variance
-        return 0.0, 0.0
-    grads = x * (x @ w - y)[:, None]
+    batch = problem.sample(problem.stream(seed).next_generator(), n_samples)
+    grads = problem.grad(np.tile(w, (n_samples, 1)), batch)
     sq = ((grads - problem.exact_grad(w)) ** 2).sum(axis=1)
     est = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(n_samples))
@@ -163,22 +161,22 @@ def check_projection_lemma(instance, probes):
             + 0.5 ||w - w_t||**2 - 0.5 ||w - w_next||**2
             - 0.5 ||w_next - w_t||**2
 
-    Returns (max_violation, w_next).
+    ``probes`` is a ``(k, d)`` stack or a sequence of ``k`` points.
+    Returns (max_violation, w_next); the violation is NaN if any probe's
+    is.
     """
     w_t, w_md, g, gamma_t, B = instance
     from .optimizers import project_ball
 
     w_next = project_ball(w_t - gamma_t * g, B)
     lhs = gamma_t * float(g @ (w_next - w_md))
-    max_violation = -math.inf
-    for w in probes:
-        w = np.asarray(w, dtype=float)
-        rhs = (gamma_t * float(g @ (w - w_md))
-               + 0.5 * float((w - w_t) @ (w - w_t))
-               - 0.5 * float((w - w_next) @ (w - w_next))
-               - 0.5 * float((w_next - w_t) @ (w_next - w_t)))
-        max_violation = max(max_violation, lhs - rhs)
-    return max_violation, w_next
+    P = np.asarray(probes, dtype=float)
+    to_md, to_t, to_next = P - w_md, P - w_t, P - w_next
+    rhs = (gamma_t * rowdot(np.tile(g, (len(P), 1)), to_md)
+           + 0.5 * rowdot(to_t, to_t)
+           - 0.5 * rowdot(to_next, to_next)
+           - 0.5 * float((w_next - w_t) @ (w_next - w_t)))
+    return _worst(lhs - rhs), w_next
 
 
 @dataclass(frozen=True)
@@ -200,52 +198,39 @@ def certify_assumptions(problem: Problem, n_probes: int = 1000,
     ball of radius ``2 B`` and reports the worst relative violation of each
     per-sample inequality, plus the worst absolute violation of the
     quadratic-growth inequality when the problem certifies a growth
-    constant.
+    constant.  A violation is NaN if any probe's is.
     """
     meta = problem.meta
     gen = np.random.default_rng(np.random.SeedSequence([seed, 0xA55E]))
-    stream = SampleStream(problem.base_seed, run_seed=seed ^ 0x517)
-    batch = problem.sample(stream.next_generator(), n_probes)
+    batch = problem.sample(problem.stream(seed ^ 0x517).next_generator(),
+                           n_probes)
     points = _ball_points(gen, 2 * meta.B, (2 * n_probes, problem.d))
+    # probe i pairs sample i with the points ws[i] and us[i]
     ws, us = points[:n_probes], points[n_probes:]
+    lw, lu = problem.loss(ws, batch), problem.loss(us, batch)
+    gw, gu = problem.grad(ws, batch), problem.grad(us, batch)
+    dwu = ws - us
+    scale = np.maximum(np.maximum(1.0, abs(lw)), abs(lu))
+    slope, dd = rowdot(gu, dwu), rowdot(dwu, dwu)
+    dg = gw - gu
+    gnorm, dnorm = np.sqrt(rowdot(dg, dg)), np.sqrt(dd)
+    lip_scale = np.maximum(1.0, meta.H * dnorm)
 
-    worst = {"nonneg": -math.inf, "convex": -math.inf, "smooth": -math.inf,
-             "lips": -math.inf}
-    for i in range(n_probes):
-        z = _sample_at(batch, i)
-        w, u = ws[i], us[i]
-        lw, lu = problem.loss(w, z), problem.loss(u, z)
-        gw, gu = problem.grad(w, z), problem.grad(u, z)
-        dwu = w - u
-        scale = max(1.0, abs(lw), abs(lu))
-        worst["nonneg"] = max(worst["nonneg"], -min(lw, lu) / scale)
-        gap_low = lw - lu - float(gu @ dwu)
-        worst["convex"] = max(worst["convex"], -gap_low / scale)
-        gap_high = lu + float(gu @ dwu) + 0.5 * meta.H * float(dwu @ dwu) - lw
-        worst["smooth"] = max(worst["smooth"], -gap_high / scale)
-        gnorm = float(np.linalg.norm(gw - gu))
-        dnorm = float(np.linalg.norm(dwu))
-        lip_scale = max(1.0, meta.H * dnorm)
-        worst["lips"] = max(worst["lips"],
-                            (gnorm - meta.H * dnorm) / lip_scale)
-
-    growth_violation = -math.inf
+    growth_violation = 0.0
     if meta.lam > 0:
         proj = problem.solution_projector()
         probe_w = _ball_points(gen, 2 * meta.B, (n_probes, problem.d))
-        for w in probe_w:
-            dist_sq = float(np.sum((proj @ (w - meta.wstar)) ** 2))
-            gap = (problem.exact_loss(w) - meta.Lstar
-                   - 0.5 * meta.lam * dist_sq)
-            growth_violation = max(growth_violation, -gap)
-    else:
-        growth_violation = 0.0
+        dist_sq = np.sum(gemv(proj, probe_w - meta.wstar) ** 2, axis=1)
+        gap = (problem.exact_loss(probe_w) - meta.Lstar
+               - 0.5 * meta.lam * dist_sq)
+        growth_violation = _worst(-gap)
 
     return AssumptionReport(
-        nonneg_violation=worst["nonneg"],
-        convexity_violation=worst["convex"],
-        smoothness_violation=worst["smooth"],
-        grad_lipschitz_violation=worst["lips"],
+        nonneg_violation=_worst(-np.minimum(lw, lu) / scale),
+        convexity_violation=_worst(-(lw - lu - slope) / scale),
+        smoothness_violation=_worst(
+            -(lu + slope + 0.5 * meta.H * dd - lw) / scale),
+        grad_lipschitz_violation=_worst((gnorm - meta.H * dnorm) / lip_scale),
         growth_violation=growth_violation,
     )
 
@@ -258,6 +243,6 @@ def _ball_points(gen, radius, shape):
     return raw * r
 
 
-def _sample_at(batch, i):
-    x, y = batch
-    return x[i], y[i]
+def _worst(violations):
+    """Largest violation, NaN if any is; of ties (0.0, -0.0) the first."""
+    return float(violations[np.argmax(violations)])

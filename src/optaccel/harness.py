@@ -378,8 +378,10 @@ def _speedup_csv(spec, finals):
                  if p == phash}
         for eps in spec.eps_targets:
             for b, T in time_to_eps(by_bT, eps).items():
+                # the fewest completed seeds behind any of b's medians
+                n_done = min(len(by_bT.get((b, T2), ())) for T2 in spec.T_grid)
                 lines.append(f"{phash},{format(eps, _FMT)},{b},"
-                             f"{'' if T is None else T},{spec.n_seeds}")
+                             f"{'' if T is None else T},{n_done}")
     return "\n".join(lines) + "\n"
 
 

@@ -217,6 +217,9 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
     at step ``t`` is the mean of the most recent ``ceil(t / 2)`` projected
     iterates, and the final tail average is returned.
     """
+    if T < 1 or b < 1 or not (eta is None or eta > 0):
+        raise ValueError(f"need T >= 1, b >= 1 and eta > 0, got T={T}, "
+                         f"b={b}, eta={eta}")
     meta = problem.meta
     B = meta.B if B_override is None else float(B_override)
     step = 1.0 / (2.0 * meta.H)

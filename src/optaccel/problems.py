@@ -124,10 +124,13 @@ class Problem:
     ``exact_loss``, ``exact_grad`` and ``suboptimality``.  Instances are
     immutable after construction and safe to share across workers.
 
-    ``suboptimality`` and ``exact_grad`` take one ``(d,)`` point, giving a
-    float and a ``(d,)`` gradient, or a ``(k, d)`` stack of points, giving
-    ``(k,)`` and ``(k, d)`` arrays whose row ``i`` equals the call on point
-    ``i`` bit for bit (see ``rowwise``).
+    ``exact_loss``, ``suboptimality`` and ``exact_grad`` take one ``(d,)``
+    point or a ``(k, d)`` stack of points; ``loss(W, batch)`` and
+    ``grad(W, batch)`` take a ``(k, d)`` stack paired row by row with a
+    batch of ``k`` samples (row ``i`` is sample ``i`` at ``W[i]``).  A stack
+    gives ``(k,)`` values or ``(k, d)`` gradients whose row ``i`` equals the
+    one-row call bit for bit (see ``rowwise``); one point gives a float or
+    a ``(d,)`` gradient.
 
     ``batch_grad_mean(w, batch)`` consumes its batch: it may overwrite the
     batch's feature array, so a caller that needs the batch afterwards
@@ -218,13 +221,15 @@ class DiscreteLeastSquares(Problem):
 
     # -- per-sample quantities ---------------------------------------------
 
-    def loss(self, w, z):
-        x, y = z
-        return 0.5 * (float(x @ w) - float(y)) ** 2
+    def loss(self, W, batch):
+        x, y = batch
+        # libm ``pow``, as a Python float squares; NumPy's ``** 2`` differs
+        # from it in the last bit for about 1 residual in 1,000
+        return 0.5 * np.float_power(rowdot(x, W) - y, 2)
 
-    def grad(self, w, z):
-        x, y = z
-        return x * (float(x @ w) - float(y))
+    def grad(self, W, batch):
+        x, y = batch
+        return x * (rowdot(x, W) - y)[:, None]
 
     def batch_grad_mean(self, w, batch):
         """Mean per-sample gradient over ``batch``; consumes the batch.
@@ -243,8 +248,10 @@ class DiscreteLeastSquares(Problem):
     # -- closed forms -------------------------------------------------------
 
     def exact_loss(self, w):
-        r = self._F @ np.asarray(w, dtype=float) - self._Fy
-        return float(0.5 * r @ r + self._noise_floor)
+        X, one = _stack(w)
+        r = gemv(self._F, X) - self._Fy
+        loss = rowdot(0.5 * r, r) + self._noise_floor
+        return float(loss[0]) if one else loss
 
     def suboptimality(self, w):
         """Exact ``L(w) - Lstar``, evaluated without cancellation.
@@ -292,11 +299,11 @@ class DeterministicQuadratic(Problem):
         # batch contract (b i.i.d. points) still holds
         return np.zeros((n, 0)), np.zeros(n)
 
-    def loss(self, w, z):
-        return self.exact_loss(w)
+    def loss(self, W, batch):
+        return self.exact_loss(W)
 
-    def grad(self, w, z):
-        return self.exact_grad(w)
+    def grad(self, W, batch):
+        return self.exact_grad(W)
 
     def batch_grad_mean(self, w, batch):
         return self.exact_grad(w)

@@ -7,6 +7,7 @@ import numpy as np
 
 from optaccel import (DeterministicQuadratic, config_hash, minibatch_gradient,
                       project_ball, sample_batch)
+from optaccel.analysis import AssumptionReport, _ball_points
 from optaccel.optimizers import NonFiniteGradientError
 from optaccel.trace import RunTrace
 
@@ -152,3 +153,111 @@ def reference_sgd(problem, b, T, seed=0, eta=None, B_override=None):
         recorder.aborted = True
         recorder.header["abort_reason"] = str(err)
     return w_avg, recorder.build()
+
+
+# -- the per-sample forms and the analysis checks before they took stacks ---
+#
+# Kept as references for the array forms: one sample at one point, one probe
+# at a time, reduced by a running ``max`` (which skips a NaN, where the
+# library's checks return it).
+
+
+def dot_exact_loss(problem, w):
+    """``problem.exact_loss`` of one point, by the 1-D forms."""
+    w = np.asarray(w, dtype=float)
+    if isinstance(problem, DeterministicQuadratic):
+        return dot_suboptimality(problem, w)
+    r = problem._F @ w - problem._Fy
+    return float(0.5 * r @ r + problem._noise_floor)
+
+
+def sample_loss(problem, w, z):
+    """Loss of the one sample ``z = (x, y)`` at the one point ``w``."""
+    if isinstance(problem, DeterministicQuadratic):
+        return dot_exact_loss(problem, w)
+    x, y = z
+    return 0.5 * (float(x @ w) - float(y)) ** 2
+
+
+def sample_grad(problem, w, z):
+    """Gradient of the one sample ``z = (x, y)`` at the one point ``w``."""
+    if isinstance(problem, DeterministicQuadratic):
+        return dot_exact_grad(problem, w)
+    x, y = z
+    return x * (float(x @ w) - float(y))
+
+
+def reference_variance_at(problem, w, n_samples, seed=0):
+    """``variance_at`` from per-sample gradients taken one at a time."""
+    w = np.asarray(w, dtype=float)
+    x, y = problem.sample(problem.stream(seed).next_generator(), n_samples)
+    grads = np.array([sample_grad(problem, w, z) for z in zip(x, y)])
+    sq = ((grads - problem.exact_grad(w)) ** 2).sum(axis=1)
+    return (float(sq.mean()),
+            float(sq.std(ddof=1) / math.sqrt(n_samples)))
+
+
+def reference_check_projection_lemma(instance, probes):
+    """``check_projection_lemma`` by a loop over the probes."""
+    w_t, w_md, g, gamma_t, B = instance
+    w_next = project_ball(w_t - gamma_t * g, B)
+    lhs = gamma_t * float(g @ (w_next - w_md))
+    max_violation = -math.inf
+    for w in probes:
+        w = np.asarray(w, dtype=float)
+        rhs = (gamma_t * float(g @ (w - w_md))
+               + 0.5 * float((w - w_t) @ (w - w_t))
+               - 0.5 * float((w - w_next) @ (w - w_next))
+               - 0.5 * float((w_next - w_t) @ (w_next - w_t)))
+        max_violation = max(max_violation, lhs - rhs)
+    return max_violation, w_next
+
+
+def reference_certify_assumptions(problem, n_probes=1000, seed=0):
+    """``certify_assumptions`` by loops over the probes."""
+    meta = problem.meta
+    gen = np.random.default_rng(np.random.SeedSequence([seed, 0xA55E]))
+    x, y = problem.sample(problem.stream(seed ^ 0x517).next_generator(),
+                          n_probes)
+    points = _ball_points(gen, 2 * meta.B, (2 * n_probes, problem.d))
+    ws, us = points[:n_probes], points[n_probes:]
+
+    worst = {"nonneg": -math.inf, "convex": -math.inf, "smooth": -math.inf,
+             "lips": -math.inf}
+    for i in range(n_probes):
+        z = (x[i], y[i])
+        w, u = ws[i], us[i]
+        lw, lu = sample_loss(problem, w, z), sample_loss(problem, u, z)
+        gw, gu = sample_grad(problem, w, z), sample_grad(problem, u, z)
+        dwu = w - u
+        scale = max(1.0, abs(lw), abs(lu))
+        worst["nonneg"] = max(worst["nonneg"], -min(lw, lu) / scale)
+        gap_low = lw - lu - float(gu @ dwu)
+        worst["convex"] = max(worst["convex"], -gap_low / scale)
+        gap_high = lu + float(gu @ dwu) + 0.5 * meta.H * float(dwu @ dwu) - lw
+        worst["smooth"] = max(worst["smooth"], -gap_high / scale)
+        gnorm = float(np.linalg.norm(gw - gu))
+        dnorm = float(np.linalg.norm(dwu))
+        lip_scale = max(1.0, meta.H * dnorm)
+        worst["lips"] = max(worst["lips"],
+                            (gnorm - meta.H * dnorm) / lip_scale)
+
+    growth_violation = -math.inf
+    if meta.lam > 0:
+        proj = problem.solution_projector()
+        probe_w = _ball_points(gen, 2 * meta.B, (n_probes, problem.d))
+        for w in probe_w:
+            dist_sq = float(np.sum((proj @ (w - meta.wstar)) ** 2))
+            gap = (dot_exact_loss(problem, w) - meta.Lstar
+                   - 0.5 * meta.lam * dist_sq)
+            growth_violation = max(growth_violation, -gap)
+    else:
+        growth_violation = 0.0
+
+    return AssumptionReport(
+        nonneg_violation=worst["nonneg"],
+        convexity_violation=worst["convex"],
+        smoothness_violation=worst["smooth"],
+        grad_lipschitz_violation=worst["lips"],
+        growth_violation=growth_violation,
+    )

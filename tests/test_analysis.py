@@ -1,7 +1,12 @@
 """Oracles, estimators, rate fits, speedup tables, structural checks."""
 
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optaccel import (
     check_projection_lemma,
@@ -13,12 +18,19 @@ from optaccel import (
     make_interpolation_least_squares,
     make_noiseless_quadratic,
     make_sign_vector_problem,
+    problem_from_config,
     run_acc_mb_sgd,
     time_to_eps,
     variance_at,
 )
+import optaccel.analysis
 from optaccel.analysis import _ball_points, certify_assumptions
-from oracles import gradient_variance
+from optaccel.verify import _check
+from oracles import (dot_exact_loss, gradient_variance,
+                     reference_certify_assumptions,
+                     reference_check_projection_lemma, reference_variance_at,
+                     sample_grad, sample_loss)
+from strategies import family_configs
 
 
 def finite_difference_check(problem, n_probes=100, seed=0, h=1e-6):
@@ -29,10 +41,12 @@ def finite_difference_check(problem, n_probes=100, seed=0, h=1e-6):
                           n_probes)
     points = _ball_points(gen, 2 * problem.meta.B, (n_probes, problem.d))
     worst = 0.0
-    for w, z in zip(points, zip(x, y)):
-        g = problem.grad(w, z)
+    for i, w in enumerate(points):
+        z = (x[i:i + 1], y[i:i + 1])  # one-row stacks
+        g = problem.grad(w[None], z)[0]
         for k, e in enumerate(h * np.eye(problem.d)):
-            fd = (problem.loss(w + e, z) - problem.loss(w - e, z)) / (2 * h)
+            fd = (problem.loss((w + e)[None], z)[0]
+                  - problem.loss((w - e)[None], z)[0]) / (2 * h)
             worst = max(worst, abs(fd - g[k]) / max(1.0, abs(g[k])))
     return worst
 
@@ -122,6 +136,12 @@ class TestVarianceAt:
                                            seed=0)
         with pytest.raises(ValueError):
             variance_at(prob, prob.meta.wstar, 1, seed=0)
+
+    def test_noiseless_estimate_is_exactly_zero(self):
+        prob = make_noiseless_quadratic(d=5, H=1.0, B=1.0, seed=42,
+                                        spread=10.0)
+        w = np.full(5, 0.3)
+        assert variance_at(prob, w, 1000, seed=0) == (0.0, 0.0)
 
 
 class TestFitRate:
@@ -267,6 +287,16 @@ class TestProjectionLemma:
             worst = max(worst, viol)
         assert worst <= 1e-9
 
+    def test_nan_probe_fails_the_check(self):
+        gen = np.random.default_rng(3)
+        inst = (0.2 * gen.standard_normal(4), gen.standard_normal(4),
+                gen.standard_normal(4), 0.3, 1.0)
+        good, bad = np.zeros(4), np.full(4, np.nan)
+        for probes in ([good, bad], [bad, good]):
+            viol, _ = check_projection_lemma(inst, probes)
+            assert math.isnan(viol)
+            assert not _check("max_violation", viol, 1e-9, "<=")["passed"]
+
 
 class TestAssumptionChecks:
     @pytest.mark.parametrize("prob", all_families(),
@@ -282,3 +312,82 @@ class TestAssumptionChecks:
                              ids=lambda p: p.family)
     def test_finite_differences(self, prob):
         assert finite_difference_check(prob, n_probes=100, seed=2) <= 1e-5
+
+    @pytest.mark.parametrize("prob", all_families(),
+                             ids=lambda p: p.family)
+    def test_nan_probe_fails_every_check(self, prob, monkeypatch):
+        def with_nan_row(gen, radius, shape):
+            points = _ball_points(gen, radius, shape)
+            points[1] = np.nan
+            return points
+
+        monkeypatch.setattr(optaccel.analysis, "_ball_points", with_nan_row)
+        rep = certify_assumptions(prob, n_probes=20, seed=1)
+        for value in astuple(rep):
+            assert math.isnan(value), rep
+            assert not _check("violation", value, 1e-8, "<=")["passed"]
+
+
+def same_bits(got, want):
+    return (np.asarray(got, dtype=float).tobytes()
+            == np.asarray(want, dtype=float).tobytes())
+
+
+class TestArrayFormsMatchReferences:
+    """The stacked per-sample forms and the array checks equal the
+    one-at-a-time references in ``oracles`` bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=family_configs(), n=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_per_sample_forms(self, cfg, n, seed):
+        prob = problem_from_config(cfg)
+        gen = np.random.default_rng(seed)
+        W = _ball_points(gen, 10.0 ** gen.uniform(-3, 2), (n, prob.d))
+        x, y = prob.sample(prob.stream(seed).next_generator(), n)
+        rows = list(zip(W, zip(x, y)))
+        assert same_bits(prob.loss(W, (x, y)),
+                         [sample_loss(prob, w, z) for w, z in rows])
+        assert same_bits(prob.grad(W, (x, y)),
+                         [sample_grad(prob, w, z) for w, z in rows])
+        assert same_bits(prob.exact_loss(W),
+                         [dot_exact_loss(prob, w) for w in W])
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=family_configs(), n_probes=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_certify_assumptions(self, cfg, n_probes, seed):
+        prob = problem_from_config(cfg)
+        got = certify_assumptions(prob, n_probes=n_probes, seed=seed)
+        want = reference_certify_assumptions(prob, n_probes, seed)
+        assert same_bits(astuple(got), astuple(want)), (got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 16), n=st.integers(1, 200),
+           seed=st.integers(0, 2**32 - 1), as_list=st.booleans())
+    def test_check_projection_lemma(self, d, n, seed, as_list):
+        # instances drawn as the lemma1 suite draws them
+        gen = np.random.default_rng(seed)
+        B = float(gen.uniform(0.1, 10.0))
+        w_t = gen.standard_normal(d)
+        w_t *= gen.uniform() * B / np.linalg.norm(w_t)
+        inst = (w_t, gen.standard_normal(d),
+                gen.standard_normal(d) * gen.uniform(0.1, 5.0),
+                float(gen.uniform(0.0, 1.0)), B)
+        probes = _ball_points(gen, B, (n, d))
+        if as_list:
+            probes = list(probes)
+        viol, w_next = check_projection_lemma(inst, probes)
+        want_viol, want_next = reference_check_projection_lemma(inst, probes)
+        assert same_bits(viol, want_viol)
+        assert w_next.tobytes() == want_next.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=family_configs(), n=st.integers(2, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_variance_at(self, cfg, n, seed):
+        prob = problem_from_config(cfg)
+        gen = np.random.default_rng(seed)
+        w = _ball_points(gen, 2 * prob.meta.B, (1, prob.d))[0]
+        assert same_bits(variance_at(prob, w, n, seed=seed),
+                         reference_variance_at(prob, w, n, seed=seed))

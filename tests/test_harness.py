@@ -194,8 +194,8 @@ class TestRunExperiment:
 
     def test_aborted_cells_stay_out_of_the_tables(self, tmp_path,
                                                   monkeypatch):
-        spec = load_spec(write_spec(tmp_path, minimal_spec(tmp_path,
-                                                           n_seeds=2)))
+        spec = load_spec(write_spec(tmp_path, minimal_spec(
+            tmp_path, n_seeds=2, eps_targets=[0.5])))
         built = []
 
         def build(cfg):
@@ -229,6 +229,9 @@ class TestRunExperiment:
         row = (out / "summary.csv").read_text().splitlines()[1].split(",")
         assert row[5] == "1"  # n_seeds: completed seeds only
         assert float(row[6]) == completed["final_subopt"]
+        speedup = (out / "speedup.csv").read_text().splitlines()
+        assert len(speedup) == 2
+        assert speedup[1].split(",")[-1] == "1"  # the same group's count
 
     def test_speedup_table_written_and_monotone(self, tmp_path):
         raw = minimal_spec(

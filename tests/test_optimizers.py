@@ -30,6 +30,7 @@ from optaccel import (
     run_sgd,
     stage_budget,
 )
+import optaccel.optimizers
 import optaccel.trace
 from optaccel.optimizers import NonFiniteGradientError
 from optaccel.trace import (TraceRecorder, canonical_json, sha256_text,
@@ -274,6 +275,24 @@ class TestSgd:
                 for eta in (0.5, 0.25))
             meds.append(best)
         assert all(b < a for a, b in zip(meds, meds[1:]))
+
+    @pytest.mark.parametrize("bad", [{"b": 0}, {"T": 0}, {"T": -3},
+                                     {"eta": 0.0}, {"eta": -1.0},
+                                     {"eta": math.nan}],
+                             ids=["b0", "T0", "Tneg", "eta0", "eta_neg",
+                                  "eta_nan"])
+    def test_bad_inputs_rejected_before_the_first_step(self, bad,
+                                                       monkeypatch):
+        # a negative eta would run gradient ascent, and T=0 would give an
+        # empty trace with a NaN final value
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(optaccel.optimizers, "_checked_gradient", no_step)
+        args = {"b": 1, "T": 50, "eta": None, **bad}
+        with pytest.raises(ValueError, match="need T >= 1, b >= 1 and eta"):
+            run_sgd(make_interpolation_least_squares(
+                d=8, n_atoms=4, H=1.0, B=1.0, seed=3), **args)
 
     def test_grad_noise_measured_where_gradient_was_taken(self):
         # exact minibatch gradients: the deviation is 0 at the query point

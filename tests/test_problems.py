@@ -518,8 +518,8 @@ class TestMinibatchGradient:
         w = np.array([0.3, -0.2, 0.5, 0.1])
         untouched = x.copy()  # the call consumes x
         g = minibatch_gradient(prob, w, (x, y))
-        np.testing.assert_allclose(g, prob.grad(w, (untouched[0], y[0])),
-                                   rtol=1e-15)
+        np.testing.assert_allclose(
+            g, prob.grad(w[None], (untouched[:1], y[:1]))[0], rtol=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(cfg=family_configs(), b=st.integers(1, 300),
