@@ -168,9 +168,11 @@ def check_projection_lemma(instance, probes):
     w_t, w_md, g, gamma_t, B = instance
     from .optimizers import project_ball
 
+    P = np.asarray(probes, dtype=float)
+    if len(P) < 1:
+        raise ValueError(f"need at least 1 probe point, got {len(P)}")
     w_next = project_ball(w_t - gamma_t * g, B)
     lhs = gamma_t * float(g @ (w_next - w_md))
-    P = np.asarray(probes, dtype=float)
     to_md, to_t, to_next = P - w_md, P - w_t, P - w_next
     rhs = (gamma_t * rowdot(np.tile(g, (len(P), 1)), to_md)
            + 0.5 * rowdot(to_t, to_t)
@@ -200,6 +202,8 @@ def certify_assumptions(problem: Problem, n_probes: int = 1000,
     quadratic-growth inequality when the problem certifies a growth
     constant.  A violation is NaN if any probe's is.
     """
+    if n_probes < 1:
+        raise ValueError(f"need n_probes >= 1, got {n_probes}")
     meta = problem.meta
     gen = np.random.default_rng(np.random.SeedSequence([seed, 0xA55E]))
     batch = problem.sample(problem.stream(seed ^ 0x517).next_generator(),

@@ -15,6 +15,7 @@ the minimizer is zero.
 from __future__ import annotations
 
 import math
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
@@ -84,12 +85,13 @@ def make_schedule(H: float, b: int, T: int, B: float,
     ``min(1 / (12 H), b / (24 H (T + 1)), sqrt(b B**2 / (noise_sq T**3)))``,
     the last term treated as infinite when ``noise_sq`` is zero.
     """
-    if H <= 0 or B <= 0:
-        raise ValueError(f"H and B must be positive, got H={H}, B={B}")
+    if not (0 < H < math.inf and 0 < B < math.inf):
+        raise ValueError(f"H and B must be finite and positive, got H={H}, "
+                         f"B={B}")
     if T < 1 or b < 1:
         raise ValueError(f"T and b must be >= 1, got T={T}, b={b}")
-    if lstar < 0:
-        raise ValueError(f"lstar must be >= 0, got {lstar}")
+    if not 0 <= lstar < math.inf:
+        raise ValueError(f"lstar must be finite and >= 0, got {lstar}")
     noise_sq = 2.0 * H * lstar
     gamma = min(1.0 / (12.0 * H), b / (24.0 * H * (T + 1)))
     if noise_sq > 0:
@@ -192,6 +194,7 @@ def _run_stages(problem, recorder, seed, schedules, center=None):
     last centre reached by a completed stage.
     """
     stream = problem.stream(seed)
+    stream.end = recorder.header["T"]
     with _abort_on_nonfinite(recorder):
         for stage, schedule in enumerate(schedules,
                                          start=0 if center is None else 1):
@@ -227,16 +230,24 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
         step = min(step, float(eta))
     recorder = TraceRecorder(problem, "sgd", b, T, seed, eta=step, B=B)
     stream = problem.stream(seed)
+    stream.end = T
     w = np.zeros(problem.d)
     w_avg = np.zeros(problem.d)  # stays the origin if step 0 aborts
-    prefix = [np.zeros(problem.d)]  # prefix[k] = sum of w_1..w_k
+    total = np.zeros(problem.d)  # sum of w_1..w_{t+1}
+    # the partial sums of w_1..w_k that a tail start lo = (t + 1) // 2 can
+    # still read: k from the current lo up to T // 2, the last lo
+    prefix = deque([total])
     with _abort_on_nonfinite(recorder):
         for t in range(T):
             g = _checked_gradient(problem, w, b, stream, t)
             w_next = project_ball(w - step * g, B)
-            prefix.append(prefix[-1] + w_next)
+            total = total + w_next
+            if t < T // 2:
+                prefix.append(total)
             lo = (t + 1) // 2  # average w_{lo+1} .. w_{t+1}
-            w_avg = (prefix[t + 1] - prefix[lo]) / (t + 1 - lo)
+            if t % 2:  # lo moved up by one
+                prefix.popleft()
+            w_avg = (total - prefix[0]) / (t + 1 - lo)
             # w, w_next and w_avg are fresh each step and never written
             recorder.append(w_next, w_avg, w, g)
             w = w_next
@@ -310,13 +321,20 @@ class StagePlan:
         return sum(s.T_t for s in self.stages)
 
 
-def _check_plan_args(Delta: float, theta: float, lam: float) -> None:
-    if theta <= 1:
-        raise ValueError(f"theta must exceed 1, got {theta}")
-    if Delta <= 0:
-        raise ValueError(f"Delta must be positive, got {Delta}")
-    if lam <= 0:
-        raise ValueError(f"growth constant must be positive, got {lam}")
+def _check_plan_args(Delta: float, theta: float, lam: float, H: float,
+                     Lstar: float) -> None:
+    # each test is false for NaN, so a NaN argument is rejected too; a NaN
+    # error bound would meet every target in one step
+    if not (0 < H < math.inf and 0 <= Lstar < math.inf):
+        raise ValueError(f"H must be finite and positive and Lstar finite "
+                         f"and >= 0, got H={H}, Lstar={Lstar}")
+    if not 1 < theta < math.inf:
+        raise ValueError(f"theta must be finite and exceed 1, got {theta}")
+    if not 0 < Delta < math.inf:
+        raise ValueError(f"Delta must be finite and positive, got {Delta}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"growth constant must be finite and positive, "
+                         f"got {lam}")
 
 
 def _stage(t: int, Delta: float, theta: float, lam: float, H: float, b: int,
@@ -341,9 +359,9 @@ def make_stage_plan(Delta: float, eps: float, theta: float, lam: float,
     number-of-stages logarithm is evaluated with a 1e-9 tolerance so exact
     powers of ``theta`` do not round up.
     """
-    _check_plan_args(Delta, theta, lam)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_plan_args(Delta, theta, lam, H, Lstar)
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if eps >= Delta:
         n_stages = 0
     else:
@@ -360,7 +378,7 @@ def make_budget_plan(Delta: float, budget: int, theta: float, lam: float,
     Stages are taken in order, at most 63 of them, up to the first one that
     would overrun the budget.  At least one stage must fit.
     """
-    _check_plan_args(Delta, theta, lam)
+    _check_plan_args(Delta, theta, lam, H, Lstar)
     stages = []
     used = 0
     for t in range(1, 64):

@@ -78,6 +78,57 @@ def _mix_key(*parts: int) -> np.ndarray:
     return ss.generate_state(2, np.uint64)
 
 
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011) as NumPy's ``Philox`` computes it: the multipliers of lanes 0
+# and 2, split into 32-bit halves, and the key schedule's increments
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_PHILOX_M_LO = _PHILOX_M & np.uint64(0xFFFFFFFF)
+_PHILOX_M_HI = _PHILOX_M >> np.uint64(32)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# a block of batches computes at most this many 64-bit words: enough to
+# spread a block's 200 or so NumPy calls thin, few enough that each of its
+# arrays stays at 32 KiB
+_BLOCK_WORDS = 4096
+
+
+def _philox_uniforms(key, t0: int, count: int, b: int) -> np.ndarray:
+    """``Generator.random(b)`` of the stream generators at positions ``t0``
+    to ``t0 + count - 1``, as a ``(count, b)`` array.
+
+    Position ``t``'s generator is Philox4x64-10 at counter ``(0, 0, t, 0)``
+    with an empty buffer.  NumPy bumps the counter before computing a
+    block, so its words are the blocks at counters ``(k, 0, t, 0)`` for
+    ``k = 1 ... ceil(b / 4)``, four words a block in lane order, and each
+    uniform is ``(word >> 11) * 2**-53``.  Lanes 0 and 2 (and 1 and 3)
+    are the rows of one ``(2, n)`` array, so each step of a round is one
+    NumPy call over both; array arithmetic wraps mod 2**64 silently.
+    """
+    blocks = -(-b // 4)
+    lo32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    c02 = np.empty((2, count, blocks), np.uint64)
+    c02[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    c02[1] = np.arange(t0, t0 + count, dtype=np.uint64)[:, None]
+    c02 = c02.reshape(2, -1)
+    c13 = np.zeros_like(c02)
+    k0, k1 = int(key[0]), int(key[1])
+    for _ in range(10):
+        # the 128-bit products of lanes 0 and 2 with their multipliers,
+        # from 32-bit halves; no partial sum exceeds 2**64 - 1
+        a_lo, a_hi = c02 & lo32, c02 >> s32
+        hl = a_hi * _PHILOX_M_LO
+        cross = (a_lo * _PHILOX_M_LO >> s32) + (hl & lo32) \
+            + a_lo * _PHILOX_M_HI
+        hi = a_hi * _PHILOX_M_HI + (hl >> s32) + (cross >> s32)
+        # (c0, c1, c2, c3) <- (hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1, lo0)
+        c13 ^= np.array([[k0], [k1]], np.uint64)
+        c02, c13 = hi[::-1] ^ c13, (c02 * _PHILOX_M)[::-1]
+        k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
+        k1 = (k1 + _PHILOX_W[1]) & 0xFFFFFFFFFFFFFFFF
+    words = np.stack([c02[0], c13[0], c02[1], c13[1]], axis=-1)
+    words = words.reshape(count, 4 * blocks)[:, :b]
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
 class SampleStream:
     """Counter-keyed sample stream: position `t` fully determines batch `t`.
 
@@ -87,18 +138,26 @@ class SampleStream:
     drawn before it, or in which process.  Re-seating the cached bit
     generator's state is equivalent to constructing
     ``Philox(key=key, counter=[0, 0, t, 0])`` afresh, just cheaper.
+
+    Since batch ``t`` is a function of ``t``, ``next_indices`` computes the
+    uniforms of many positions in one call, bit-identical to what their
+    generators draw; ``end`` (one past the last position a run draws, when
+    its loop knows it) bounds how far ahead, never what is drawn.
     """
 
     def __init__(self, seed: int, run_seed: int = 0):
         self.seed = int(seed)
         self.run_seed = int(run_seed)
         self.position = 0
+        self.end: int | None = None
         self._key = _mix_key(self.seed, self.run_seed)
         self._bitgen = np.random.Philox(key=self._key)
         self._gen = np.random.Generator(self._bitgen)
         # the fresh generator's state (counter 0, empty buffer); the setter
         # copies every field, so one dict serves every position
         self._state = self._bitgen.state
+        # (cdf, b, first position, per-position index rows) of ``next_indices``
+        self._block = None
 
     def next_generator(self) -> np.random.Generator:
         """Generator for the current position; advances the stream."""
@@ -106,6 +165,24 @@ class SampleStream:
         self._bitgen.state = self._state
         self.position += 1
         return self._gen
+
+    def next_indices(self, cdf: np.ndarray, b: int) -> np.ndarray:
+        """``cdf.searchsorted(next_generator().random(b), side="right")``,
+        the same bits, served from a block of positions computed in one
+        Philox call and one ``searchsorted``; advances the stream."""
+        t = self.position
+        block = self._block
+        if (block is None or block[0] is not cdf or block[1] != b
+                or not 0 <= t - block[2] < len(block[3])):
+            count = _BLOCK_WORDS // (4 * -(-b // 4))
+            if self.end is not None:
+                count = min(count, self.end - t)
+            count = max(1, count)
+            rows = cdf.searchsorted(
+                _philox_uniforms(self._key, t, count, b), side="right")
+            block = self._block = (cdf, b, t, rows)
+        self.position = t + 1
+        return block[3][t - block[2]]
 
 
 def _stack(w):
@@ -134,8 +211,10 @@ class Problem:
 
     ``batch_grad_mean(w, batch)`` consumes its batch: it may overwrite the
     batch's feature array, so a caller that needs the batch afterwards
-    passes a copy.  ``sample`` returns a fresh, writable float64 feature
-    array for that reason.
+    passes a copy.  ``sample`` and ``next_batch`` return a fresh, writable
+    float64 feature array for that reason.  ``next_batch(stream, b)``
+    equals ``sample(stream.next_generator(), b)`` bit for bit, and leaves
+    the same position; a subclass may reach it without the generator.
     """
 
     d: int
@@ -152,6 +231,10 @@ class Problem:
     def stream(self, run_seed: int = 0) -> SampleStream:
         """Sample stream for one run, keyed by (problem seed, run seed)."""
         return SampleStream(self.base_seed, run_seed)
+
+    def next_batch(self, stream: SampleStream, b: int):
+        """The batch at the stream's position; advances the stream."""
+        return self.sample(stream.next_generator(), b)
 
     def solution_projector(self):
         """Orthogonal projector onto the range of ``second_moment``."""
@@ -203,6 +286,13 @@ class DiscreteLeastSquares(Problem):
         # validating ``p``; drawing through them skips that per-call check
         self._cdf = self.probs.cumsum()
         self._cdf /= self._cdf[-1]
+        # with every label std 0, ``sample``'s ``y`` is ``label_means[idx]
+        # + 0 * z``, which is ``label_means[idx]`` bit for bit unless a mean
+        # is -0.0 (then the sum takes the sign of z); the normals then need
+        # not be drawn, and the next position's re-seat discards their rest
+        zero = self.label_means == 0
+        self._noise_free = not (self.label_stds.any()
+                                or np.signbit(self.label_means[zero]).any())
 
     @functools.cached_property
     def second_moment(self):
@@ -218,6 +308,14 @@ class DiscreteLeastSquares(Problem):
         # depend on which atoms were selected
         y = self.label_means[idx] + self.label_stds[idx] * gen.standard_normal(n)
         return x, y
+
+    def next_batch(self, stream, b):
+        if not self._noise_free:
+            return super().next_batch(stream, b)
+        idx = stream.next_indices(self._cdf, b)
+        # ``take`` gathers the rows ``atoms[idx]`` does, in half the time
+        # at small b and d
+        return self.atoms.take(idx, axis=0), self.label_means[idx]
 
     # -- per-sample quantities ---------------------------------------------
 
@@ -298,6 +396,11 @@ class DeterministicQuadratic(Problem):
         # no information in the samples; keep a length-n placeholder so the
         # batch contract (b i.i.d. points) still holds
         return np.zeros((n, 0)), np.zeros(n)
+
+    def next_batch(self, stream, b):
+        # ``sample`` draws no bits, so only the position moves
+        stream.position += 1
+        return self.sample(None, b)
 
     def loss(self, W, batch):
         return self.exact_loss(W)
@@ -525,7 +628,7 @@ def sample_batch(problem: Problem, b: int, stream: SampleStream):
     """Draw the next batch of ``b`` i.i.d. samples, advancing the stream."""
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
-    return problem.sample(stream.next_generator(), b)
+    return problem.next_batch(stream, b)
 
 
 def minibatch_gradient(problem: Problem, w, batch):

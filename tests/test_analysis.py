@@ -287,6 +287,14 @@ class TestProjectionLemma:
             worst = max(worst, viol)
         assert worst <= 1e-9
 
+    @pytest.mark.parametrize("probes", [np.zeros((0, 4)), []],
+                             ids=["array", "list"])
+    def test_empty_probe_set_rejected(self, probes):
+        # a check over no probes certifies nothing
+        inst = (np.zeros(4), np.zeros(4), np.ones(4), 0.3, 1.0)
+        with pytest.raises(ValueError, match="at least 1 probe point, got 0"):
+            check_projection_lemma(inst, probes)
+
     def test_nan_probe_fails_the_check(self):
         gen = np.random.default_rng(3)
         inst = (0.2 * gen.standard_normal(4), gen.standard_normal(4),
@@ -312,6 +320,14 @@ class TestAssumptionChecks:
                              ids=lambda p: p.family)
     def test_finite_differences(self, prob):
         assert finite_difference_check(prob, n_probes=100, seed=2) <= 1e-5
+
+    @pytest.mark.parametrize("n_probes", [0, -1])
+    def test_no_probes_rejected(self, n_probes):
+        prob = make_sign_vector_problem(n=2, H=1.0, B=1.0,
+                                        sigma_signs=[1, -1, 1, 1])
+        with pytest.raises(ValueError,
+                           match=f"need n_probes >= 1, got {n_probes}"):
+            certify_assumptions(prob, n_probes=n_probes)
 
     @pytest.mark.parametrize("prob", all_families(),
                              ids=lambda p: p.family)

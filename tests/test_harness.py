@@ -536,6 +536,17 @@ class TestCli:
             cli_main(argv + ["--noise-sq", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--H", "nan"), ("--H", "inf"), ("--B", "inf"), ("--B", "nan"),
+        ("--lstar", "nan"), ("--lstar", "inf")])
+    def test_schedule_rejects_non_finite(self, flag, value, capsys):
+        argv = {"--H": "1", "--b": "1", "--T": "3", "--B": "1", flag: value}
+        assert cli_main(["schedule", *(x for kv in argv.items()
+                                       for x in kv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_run_reports_cell_failures(self, tmp_path, capsys):
         raw = minimal_spec(tmp_path, algorithm="restarted", b_grid=[8],
                            T_grid=[1])

@@ -1,6 +1,7 @@
 """Schedule arithmetic, single-step traces, run invariants, restarts."""
 
 import math
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -105,6 +106,15 @@ class TestSchedule:
             full.update(kwargs)
             with pytest.raises(ValueError):
                 make_schedule(**full)
+
+    @pytest.mark.parametrize("name,value", [
+        ("H", math.nan), ("H", math.inf), ("B", math.nan), ("B", math.inf),
+        ("lstar", math.nan), ("lstar", math.inf)])
+    def test_non_finite_rejected(self, name, value):
+        # a NaN or infinite constant would give a NaN or zero stepsize
+        full = {"H": 1.0, "b": 1, "T": 3, "B": 1.0, "lstar": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"{name}.*finite"):
+            make_schedule(**full)
 
 
 class TestProjectBall:
@@ -294,6 +304,20 @@ class TestSgd:
             run_sgd(make_interpolation_least_squares(
                 d=8, n_atoms=4, H=1.0, B=1.0, seed=3), **args)
 
+    def test_tail_average_keeps_a_quarter_of_the_partial_sums(self):
+        # a later tail start reads only the sums from the current one up to
+        # T // 2, so at most about T / 4 d-vectors are kept, not T + 1
+        prob = make_interpolation_least_squares(d=256, n_atoms=4, H=1.0,
+                                                B=1.0, seed=3)
+        T = 4096
+        tracemalloc.start()
+        try:
+            run_sgd(prob, b=1, T=T, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < T * prob.d * 8 / 2
+
     def test_grad_noise_measured_where_gradient_was_taken(self):
         # exact minibatch gradients: the deviation is 0 at the query point
         prob = make_noiseless_quadratic(d=8, H=1.0, B=1.0, seed=1, spread=10)
@@ -369,6 +393,16 @@ class TestStagePlan:
         with pytest.raises(ValueError):
             make_stage_plan(1.0, 0.1, theta=2.0, lam=0.0, H=1.0, b=1, Lstar=0.0)
 
+    @pytest.mark.parametrize("name", ["Delta", "eps", "theta", "lam", "H",
+                                      "Lstar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, value):
+        args = dict(Delta=1.0, eps=0.1, theta=2.0, lam=0.5, H=1.0, b=1,
+                    Lstar=0.0)
+        args[name] = value
+        with pytest.raises(ValueError, match="finite"):
+            make_stage_plan(**args)
+
 
 def reference_budget_stages(Delta, budget, theta, lam, H, b, Lstar):
     """Plain loop: append stages in order while they fit, at most 63."""
@@ -417,6 +451,17 @@ class TestBudgetPlan:
             full.update(kwargs)
             with pytest.raises(ValueError):
                 make_budget_plan(**full)
+
+    @pytest.mark.parametrize("name", ["Delta", "theta", "lam", "H", "Lstar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, value):
+        # a NaN theta planned stages with eps_t = NaN, a NaN H or Lstar 63
+        # one-step stages
+        args = dict(Delta=1.0, budget=100, theta=2.0, lam=0.05, H=1.0, b=8,
+                    Lstar=0.0)
+        args[name] = value
+        with pytest.raises(ValueError, match="finite"):
+            make_budget_plan(**args)
 
 
 class TestRestarted:

@@ -1,6 +1,7 @@
 """Problem-family construction, metadata exactness, and sampling contracts."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from optaccel import (
     DeterministicQuadratic,
     DiscreteLeastSquares,
+    Problem,
     ProblemMeta,
     SampleStream,
     config_hash,
@@ -20,10 +22,14 @@ from optaccel import (
     make_sign_vector_problem,
     minibatch_gradient,
     problem_from_config,
+    run_acc_mb_sgd,
+    run_sgd,
     sample_batch,
 )
+from optaccel import problems
 from optaccel.analysis import variance_at
-from optaccel.problems import _mix_key
+from optaccel.problems import _mix_key, _philox_uniforms
+from optaccel.trace import trace_to_csv
 from oracles import dot_exact_grad, dot_suboptimality, gradient_variance
 from strategies import family_configs
 
@@ -497,6 +503,148 @@ class TestStreamAddressability:
         assert x.tobytes() == x_ref.tobytes()
         assert y.tobytes() == y_ref.tobytes()
         assert stream.position == t + 1
+
+
+def noise_free(prob, label_means=None):
+    """``prob``'s design with every label std 0 (and, if given, other
+    label means)."""
+    means = prob.label_means if label_means is None else label_means
+    return DiscreteLeastSquares(prob.family, prob.atoms, prob.probs, means,
+                                np.zeros(len(prob.probs)), prob.meta,
+                                prob.base_seed, prob.params)
+
+
+def no_generator(stream):
+    """Make ``stream.next_generator`` fail: the counter path never calls it."""
+    def fail():
+        raise AssertionError("the generator path was taken")
+    stream.next_generator = fail
+
+
+class TestCounterPath:
+    """Noise-free designs draw their batches from blocks of Philox
+    uniforms computed in NumPy: the same bits as the generator path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
+           st.integers(0, 2**40), st.integers(1, 6), st.integers(1, 300))
+    def test_uniforms_match_the_generator(self, k0, k1, t0, count, b):
+        key = np.array([k0, k1], dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _philox_uniforms(key, t0, count, b)
+        assert got.shape == (count, b) and got.dtype == np.float64
+        for i in range(count):
+            gen = np.random.Generator(np.random.Philox(
+                key=key, counter=[0, 0, t0 + i, 0]))
+            assert got[i].tobytes() == gen.random(b).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(design=sampled_designs(), b=st.integers(1, 300),
+           words=st.integers(4, 64),
+           end=st.one_of(st.none(), st.integers(0, 40)),
+           history=st.lists(st.tuples(
+               st.sampled_from(["batch", "generator", "seek"]),
+               st.integers(0, 2**40), st.integers(1, 300)), max_size=12))
+    def test_any_history_matches_the_generator(self, design, b, words, end,
+                                               history):
+        prob, run_seed, t, _ = design
+        prob = noise_free(prob)
+        assert prob._noise_free
+        stream = prob.stream(run_seed)
+        stream.position, stream.end = t, None if end is None else t + end
+        # a small word budget puts block edges between the draws
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("error")
+            mp.setattr(problems, "_BLOCK_WORDS", words)
+            for op, position, n in [("batch", 0, b)] + history:
+                t = stream.position
+                if op == "seek":
+                    stream.position = position
+                elif op == "generator":
+                    # interleaved generator draws leave no trace on a batch
+                    got = stream.next_generator().random(n)
+                    want = philox_at(prob.base_seed, run_seed, t).random(n)
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    x, y = sample_batch(prob, n, stream)
+                    x_ref, y_ref = prob.sample(
+                        philox_at(prob.base_seed, run_seed, t), n)
+                    assert x.tobytes() == x_ref.tobytes()
+                    assert y.tobytes() == y_ref.tobytes()
+                    assert x.flags.c_contiguous and x.flags.writeable
+                    assert x.base is None and x.dtype == np.float64
+                    assert stream.position == t + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=family_configs(), b=st.integers(1, 300),
+           run_seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 5))
+    def test_each_family_matches_the_generator(self, cfg, b, run_seed, steps):
+        if cfg["family"] == "gaussian_spike":
+            cfg["params"]["s"] = 0.0   # a spike without label noise
+        prob = problem_from_config(cfg)
+        stream, ref = prob.stream(run_seed), prob.stream(run_seed)
+        stream.end = steps
+        no_generator(stream)
+        for _ in range(steps):
+            x, y = sample_batch(prob, b, stream)
+            x_ref, y_ref = prob.sample(ref.next_generator(), b)
+            assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+            assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+            assert stream.position == ref.position
+
+    def test_negative_zero_mean_takes_the_generator_path(self):
+        # -0.0 + 0 * z takes the sign of z: only the generator path gives
+        # those bits
+        prob = make_sign_vector_problem(n=1, H=1.0, B=1.0, sigma_signs=[1, 1])
+        means = np.array([-0.0, 1.0])
+        signed = noise_free(prob, means)
+        assert not signed._noise_free
+        assert noise_free(prob, means + 0.0)._noise_free  # -0.0 + 0.0 is 0.0
+        stream, calls = signed.stream(3), []
+        draw = stream.next_generator
+        stream.next_generator = lambda: calls.append(1) or draw()
+        x, y = sample_batch(signed, 64, stream)
+        x_ref, y_ref = signed.sample(signed.stream(3).next_generator(), 64)
+        assert calls == [1]
+        assert x.tobytes() == x_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
+        signs = np.signbit(y[x[:, 0] != 0])
+        assert signs.any() and not signs.all()
+
+    def test_noisy_design_takes_the_generator_path(self):
+        prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
+                                           seed=4)
+        assert not prob._noise_free
+        stream = prob.stream(2)
+        no_generator(stream)
+        with pytest.raises(AssertionError, match="generator path"):
+            sample_batch(prob, 4, stream)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=family_configs(), b=st.integers(1, 40),
+           T=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+    def test_runs_match_the_generator_path(self, cfg, b, T, seed):
+        prob = problem_from_config(cfg)
+        got = [run(prob, b, T, seed=seed)[1]
+               for run in (run_acc_mb_sgd, run_sgd)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DiscreteLeastSquares, "next_batch", Problem.next_batch)
+            mp.setattr(DeterministicQuadratic, "next_batch",
+                       Problem.next_batch)
+            want = [run(prob, b, T, seed=seed)[1]
+                    for run in (run_acc_mb_sgd, run_sgd)]
+        for a, r in zip(got, want):
+            assert trace_to_csv(a) == trace_to_csv(r)
+
+    def test_noiseless_quadratic_only_moves_the_position(self):
+        prob = make_noiseless_quadratic(d=3, H=1.0, B=1.0, seed=0)
+        stream = prob.stream(5)
+        stream.position = 7
+        no_generator(stream)
+        x, y = sample_batch(prob, 4, stream)
+        assert x.shape == (4, 0) and y.tobytes() == np.zeros(4).tobytes()
+        assert stream.position == 8
 
 
 def reference_batch_grad_mean(prob, w, batch):
