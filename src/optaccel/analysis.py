@@ -58,7 +58,7 @@ def variance_at(problem: Problem, w, n_samples: int, seed: int = 0):
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     w = np.asarray(w, dtype=float)
-    batch = problem.sample(problem.stream(seed).next_generator(), n_samples)
+    batch = problem.next_batch(problem.stream(seed), n_samples)
     grads = problem.grad(np.tile(w, (n_samples, 1)), batch)
     sq = ((grads - problem.exact_grad(w)) ** 2).sum(axis=1)
     est = float(sq.mean())
@@ -117,14 +117,8 @@ def time_to_eps(finals: Mapping[tuple[int, int], Sequence[float]],
     by_b: dict[int, list[tuple[int, float]]] = {}
     for (b, T), vals in finals.items():
         by_b.setdefault(int(b), []).append((int(T), float(np.median(vals))))
-    table = {}
-    for b in sorted(by_b):
-        table[b] = None
-        for T, med in sorted(by_b[b]):
-            if med <= eps:
-                table[b] = T
-                break
-    return table
+    return {b: next((T for T, med in sorted(by_b[b]) if med <= eps), None)
+            for b in sorted(by_b)}
 
 
 def critical_batch(table: Mapping[int, Optional[int]]) -> Optional[int]:
@@ -138,11 +132,8 @@ def critical_batch(table: Mapping[int, Optional[int]]) -> Optional[int]:
     if len(table) < 4:
         raise ValueError("need at least 4 batch sizes to detect a plateau")
     ts = [(b, math.inf if T is None else T) for b, T in table.items()]
-    for i, (b, T) in enumerate(ts[:-1]):
-        tail = ts[i + 1:]
-        if all(T2 >= 0.8 * T for _, T2 in tail):
-            return b
-    return None
+    return next((b for i, (b, T) in enumerate(ts[:-1])
+                 if all(T2 >= 0.8 * T for _, T2 in ts[i + 1:])), None)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +197,7 @@ def certify_assumptions(problem: Problem, n_probes: int = 1000,
         raise ValueError(f"need n_probes >= 1, got {n_probes}")
     meta = problem.meta
     gen = np.random.default_rng(np.random.SeedSequence([seed, 0xA55E]))
-    batch = problem.sample(problem.stream(seed ^ 0x517).next_generator(),
-                           n_probes)
+    batch = problem.next_batch(problem.stream(seed ^ 0x517), n_probes)
     points = _ball_points(gen, 2 * meta.B, (2 * n_probes, problem.d))
     # probe i pairs sample i with the points ws[i] and us[i]
     ws, us = points[:n_probes], points[n_probes:]

@@ -28,7 +28,8 @@ from . import optimizers
 from .analysis import time_to_eps
 from .problems import (_ball_bounds, _is_finite, _is_int, config_hash,
                        problem_from_config)
-from .trace import canonical_json, sha256_text, trace_from_csv, trace_to_csv
+from .trace import (canonical_json, csv_records, sha256_text, trace_from_csv,
+                    trace_to_csv)
 
 __all__ = [
     "ExperimentSpec",
@@ -150,6 +151,16 @@ def _validate(raw: dict) -> ExperimentSpec:
                 _ball_bounds(problem, overrides["B"])).all():
             raise SpecError(f"problems[{i}]: parameters overflow a float "
                             f"with overrides.B")
+    # a restart plan fits a budget of at least min(T_grid) if it fits that
+    if algorithm == "restarted":
+        T = min(T_grid)
+        for i, problem in enumerate(built):
+            for b in b_grid:
+                try:
+                    _restart_plan(problem, b, T, overrides)
+                except (ValueError, ArithmeticError) as err:
+                    raise SpecError(f"problems[{i}]: b={b}, T={T}: "
+                                    f"{err}") from err
 
     workers = _check_workers(raw.get("workers", 1))
 
@@ -176,9 +187,10 @@ def load_spec(path) -> ExperimentSpec:
     except json.JSONDecodeError as err:
         raise SpecError(f"{path}: parse error at line {err.lineno} "
                         f"column {err.colno}: {err.msg}") from err
-    except (ValueError, RecursionError) as err:
-        # bytes that are not UTF-8, integers past the digit limit, nesting
-        # deeper than the decoder's recursion
+    except (OSError, ValueError, RecursionError) as err:
+        # a path that is missing or no file, bytes that are not UTF-8,
+        # integers past the digit limit, nesting deeper than the decoder's
+        # recursion
         raise SpecError(f"{path}: unreadable spec: {type(err).__name__}: "
                         f"{err}") from err
     if not isinstance(raw, dict):
@@ -220,22 +232,17 @@ def _run_cell(cell: dict) -> dict:
     problem = problem_from_config(cell["problem"])
     alg, b, T, seed = cell["algorithm"], cell["b"], cell["T"], cell["seed"]
     ov = cell["overrides"]
-    B_override = ov.get("B")
-    lstar = ov.get("lstar")
     if alg == "acc_mb_sgd":
         _, trace = optimizers.run_acc_mb_sgd(
-            problem, b, T, B_override=B_override, lstar_override=lstar,
-            seed=seed)
+            problem, b, T, B_override=ov.get("B"),
+            lstar_override=ov.get("lstar"), seed=seed)
     elif alg == "sgd":
         _, trace = optimizers.run_sgd(problem, b, T, seed=seed,
                                       eta=ov.get("eta"),
-                                      B_override=B_override)
+                                      B_override=ov.get("B"))
     elif alg == "restarted":
-        meta = problem.meta
-        plan = optimizers.make_budget_plan(
-            meta.Delta, T, ov.get("theta", math.e), meta.lam, meta.H, b,
-            meta.Lstar if lstar is None else lstar)
-        _, trace = optimizers.run_restarted(problem, plan, seed=seed)
+        _, trace = optimizers.run_restarted(
+            problem, _restart_plan(problem, b, T, ov), seed=seed)
     else:
         raise ValueError(f"unknown algorithm {alg!r}")
 
@@ -245,6 +252,14 @@ def _run_cell(cell: dict) -> dict:
                                       canonical_json(trace.header) + "\n")}
     return {"artifacts": digests, "final_subopt": trace.final_subopt,
             "aborted": trace.aborted, "rows": len(trace.t)}
+
+
+def _restart_plan(problem, b, T, overrides):
+    """The restart stages of ``problem`` that fit a budget of ``T``."""
+    meta = problem.meta
+    return optimizers.make_budget_plan(
+        meta.Delta, T, overrides.get("theta", math.e), meta.lam, meta.H, b,
+        overrides.get("lstar", meta.Lstar))
 
 
 def _cells_of(spec: ExperimentSpec):
@@ -390,12 +405,23 @@ def _speedup_csv(spec, finals):
 # ---------------------------------------------------------------------------
 
 
-def _read_csv(path: Path) -> list[dict]:
-    if not path.exists():
-        raise FileNotFoundError(f"missing input file: {path}")
-    lines = path.read_text().strip().splitlines()
-    cols = lines[0].split(",")
-    return [dict(zip(cols, ln.split(","))) for ln in lines[1:]]
+# the columns each table kind reads, in the order it writes them
+_PLOT_COLUMNS = {
+    "rate_curve": ("family", "algorithm", "b", "T", "median_subopt",
+                   "q25_subopt", "q75_subopt"),
+    "speedup_curve": ("eps", "b", "T_to_eps")}
+
+
+def _parse_input(path: Path, parse):
+    """``parse`` of an input file's text.  A missing file is a
+    ``FileNotFoundError``; an unreadable or malformed one a ``ValueError``;
+    each names ``path``."""
+    try:
+        return parse(path.read_text())
+    except FileNotFoundError as err:
+        raise FileNotFoundError(f"missing input file: {path}") from err
+    except (OSError, ValueError) as err:
+        raise ValueError(f"{path}: {type(err).__name__}: {err}") from err
 
 
 def emit_plotdata(kind: str, inputs, out_path) -> str:
@@ -408,22 +434,18 @@ def emit_plotdata(kind: str, inputs, out_path) -> str:
     ``docs/plotdata.md``.
     """
     paths = [Path(p) for p in inputs]
-    if kind == "rate_curve":
-        rows = ["family,algorithm,b,T,median_subopt,q25_subopt,q75_subopt"]
+    if kind in _PLOT_COLUMNS:
+        cols = _PLOT_COLUMNS[kind]
+        rows = [",".join(cols)]
         for p in paths:
-            for r in _read_csv(p):
-                rows.append(",".join([r["family"], r["algorithm"], r["b"],
-                                      r["T"], r["median_subopt"],
-                                      r["q25_subopt"], r["q75_subopt"]]))
-    elif kind == "speedup_curve":
-        rows = ["eps,b,T_to_eps"]
-        for p in paths:
-            for r in _read_csv(p):
-                rows.append(",".join([r["eps"], r["b"], r["T_to_eps"]]))
+            header, records = _parse_input(
+                p, lambda text: csv_records(text, cols))
+            at = [header.index(c) for c in cols]
+            rows += [",".join(r[j] for j in at) for r in records]
     elif kind == "stage_decay":
         rows = ["trace,stage,t_end,subopt"]
         for p in paths:
-            trace = trace_from_csv(p.read_text())
+            trace = _parse_input(p, trace_from_csv)
             for stage, t_end, subopt in trace.stage_end_subopts():
                 rows.append(f"{p.name},{stage},{t_end},{format(subopt, _FMT)}")
     else:

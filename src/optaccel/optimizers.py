@@ -194,7 +194,6 @@ def _run_stages(problem, recorder, seed, schedules, center=None):
     last centre reached by a completed stage.
     """
     stream = problem.stream(seed)
-    stream.end = recorder.header["T"]
     with _abort_on_nonfinite(recorder):
         for stage, schedule in enumerate(schedules,
                                          start=0 if center is None else 1):
@@ -230,7 +229,6 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
         step = min(step, float(eta))
     recorder = TraceRecorder(problem, "sgd", b, T, seed, eta=step, B=B)
     stream = problem.stream(seed)
-    stream.end = T
     w = np.zeros(problem.d)
     w_avg = np.zeros(problem.d)  # stays the origin if step 0 aborts
     total = np.zeros(problem.d)  # sum of w_1..w_{t+1}

@@ -140,17 +140,14 @@ class SampleStream:
     ``Philox(key=key, counter=[0, 0, t, 0])`` afresh, just cheaper.
 
     Since batch ``t`` is a function of ``t``, ``next_indices`` computes the
-    uniforms of many positions in one call, bit-identical to what their
-    generators draw; ``end`` (one past the last position a run draws, when
-    its loop knows it) bounds how far ahead, never what is drawn.
+    uniforms of a block of positions in one call, bit-identical to what
+    their generators draw; ``_BLOCK_WORDS`` bounds how far ahead, never
+    what is drawn.
     """
 
     def __init__(self, seed: int, run_seed: int = 0):
-        self.seed = int(seed)
-        self.run_seed = int(run_seed)
         self.position = 0
-        self.end: int | None = None
-        self._key = _mix_key(self.seed, self.run_seed)
+        self._key = _mix_key(seed, run_seed)
         self._bitgen = np.random.Philox(key=self._key)
         self._gen = np.random.Generator(self._bitgen)
         # the fresh generator's state (counter 0, empty buffer); the setter
@@ -174,10 +171,7 @@ class SampleStream:
         block = self._block
         if (block is None or block[0] is not cdf or block[1] != b
                 or not 0 <= t - block[2] < len(block[3])):
-            count = _BLOCK_WORDS // (4 * -(-b // 4))
-            if self.end is not None:
-                count = min(count, self.end - t)
-            count = max(1, count)
+            count = max(1, _BLOCK_WORDS // (4 * -(-b // 4)))
             rows = cdf.searchsorted(
                 _philox_uniforms(self._key, t, count, b), side="right")
             block = self._block = (cdf, b, t, rows)
@@ -197,9 +191,14 @@ class Problem:
     Subclasses must provide ``d``, ``meta``, ``family``, ``params``,
     ``base_seed``, the design moments ``second_moment`` (``E[x x']``, or
     the Hessian) and ``cross`` (the normal equations' right-hand side),
-    and the methods ``sample``, ``loss``, ``grad``, ``batch_grad_mean``,
+    and the methods ``next_batch``, ``loss``, ``grad``, ``batch_grad_mean``,
     ``exact_loss``, ``exact_grad`` and ``suboptimality``.  Instances are
     immutable after construction and safe to share across workers.
+
+    ``next_batch(stream, n)`` is the one way to draw: it returns the ``n``
+    i.i.d. samples of batch ``stream.position`` and advances the stream
+    by one position, so a batch is a function of the stream's key and its
+    position alone.
 
     ``exact_loss``, ``suboptimality`` and ``exact_grad`` take one ``(d,)``
     point or a ``(k, d)`` stack of points; ``loss(W, batch)`` and
@@ -211,10 +210,8 @@ class Problem:
 
     ``batch_grad_mean(w, batch)`` consumes its batch: it may overwrite the
     batch's feature array, so a caller that needs the batch afterwards
-    passes a copy.  ``sample`` and ``next_batch`` return a fresh, writable
-    float64 feature array for that reason.  ``next_batch(stream, b)``
-    equals ``sample(stream.next_generator(), b)`` bit for bit, and leaves
-    the same position; a subclass may reach it without the generator.
+    passes a copy.  ``next_batch`` returns a fresh, writable float64
+    feature array for that reason.
     """
 
     d: int
@@ -231,10 +228,6 @@ class Problem:
     def stream(self, run_seed: int = 0) -> SampleStream:
         """Sample stream for one run, keyed by (problem seed, run seed)."""
         return SampleStream(self.base_seed, run_seed)
-
-    def next_batch(self, stream: SampleStream, b: int):
-        """The batch at the stream's position; advances the stream."""
-        return self.sample(stream.next_generator(), b)
 
     def solution_projector(self):
         """Orthogonal projector onto the range of ``second_moment``."""
@@ -286,8 +279,8 @@ class DiscreteLeastSquares(Problem):
         # validating ``p``; drawing through them skips that per-call check
         self._cdf = self.probs.cumsum()
         self._cdf /= self._cdf[-1]
-        # with every label std 0, ``sample``'s ``y`` is ``label_means[idx]
-        # + 0 * z``, which is ``label_means[idx]`` bit for bit unless a mean
+        # with every label std 0, the drawn ``y`` is ``label_means[idx] +
+        # 0 * z``, which is ``label_means[idx]`` bit for bit unless a mean
         # is -0.0 (then the sum takes the sign of z); the normals then need
         # not be drawn, and the next position's re-seat discards their rest
         zero = self.label_means == 0
@@ -301,21 +294,20 @@ class DiscreteLeastSquares(Problem):
 
     # -- sampling ---------------------------------------------------------
 
-    def sample(self, gen: np.random.Generator, n: int):
-        idx = self._cdf.searchsorted(gen.random(n), side="right")
-        x = self.atoms[idx]
-        # draw the noise unconditionally so the stream layout does not
-        # depend on which atoms were selected
-        y = self.label_means[idx] + self.label_stds[idx] * gen.standard_normal(n)
-        return x, y
-
     def next_batch(self, stream, b):
-        if not self._noise_free:
-            return super().next_batch(stream, b)
-        idx = stream.next_indices(self._cdf, b)
+        if self._noise_free:
+            idx = stream.next_indices(self._cdf, b)
+            y = self.label_means[idx]
+        else:
+            gen = stream.next_generator()
+            idx = self._cdf.searchsorted(gen.random(b), side="right")
+            # draw the noise unconditionally so the stream layout does not
+            # depend on which atoms were selected
+            y = self.label_means[idx] + self.label_stds[idx] \
+                * gen.standard_normal(b)
         # ``take`` gathers the rows ``atoms[idx]`` does, in half the time
         # at small b and d
-        return self.atoms.take(idx, axis=0), self.label_means[idx]
+        return self.atoms.take(idx, axis=0), y
 
     # -- per-sample quantities ---------------------------------------------
 
@@ -333,7 +325,7 @@ class DiscreteLeastSquares(Problem):
         """Mean per-sample gradient over ``batch``; consumes the batch.
 
         The per-sample gradients ``x[i] * r[i]`` are written into ``x``
-        itself (which must be a writable float64 array, as ``sample``
+        itself (which must be a writable float64 array, as ``next_batch``
         returns), so afterwards ``x`` holds them and no ``b x d`` array is
         allocated per step.  The mean reduces over the sample axis in a
         fixed deterministic order.
@@ -392,15 +384,12 @@ class DeterministicQuadratic(Problem):
         self.second_moment = self.A
         self.cross = self.A @ self.wstar_vec
 
-    def sample(self, gen, n):
-        # no information in the samples; keep a length-n placeholder so the
-        # batch contract (b i.i.d. points) still holds
-        return np.zeros((n, 0)), np.zeros(n)
-
     def next_batch(self, stream, b):
-        # ``sample`` draws no bits, so only the position moves
+        # no information in the samples, so no bits are drawn and only the
+        # position moves; a length-b placeholder keeps the batch contract
+        # (b i.i.d. points)
         stream.position += 1
-        return self.sample(None, b)
+        return np.zeros((b, 0)), np.zeros(b)
 
     def loss(self, W, batch):
         return self.exact_loss(W)
@@ -528,8 +517,8 @@ def make_gaussian_spike_problem(H: float, B: float, p: float, s: float,
     """
     if not (0 < p <= 1):
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    if H < 0 or B < 0 or s < 0:
-        raise ValueError("H, B, s must be non-negative")
+    if H <= 0 or B <= 0 or s < 0:
+        raise ValueError("H and B must be positive and s non-negative")
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     atoms = np.array([[0.0], [np.sqrt(H)]])

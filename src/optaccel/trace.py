@@ -11,7 +11,8 @@ import numpy as np
 
 from .rowwise import rowdot
 
-__all__ = ["RunTrace", "trace_to_csv", "trace_from_csv", "canonical_json"]
+__all__ = ["RunTrace", "trace_to_csv", "trace_from_csv", "csv_records",
+           "canonical_json"]
 
 _CSV_HEADER = "t,norm_w,norm_wag,subopt,grad_noise_sq,stage"
 
@@ -155,21 +156,34 @@ def trace_to_csv(trace: RunTrace) -> str:
     return _CSV_HEADER + "\n" + "".join([_CSV_ROW % row for row in rows])
 
 
+def csv_records(text: str, columns) -> tuple[list[str], list[list[str]]]:
+    """The header fields and data rows of a CSV text, blank lines skipped.
+
+    A header without one of ``columns``, or a row whose field count
+    differs from the header's, is a ``ValueError`` naming the line.
+    """
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    header = lines[0][1].split(",") if lines else []
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ValueError(f"line 1: the header lacks column(s) {missing}")
+    rows = []
+    for i, ln in lines[1:]:
+        rows.append(ln.split(","))
+        if len(rows[-1]) != len(header):
+            raise ValueError(f"line {i}: {len(rows[-1])} fields where the "
+                             f"header has {len(header)}")
+    return header, rows
+
+
 def trace_from_csv(text: str) -> RunTrace:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != _CSV_HEADER:
-        raise ValueError("not a trace CSV: bad or missing header row")
-    rows = [ln.split(",") for ln in lines[1:]]
-    arr = np.array(rows, dtype=float) if rows else np.zeros((0, 6))
-    return RunTrace(
-        header={},
-        t=arr[:, 0].astype(int),
-        norm_w=arr[:, 1],
-        norm_wag=arr[:, 2],
-        subopt=arr[:, 3],
-        grad_noise_sq=arr[:, 4],
-        stage=arr[:, 5].astype(int),
-    )
+    header, rows = csv_records(text, _CSV_HEADER.split(","))
+    if ",".join(header) != _CSV_HEADER:
+        raise ValueError(f"not a trace CSV: the header must be {_CSV_HEADER}")
+    arr = np.array(rows, dtype=float).reshape(-1, 6)
+    return RunTrace({}, arr[:, 0].astype(int), *arr[:, 1:5].T,
+                    arr[:, 5].astype(int))
 
 
 def sha256_text(text: str) -> str:

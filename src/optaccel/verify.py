@@ -73,15 +73,11 @@ def suite_assumptions():
     checks = []
     for name, prob in _family_fixtures():
         rep = certify_assumptions(prob, n_probes=1000, seed=0)
-        checks.append(_check(f"{name}:nonneg", rep.nonneg_violation, 1e-8, "<="))
-        checks.append(_check(f"{name}:convexity",
-                             rep.convexity_violation, 1e-8, "<="))
-        checks.append(_check(f"{name}:smoothness",
-                             rep.smoothness_violation, 1e-8, "<="))
-        checks.append(_check(f"{name}:grad_lipschitz",
-                             rep.grad_lipschitz_violation, 1e-8, "<="))
-        checks.append(_check(f"{name}:growth", rep.growth_violation,
-                             1e-10, "<="))
+        for check in ("nonneg", "convexity", "smoothness", "grad_lipschitz",
+                      "growth"):
+            checks.append(_check(f"{name}:{check}",
+                                 getattr(rep, f"{check}_violation"),
+                                 1e-10 if check == "growth" else 1e-8, "<="))
     return checks
 
 
@@ -135,11 +131,9 @@ def suite_rate_convex():
     # zero-noise quadratic: with exact gradients the batch size only enters
     # the stepsize rule; b = 2(T+1) activates the smoothness-limited branch
     quad = make_noiseless_quadratic(d=16, H=1.0, B=1.0, seed=42, spread=10.0)
-    grid = []
-    for T in (32, 64, 128, 256, 512, 1024, 2048, 4096):
-        _, tr = run_acc_mb_sgd(quad, b=2 * (T + 1), T=T, seed=0)
-        grid.append((T, tr.final_subopt))
-    fit = fit_rate(grid)
+    fit = fit_rate([(T, run_acc_mb_sgd(quad, b=2 * (T + 1), T=T,
+                                       seed=0)[1].final_subopt)
+                    for T in (32, 64, 128, 256, 512, 1024, 2048, 4096)])
     checks.append(_check("noiseless_quadratic:slope", fit.slope, -1.85, "<="))
     checks.append(_check("noiseless_quadratic:r_squared",
                          fit.r_squared, 0.98, ">="))
@@ -218,21 +212,16 @@ def suite_speedup():
     for b in (1, 4, 16):
         best = None
         for eta in (1 / (2 * H), 1 / (4 * H), 1 / (8 * H)):
-            subs = []
-            for s in range(20):
-                _, tr = run_sgd(prob, b=b, T=2048, seed=s, eta=eta)
-                subs.append(tr.subopt)
-            med = np.median(np.array(subs), axis=0)
+            med = np.median([run_sgd(prob, b=b, T=2048, seed=s,
+                                     eta=eta)[1].subopt for s in range(20)],
+                            axis=0)
             t_hit = time_to_eps({(b, t): [m] for t, m in enumerate(med, 1)},
                                 eps)[b]
             if t_hit is not None and (best is None or t_hit < best):
                 best = t_hit
         sgd_tte[b] = best
-    if all(v is not None for v in sgd_tte.values()):
-        vals = list(sgd_tte.values())
-        spread = (max(vals) - min(vals)) / min(vals)
-    else:
-        spread = math.inf
+    vals = list(sgd_tte.values())
+    spread = math.inf if None in vals else (max(vals) - min(vals)) / min(vals)
     checks.append(_check("sgd_no_speedup_spread", spread, 0.25, "<",
                          detail=f"T_to_eps={sgd_tte}"))
     return checks
@@ -245,15 +234,12 @@ def suite_rate_restart():
     plan = optimizers.make_stage_plan(Delta=delta, eps=float(np.exp(-5) * delta),
                                       theta=math.e, lam=0.25, H=1.0, b=8,
                                       Lstar=0.0)
-    ends = []
-    for s in range(20):
-        _, tr = run_restarted(prob, plan, seed=s)
-        ends.append([v for _, _, v in tr.stage_end_subopts()])
-    med = np.median(np.array(ends), axis=0)
-    checks = []
-    for t_idx, m in enumerate(med, start=1):
-        checks.append(_check(f"stage_{t_idx}_subopt", m,
-                             2.0 * math.exp(-t_idx) * delta, "<="))
+    runs = [run_restarted(prob, plan, seed=s)[1] for s in range(20)]
+    med = np.median([[v for _, _, v in tr.stage_end_subopts()] for tr in runs],
+                    axis=0)
+    checks = [_check(f"stage_{t_idx}_subopt", m,
+                     2.0 * math.exp(-t_idx) * delta, "<=")
+              for t_idx, m in enumerate(med, start=1)]
 
     cum = np.cumsum([st.T_t for st in plan.stages]).astype(float)
     checks.append(_check("restarted_log_linear_r2",
@@ -262,11 +248,8 @@ def suite_rate_restart():
     # plain accelerated run on the same total budget, probed at octave
     # checkpoints: a power law should explain it better than a line
     T_total = plan.total_iterations
-    subs = []
-    for s in range(20):
-        _, tr = run_acc_mb_sgd(prob, b=8, T=T_total, seed=s)
-        subs.append(tr.subopt)
-    med_tr = np.median(np.array(subs), axis=0)
+    med_tr = np.median([run_acc_mb_sgd(prob, b=8, T=T_total, seed=s)[1].subopt
+                        for s in range(20)], axis=0)
     cps = np.array(sorted(T_total // 2**k for k in range(5)), dtype=int)
     vals = np.array([med_tr[c - 1] for c in cps])
     r2_loglog = _line_fit(np.log(cps.astype(float)), np.log(vals)).r_squared

@@ -28,6 +28,27 @@ def gradient_variance(problem, w) -> float:
     return float(second - mean @ mean)
 
 
+# -- the sampler before every draw went through ``next_batch`` --------------
+#
+# Kept as the reference for the counter path: a batch drawn from the
+# position's generator, ``n`` index uniforms and then ``n`` label normals.
+
+
+def generator_batch(problem, gen, n):
+    """The batch ``gen`` draws for ``problem``, by the generator path."""
+    if isinstance(problem, DeterministicQuadratic):
+        return np.zeros((n, 0)), np.zeros(n)
+    idx = problem._cdf.searchsorted(gen.random(n), side="right")
+    y = problem.label_means[idx] + problem.label_stds[idx] \
+        * gen.standard_normal(n)
+    return problem.atoms[idx], y
+
+
+def generator_next_batch(problem, stream, n):
+    """``problem.next_batch`` by the generator path at every position."""
+    return generator_batch(problem, stream.next_generator(), n)
+
+
 # -- the step path before the trace columns were evaluated in blocks --------
 #
 # Kept as references for the block-evaluated recorder: every trace column is
@@ -190,7 +211,8 @@ def sample_grad(problem, w, z):
 def reference_variance_at(problem, w, n_samples, seed=0):
     """``variance_at`` from per-sample gradients taken one at a time."""
     w = np.asarray(w, dtype=float)
-    x, y = problem.sample(problem.stream(seed).next_generator(), n_samples)
+    x, y = generator_batch(problem, problem.stream(seed).next_generator(),
+                           n_samples)
     grads = np.array([sample_grad(problem, w, z) for z in zip(x, y)])
     sq = ((grads - problem.exact_grad(w)) ** 2).sum(axis=1)
     return (float(sq.mean()),
@@ -217,8 +239,8 @@ def reference_certify_assumptions(problem, n_probes=1000, seed=0):
     """``certify_assumptions`` by loops over the probes."""
     meta = problem.meta
     gen = np.random.default_rng(np.random.SeedSequence([seed, 0xA55E]))
-    x, y = problem.sample(problem.stream(seed ^ 0x517).next_generator(),
-                          n_probes)
+    x, y = generator_batch(
+        problem, problem.stream(seed ^ 0x517).next_generator(), n_probes)
     points = _ball_points(gen, 2 * meta.B, (2 * n_probes, problem.d))
     ws, us = points[:n_probes], points[n_probes:]
 

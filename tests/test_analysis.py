@@ -37,8 +37,7 @@ def finite_difference_check(problem, n_probes=100, seed=0, h=1e-6):
     """Worst relative error of central differences against ``grad``, over
     sampled ``z`` and points ``w`` in the ball of radius ``2 B``."""
     gen = np.random.default_rng(np.random.SeedSequence([seed, 0xFD1F]))
-    x, y = problem.sample(problem.stream(seed ^ 0x90D).next_generator(),
-                          n_probes)
+    x, y = problem.next_batch(problem.stream(seed ^ 0x90D), n_probes)
     points = _ball_points(gen, 2 * problem.meta.B, (n_probes, problem.d))
     worst = 0.0
     for i, w in enumerate(points):
@@ -360,7 +359,7 @@ class TestArrayFormsMatchReferences:
         prob = problem_from_config(cfg)
         gen = np.random.default_rng(seed)
         W = _ball_points(gen, 10.0 ** gen.uniform(-3, 2), (n, prob.d))
-        x, y = prob.sample(prob.stream(seed).next_generator(), n)
+        x, y = prob.next_batch(prob.stream(seed), n)
         rows = list(zip(W, zip(x, y)))
         assert same_bits(prob.loss(W, (x, y)),
                          [sample_loss(prob, w, z) for w, z in rows])

@@ -4,18 +4,20 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, wait
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from optaccel import harness, make_schedule, make_sign_vector_problem
+from optaccel import (harness, make_schedule, make_sign_vector_problem,
+                      optimizers)
 from optaccel.cli import main as cli_main
 from optaccel.harness import (ExperimentSpec, SpecError, emit_plotdata,
                               load_spec, run_experiment, save_spec, spec_hash)
@@ -31,6 +33,11 @@ GROWTH_PROBLEM = {"family": "growth",
                   "params": {"d": 6, "r": 3, "lam": 0.25, "H": 1.0,
                              "Delta": 1.0},
                   "seed": 5}
+# a restart's first stage takes 985 steps at b=8 on this design
+SLOW_GROWTH_PROBLEM = {"family": "growth",
+                       "params": {"d": 6, "r": 3, "lam": 0.1, "H": 1.0,
+                                  "Delta": 1.0},
+                       "seed": 11}
 
 
 # the overrides each algorithm reads
@@ -53,6 +60,19 @@ def minimal_spec(tmp_path, **kw):
     }
     raw.update(kw)
     return raw
+
+
+def fail_runs_at_T1(monkeypatch):
+    """Make each ``acc_mb_sgd`` cell with ``T=1`` fail while it runs, as a
+    cell that validation cannot foresee does."""
+    run = optimizers.run_acc_mb_sgd
+
+    def run_or_fail(problem, b, T, **kw):
+        if T == 1:
+            raise RuntimeError(f"no run at T={T}")
+        return run(problem, b, T, **kw)
+
+    monkeypatch.setattr(optimizers, "run_acc_mb_sgd", run_or_fail)
 
 
 def write_spec(tmp_path, raw, name="spec.json"):
@@ -166,11 +186,10 @@ class TestRunExperiment:
                 for p in (tmp_path / run).iterdir()
                 if p.name != "manifest.json"}
 
-    def test_cell_failure_recorded_without_aborting(self, tmp_path):
-        # restarted with a 1-iteration budget cannot fit the first stage
-        raw = minimal_spec(tmp_path, algorithm="restarted",
-                           T_grid=[1, 600], b_grid=[8])
-        raw["problems"] = [GROWTH_PROBLEM]
+    def test_cell_failure_recorded_without_aborting(self, tmp_path,
+                                                    monkeypatch):
+        fail_runs_at_T1(monkeypatch)
+        raw = minimal_spec(tmp_path, T_grid=[1, 600], b_grid=[8])
         manifest = run_experiment(load_spec(write_spec(tmp_path, raw)))
         assert len(manifest["failures"]) == 1
         assert "T=1" in manifest["failures"][0]["error"]
@@ -444,6 +463,11 @@ class TestDyingWorker:
         assert len(manifest["artifacts"]) == 2 * 3 + 1
 
 
+SUMMARY_CSV = ("problem_hash,family,algorithm,b,T,n_seeds,median_subopt,"
+               "q25_subopt,q75_subopt,min_subopt,max_subopt\n"
+               "0123,growth,sgd,1,16,1,0.5,0.25,0.75,0.125,1e-05\n")
+
+
 class TestPlotdata:
     def run_small(self, tmp_path, **kw):
         raw = minimal_spec(tmp_path, **kw)
@@ -498,6 +522,42 @@ class TestPlotdata:
         with pytest.raises(ValueError, match="unknown plotdata kind"):
             emit_plotdata("violin", [], tmp_path / "x.csv")
 
+    @pytest.mark.parametrize("kind,text,error", [
+        # a field short of the header, and one past it
+        ("rate_curve", SUMMARY_CSV + "0123,growth,sgd,1,16,1\n",
+         "line 3: 6 fields where the header has 11"),
+        ("rate_curve", SUMMARY_CSV.replace(",1e-05\n", ",1e-05,7\n"),
+         "line 2: 12 fields where the header has 11"),
+        ("rate_curve", SUMMARY_CSV.replace("family,", ""),
+         "line 1: the header lacks column(s) ['family']"),
+        ("speedup_curve", "problem_hash,eps,b\n0123,0.5,4\n",
+         "line 1: the header lacks column(s) ['T_to_eps']"),
+        ("rate_curve", "", "the header lacks column(s)"),
+        ("stage_decay", "t,norm_w,norm_wag,subopt,grad_noise_sq,stage\n"
+         "1,0.5\n", "line 2: 2 fields where the header has 6"),
+        ("stage_decay", "t,norm_w\n1,0.5\n",
+         "line 1: the header lacks column(s) ['norm_wag'")],
+        ids=["short_row", "long_row", "no_family", "no_T_to_eps", "empty",
+             "short_trace_row", "few_trace_columns"])
+    def test_malformed_input_named(self, tmp_path, capsys, kind, text, error):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(error)) as exc:
+            emit_plotdata(kind, [path], tmp_path / "x.csv")
+        assert str(path) in str(exc.value)
+        assert cli_main(["plotdata", kind, str(path),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and error in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_well_formed_input_still_read(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(SUMMARY_CSV)
+        assert emit_plotdata("rate_curve", [path], tmp_path / "x.csv") == (
+            "family,algorithm,b,T,median_subopt,q25_subopt,q75_subopt\n"
+            "growth,sgd,1,16,0.5,0.25,0.75\n")
+
 
 class TestCli:
     @pytest.mark.parametrize("argv", [
@@ -547,11 +607,10 @@ class TestCli:
         assert captured.out == ""
         assert "finite" in captured.err
 
-    def test_run_reports_cell_failures(self, tmp_path, capsys):
-        raw = minimal_spec(tmp_path, algorithm="restarted", b_grid=[8],
-                           T_grid=[1])
-        raw["problems"] = [GROWTH_PROBLEM]
-        path = write_spec(tmp_path, raw)
+    def test_run_reports_cell_failures(self, tmp_path, monkeypatch):
+        fail_runs_at_T1(monkeypatch)
+        path = write_spec(tmp_path, minimal_spec(tmp_path, b_grid=[8],
+                                                 T_grid=[1]))
         assert cli_main(["run", str(path)]) == 3
 
     @pytest.mark.parametrize("params,error", [
@@ -645,6 +704,49 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 2
         assert f"unreadable spec: {error}" in capsys.readouterr().err
 
+    def test_restart_budget_below_first_stage_is_config_error(
+            self, tmp_path, capsys):
+        # the first stage of this design takes 985 steps at b=8, so T=2
+        # holds no stage; found by TestSpecFuzz once it ran what it accepts
+        raw = minimal_spec(tmp_path, algorithm="restarted", b_grid=[8],
+                           T_grid=[2, 4096], problems=[SLOW_GROWTH_PROBLEM])
+        assert cli_main(["run", str(write_spec(tmp_path, raw))]) == 2
+        err = capsys.readouterr().err
+        assert "problems[0]: b=8, T=2: budget T=2 is below the first " \
+            "stage's 985 iterations" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("params", [
+        {"H": 0.0, "B": 1.0, "p": 0.5, "s": 1.0, "sign": 1},
+        {"H": 1.0, "B": 0.0, "p": 0.5, "s": 1.0, "sign": 1}])
+    def test_spike_without_smoothness_or_radius_is_config_error(
+            self, tmp_path, capsys, params):
+        problem = {"family": "gaussian_spike", "params": params, "seed": 0}
+        raw = minimal_spec(tmp_path, problems=[problem])
+        assert cli_main(["run", str(write_spec(tmp_path, raw))]) == 2
+        assert "problems[0]: ValueError: H and B must be positive" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_directory_as_input_is_config_error(self, tmp_path, capsys):
+        assert cli_main(["run", str(tmp_path)]) == 2
+        assert f"{tmp_path}: unreadable spec: IsADirectoryError" in \
+            capsys.readouterr().err
+        out = tmp_path / "x.csv"
+        assert cli_main(["plotdata", "rate_curve", str(tmp_path),
+                         "--out", str(out)]) == 2
+        assert f"{tmp_path}: IsADirectoryError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_output_is_runtime_failure(self, tmp_path, capsys):
+        # only input reads are config errors: an output path that is a
+        # directory stays a runtime failure
+        summary = tmp_path / "summary.csv"
+        summary.write_text(SUMMARY_CSV)
+        assert cli_main(["plotdata", "rate_curve", str(summary),
+                         "--out", str(tmp_path)]) == 3
+        assert "runtime failure: IsADirectoryError" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_config_error(self, tmp_path, capsys,
                                                workers):
@@ -728,8 +830,11 @@ class TestCli:
                 ("acc_mb_sgd", {"B": 2, "lstar": 0}),
                 ("sgd", {"B": 2, "eta": 0.25}),
                 ("restarted", {"lstar": 0, "theta": 1.5})):
+            # a restart budget must fit the first stage, 1729 steps here
             raw = minimal_spec(tmp_path, algorithm=algorithm,
-                               overrides=overrides, eps_targets=[1, 0.5])
+                               overrides=overrides, eps_targets=[1, 0.5],
+                               T_grid=[2048 if algorithm == "restarted"
+                                       else 16])
             assert load_spec(write_spec(tmp_path, raw)).overrides == overrides
 
     def test_plotdata_cli(self, tmp_path):
@@ -793,6 +898,16 @@ def mutated_specs(draw):
            "eps_targets": [0.1], "output_dir": "out",
            "overrides": {k: _OVERRIDE_VALUES[k] for k in keys},
            "workers": 1}
+    if algorithm == "restarted":
+        # a restart's first stage takes about 400 steps at b=4 when H/lam
+        # is 2 (T_t scales as sqrt(H/lam)/b), so T=512 holds one
+        H = draw(st.floats(0.1, 10.0))
+        r = draw(st.integers(1, 2))
+        raw.update(b_grid=[4, 8], T_grid=[512], problems=[{
+            "family": "growth", "seed": draw(st.integers(0, 2**32)),
+            "params": {"d": draw(st.integers(r + 1, 6)), "r": r,
+                       "lam": H / r, "H": H,
+                       "Delta": draw(st.floats(0.1, 10.0))}}])
     for _ in range(draw(st.integers(0, 3))):
         problem = raw["problems"][0] if (
             isinstance(raw.get("problems"), list) and raw["problems"]
@@ -819,9 +934,21 @@ def assert_finite_problem(prob):
     assert np.isfinite(prob.cross).all()
 
 
+# an accepted spec that takes at most this many steps in all is also run
+_FUZZ_RUN_STEPS = 4096
+
+
+def fuzz_example(problem, algorithm, b_grid, T_grid):
+    return {"problems": [problem], "algorithm": algorithm, "b_grid": b_grid,
+            "T_grid": T_grid, "n_seeds": 1, "base_seed": 0,
+            "eps_targets": [0.1], "output_dir": "out", "overrides": {},
+            "workers": 1}
+
+
 class TestSpecFuzz:
     """A malformed spec is a ``SpecError`` and exit 2; an accepted one
-    builds finite problems and survives ``save_spec``/``load_spec``."""
+    builds finite problems, survives ``save_spec``/``load_spec`` and, if it
+    is small, runs without a failed cell."""
 
     def check(self, path):
         try:
@@ -835,9 +962,25 @@ class TestSpecFuzz:
         save_spec(spec, path.with_name("canon.json"))
         assert spec_hash(load_spec(path.with_name("canon.json"))) == \
             spec_hash(spec)
+        steps = (len(spec.problems) * len(spec.b_grid) * sum(spec.T_grid)
+                 * spec.n_seeds)
+        if steps <= _FUZZ_RUN_STEPS:
+            out = path.with_name("out")
+            manifest = run_experiment(replace(spec, output_dir=str(out)),
+                                      workers=1)
+            assert manifest["failures"] == []
 
     @settings(max_examples=300, deadline=None)
     @given(mutated_specs())
+    # accepted by validation once, and then failing every cell at T=2 or
+    # every cell of the spike
+    @example(fuzz_example(SLOW_GROWTH_PROBLEM, "restarted", [8], [2, 1024]))
+    @example(fuzz_example({"family": "gaussian_spike", "seed": 0, "params": {
+        "H": 0.0, "B": 1.0, "p": 0.5, "s": 1.0, "sign": 1}},
+        "acc_mb_sgd", [1], [16]))
+    @example(fuzz_example({"family": "gaussian_spike", "seed": 0, "params": {
+        "H": 1.0, "B": 0.0, "p": 0.5, "s": 1.0, "sign": 1}},
+        "acc_mb_sgd", [1], [16]))
     def test_mutated_documents(self, raw):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "spec.json"

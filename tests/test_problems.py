@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from optaccel import (
     DeterministicQuadratic,
     DiscreteLeastSquares,
-    Problem,
     ProblemMeta,
     SampleStream,
     config_hash,
@@ -30,7 +29,8 @@ from optaccel import problems
 from optaccel.analysis import variance_at
 from optaccel.problems import _mix_key, _philox_uniforms
 from optaccel.trace import trace_to_csv
-from oracles import dot_exact_grad, dot_suboptimality, gradient_variance
+from oracles import (dot_exact_grad, dot_suboptimality, generator_batch,
+                     generator_next_batch, gradient_variance)
 from strategies import family_configs
 
 
@@ -149,6 +149,13 @@ class TestGaussianSpike:
             with pytest.raises(ValueError):
                 make_gaussian_spike_problem(H=1.0, B=1.0, p=p, s=1.0, sign=1,
                                             seed=0)
+
+    @pytest.mark.parametrize("H,B", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    def test_rejects_non_positive_H_or_B(self, H, B):
+        # the stepsize rule divides by H, and a radius of 0 is no ball
+        with pytest.raises(ValueError, match="H and B must be positive"):
+            make_gaussian_spike_problem(H=H, B=B, p=0.5, s=1.0, sign=1,
+                                        seed=0)
 
 
 class TestGrowthProblem:
@@ -350,7 +357,7 @@ def philox_at(seed, run_seed, t):
 
 
 def reference_sample(prob, gen, n):
-    """``DiscreteLeastSquares.sample`` drawn through ``Generator.choice``."""
+    """A finite design's batch drawn through ``Generator.choice``."""
     idx = gen.choice(len(prob.probs), size=n, p=prob.probs)
     y = prob.label_means[idx] + prob.label_stds[idx] * gen.standard_normal(n)
     return idx, prob.atoms[idx], y
@@ -434,15 +441,22 @@ def sampled_designs(draw):
     return prob, run_seed, t, b
 
 
+def stream_at(prob, run_seed, t):
+    """``prob``'s stream ``run_seed``, moved to position ``t``."""
+    stream = prob.stream(run_seed)
+    stream.position = t
+    return stream
+
+
 class TestSamplerMatchesChoice:
-    """``sample`` draws the same bits as ``Generator.choice`` would."""
+    """``next_batch`` draws the same bits as ``Generator.choice`` would."""
 
     @settings(max_examples=300, deadline=None)
     @given(sampled_designs())
     def test_bit_identical_to_choice(self, design):
         prob, run_seed, t, b = design
-        gen = philox_at(prob.base_seed, run_seed, t)
-        x, y = prob.sample(gen, b)
+        stream = stream_at(prob, run_seed, t)
+        x, y = prob.next_batch(stream, b)
         ref = philox_at(prob.base_seed, run_seed, t)
         idx_ref, x_ref, y_ref = reference_sample(prob, ref, b)
 
@@ -452,8 +466,10 @@ class TestSamplerMatchesChoice:
         assert hits.argmax(axis=1).tolist() == idx_ref.tolist()
         assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
         assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
-        assert_same_philox_state(gen.bit_generator.state,
-                                 ref.bit_generator.state)
+        if not prob._noise_free:
+            # the generator path consumed exactly the bits ``choice`` did
+            assert_same_philox_state(stream._bitgen.state,
+                                     ref.bit_generator.state)
 
     def test_knot_design_separates_tie_rules(self):
         # the property test's knot designs only bite if a draw that lands
@@ -499,7 +515,7 @@ class TestStreamAddressability:
                                  fresh.bit_generator.state)
         stream.position = t
         x, y = sample_batch(prob, b, stream)
-        x_ref, y_ref = prob.sample(philox_at(seed, run_seed, t), b)
+        x_ref, y_ref = generator_batch(prob, philox_at(seed, run_seed, t), b)
         assert x.tobytes() == x_ref.tobytes()
         assert y.tobytes() == y_ref.tobytes()
         assert stream.position == t + 1
@@ -542,17 +558,15 @@ class TestCounterPath:
     @settings(max_examples=200, deadline=None)
     @given(design=sampled_designs(), b=st.integers(1, 300),
            words=st.integers(4, 64),
-           end=st.one_of(st.none(), st.integers(0, 40)),
            history=st.lists(st.tuples(
                st.sampled_from(["batch", "generator", "seek"]),
                st.integers(0, 2**40), st.integers(1, 300)), max_size=12))
-    def test_any_history_matches_the_generator(self, design, b, words, end,
+    def test_any_history_matches_the_generator(self, design, b, words,
                                                history):
         prob, run_seed, t, _ = design
         prob = noise_free(prob)
         assert prob._noise_free
-        stream = prob.stream(run_seed)
-        stream.position, stream.end = t, None if end is None else t + end
+        stream = stream_at(prob, run_seed, t)
         # a small word budget puts block edges between the draws
         with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
             warnings.simplefilter("error")
@@ -568,8 +582,8 @@ class TestCounterPath:
                     assert got.tobytes() == want.tobytes()
                 else:
                     x, y = sample_batch(prob, n, stream)
-                    x_ref, y_ref = prob.sample(
-                        philox_at(prob.base_seed, run_seed, t), n)
+                    x_ref, y_ref = generator_batch(
+                        prob, philox_at(prob.base_seed, run_seed, t), n)
                     assert x.tobytes() == x_ref.tobytes()
                     assert y.tobytes() == y_ref.tobytes()
                     assert x.flags.c_contiguous and x.flags.writeable
@@ -584,11 +598,10 @@ class TestCounterPath:
             cfg["params"]["s"] = 0.0   # a spike without label noise
         prob = problem_from_config(cfg)
         stream, ref = prob.stream(run_seed), prob.stream(run_seed)
-        stream.end = steps
         no_generator(stream)
         for _ in range(steps):
             x, y = sample_batch(prob, b, stream)
-            x_ref, y_ref = prob.sample(ref.next_generator(), b)
+            x_ref, y_ref = generator_next_batch(prob, ref, b)
             assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
             assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
             assert stream.position == ref.position
@@ -605,7 +618,7 @@ class TestCounterPath:
         draw = stream.next_generator
         stream.next_generator = lambda: calls.append(1) or draw()
         x, y = sample_batch(signed, 64, stream)
-        x_ref, y_ref = signed.sample(signed.stream(3).next_generator(), 64)
+        x_ref, y_ref = generator_next_batch(signed, signed.stream(3), 64)
         assert calls == [1]
         assert x.tobytes() == x_ref.tobytes()
         assert y.tobytes() == y_ref.tobytes()
@@ -629,9 +642,10 @@ class TestCounterPath:
         got = [run(prob, b, T, seed=seed)[1]
                for run in (run_acc_mb_sgd, run_sgd)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(DiscreteLeastSquares, "next_batch", Problem.next_batch)
+            mp.setattr(DiscreteLeastSquares, "next_batch",
+                       generator_next_batch)
             mp.setattr(DeterministicQuadratic, "next_batch",
-                       Problem.next_batch)
+                       generator_next_batch)
             want = [run(prob, b, T, seed=seed)[1]
                     for run in (run_acc_mb_sgd, run_sgd)]
         for a, r in zip(got, want):
