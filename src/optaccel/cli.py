@@ -11,8 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import (SpecError, _write, emit_plotdata, load_spec,
-                      run_experiment)
+from .harness import (OutputError, SpecError, _write, emit_plotdata,
+                      load_spec, run_experiment)
 from .optimizers import make_schedule
 from .verify import SUITES, report_lines, run_suite
 
@@ -105,6 +105,9 @@ def main(argv=None) -> int:
                 "plotdata": _cmd_plotdata, "schedule": _cmd_schedule}
     try:
         return handlers[args.command](args)
+    except OutputError as err:
+        print(f"runtime failure: {err}", file=sys.stderr)
+        return 3
     except (SpecError, FileNotFoundError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import time
+from contextlib import suppress
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
@@ -34,6 +35,7 @@ from .trace import (canonical_json, csv_records, sha256_text, trace_from_csv,
 __all__ = [
     "ExperimentSpec",
     "SpecError",
+    "OutputError",
     "load_spec",
     "save_spec",
     "spec_hash",
@@ -55,6 +57,10 @@ _FMT = ".17g"
 
 class SpecError(ValueError):
     """An experiment spec failed validation."""
+
+
+class OutputError(OSError):
+    """An output could not be written: a runtime failure, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,8 @@ def _validate(raw: dict) -> ExperimentSpec:
             raise SpecError(f"{name}: empty grid")
         if any(not _is_int(v) or v < 1 for v in grid):
             raise SpecError(f"{name}: entries must be positive integers")
+        if len(set(grid)) < len(grid):
+            raise SpecError(f"{name}: entries must be distinct, got {grid}")
         return tuple(grid)
 
     b_grid = int_grid("b_grid")
@@ -127,6 +135,9 @@ def _validate(raw: dict) -> ExperimentSpec:
     if not isinstance(eps_targets, list) or any(
             not _is_finite(e) or e <= 0 for e in eps_targets):
         raise SpecError("eps_targets: must be finite positive numbers")
+    if len(set(eps_targets)) < len(eps_targets):
+        raise SpecError(f"eps_targets: entries must be distinct, "
+                        f"got {eps_targets}")
 
     output_dir = raw["output_dir"]
     if not isinstance(output_dir, str) or not output_dir:
@@ -145,22 +156,19 @@ def _validate(raw: dict) -> ExperimentSpec:
         if not _is_finite(value) or value < low or (op == ">" and value == low):
             raise SpecError(f"overrides.{key}: must be a finite number "
                             f"{op} {low:g}, got {value!r}")
-    # problem_from_config checks the ball bounds at B; here at overrides.B
+    # problem_from_config checks the ball bounds at B, here at overrides.B;
+    # a restart plan fits a budget of at least min(T_grid) if it fits that
+    T = min(T_grid)
     for i, problem in enumerate(built):
         if "B" in overrides and not np.isfinite(
                 _ball_bounds(problem, overrides["B"])).all():
             raise SpecError(f"problems[{i}]: parameters overflow a float "
                             f"with overrides.B")
-    # a restart plan fits a budget of at least min(T_grid) if it fits that
-    if algorithm == "restarted":
-        T = min(T_grid)
-        for i, problem in enumerate(built):
-            for b in b_grid:
-                try:
-                    _restart_plan(problem, b, T, overrides)
-                except (ValueError, ArithmeticError) as err:
-                    raise SpecError(f"problems[{i}]: b={b}, T={T}: "
-                                    f"{err}") from err
+        for b in b_grid if algorithm == "restarted" else ():
+            try:
+                _restart_plan(problem, b, T, overrides)
+            except (ValueError, ArithmeticError) as err:
+                raise SpecError(f"problems[{i}]: b={b}, T={T}: {err}") from err
 
     workers = _check_workers(raw.get("workers", 1))
 
@@ -214,14 +222,20 @@ def spec_hash(spec: ExperimentSpec) -> str:
 
 def _write(path: Path, text: str) -> str:
     """Write ``text`` to a sibling temporary name, then rename it onto
-    ``path``: an interrupted write leaves nothing under ``path``.  Returns
-    the sha256 of the ASCII text, which is the file's bytes."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    ``path``: an interrupted write leaves nothing under ``path``, and a
+    failed one is an ``OutputError`` naming ``path``.  Returns the sha256
+    of the ASCII text, which is the file's bytes."""
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as err:
+        # under a missing directory or a file, unlink fails as write did
+        with suppress(OSError):
+            tmp.unlink()
+        if isinstance(err, OSError):
+            raise OutputError(f"{type(err).__name__}: cannot write {path}: "
+                              f"{err.strerror}") from err
         raise
     return sha256_text(text)
 

@@ -14,6 +14,7 @@ the minimizer is zero.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from contextlib import contextmanager
@@ -270,23 +271,18 @@ def stage_budget(eps: float, B_sq: float, H: float, b: int,
     """Smallest horizon whose error bound is at most ``eps``.
 
     The bound is strictly decreasing in ``T`` and tends to zero, so the
-    doubling-then-bisection search always terminates.
+    doubling-then-bisection search always terminates.  A horizon past
+    ``2**63`` steps is an ``OverflowError``.
     """
     if eps <= 0 or B_sq <= 0:
         raise ValueError("eps and B_sq must be positive")
     hi = 1
     while accel_error_bound(hi, H, B_sq, b, Lstar) > eps:
         hi *= 2
-    if hi == 1:
-        return 1
-    lo = hi // 2  # bound(lo) > eps >= bound(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if accel_error_bound(mid, H, B_sq, b, Lstar) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # bound(hi // 2) > eps >= bound(hi), so the answer lies in (hi // 2, hi]
+    Ts = range(hi // 2 + 1, hi + 1)
+    return Ts[bisect.bisect_left(Ts, True, key=lambda T: accel_error_bound(
+        T, H, B_sq, b, Lstar) <= eps)]
 
 
 @dataclass(frozen=True)

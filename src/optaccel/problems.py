@@ -145,7 +145,7 @@ class SampleStream:
     what is drawn.
     """
 
-    def __init__(self, seed: int, run_seed: int = 0):
+    def __init__(self, seed: int, run_seed: int):
         self.position = 0
         self._key = _mix_key(seed, run_seed)
         self._bitgen = np.random.Philox(key=self._key)
@@ -188,12 +188,13 @@ def _stack(w):
 class Problem:
     """Base stochastic objective: sampling plus per-sample loss/gradient.
 
-    Subclasses must provide ``d``, ``meta``, ``family``, ``params``,
-    ``base_seed``, the design moments ``second_moment`` (``E[x x']``, or
-    the Hessian) and ``cross`` (the normal equations' right-hand side),
-    and the methods ``next_batch``, ``loss``, ``grad``, ``batch_grad_mean``,
-    ``exact_loss``, ``exact_grad`` and ``suboptimality``.  Instances are
-    immutable after construction and safe to share across workers.
+    ``Problem(family, d, meta, base_seed, params)`` sets the fields all
+    problems share.  Subclasses call it and provide the design moments
+    ``second_moment`` (``E[x x']``, or the Hessian) and ``cross`` (the
+    normal equations' right-hand side), and the methods ``next_batch``,
+    ``loss``, ``grad``, ``batch_grad_mean``, ``exact_loss``, ``exact_grad``
+    and ``suboptimality``.  Instances are immutable after construction and
+    safe to share across workers.
 
     ``next_batch(stream, n)`` is the one way to draw: it returns the ``n``
     i.i.d. samples of batch ``stream.position`` and advances the stream
@@ -214,11 +215,12 @@ class Problem:
     feature array for that reason.
     """
 
-    d: int
-    meta: ProblemMeta
-    family: str
-    params: dict
-    base_seed: int
+    def __init__(self, family, d, meta, base_seed, params):
+        self.family = family
+        self.d = d
+        self.meta = meta
+        self.base_seed = int(base_seed)
+        self.params = dict(params)
 
     def config(self) -> dict:
         """Declarative record (family + parameters + seed) rebuilding this problem."""
@@ -254,15 +256,11 @@ class DiscreteLeastSquares(Problem):
 
     def __init__(self, family, atoms, probs, label_means, label_stds,
                  meta, base_seed, params):
-        self.family = family
         self.atoms = np.asarray(atoms, dtype=float)
+        super().__init__(family, self.atoms.shape[1], meta, base_seed, params)
         self.probs = np.asarray(probs, dtype=float)
         self.label_means = np.asarray(label_means, dtype=float)
         self.label_stds = np.asarray(label_stds, dtype=float)
-        self.meta = meta
-        self.base_seed = int(base_seed)
-        self.params = dict(params)
-        self.d = self.atoms.shape[1]
         # the check ``Generator.choice`` made on every draw, made once
         tol = np.sqrt(np.finfo(float).eps)
         if (self.probs.shape != (len(self.atoms),)
@@ -370,19 +368,16 @@ class DeterministicQuadratic(Problem):
 
     ``l(w; z) = 0.5 (w - wstar)' A (w - wstar)`` independently of ``z``, so
     stochastic gradients coincide with the exact gradient and the minibatch
-    size affects the run only through the stepsize rule.
+    size affects the run only through the stepsize rule.  The constructor
+    takes the Hessian ``A``; the minimizer is ``meta.wstar``.
     """
 
-    def __init__(self, A, wstar, meta, base_seed, params, family="noiseless_quadratic"):
-        self.family = family
+    def __init__(self, A, meta, base_seed, params):
         self.A = np.asarray(A, dtype=float)
-        self.wstar_vec = np.asarray(wstar, dtype=float)
-        self.meta = meta
-        self.base_seed = int(base_seed)
-        self.params = dict(params)
-        self.d = self.A.shape[0]
+        super().__init__("noiseless_quadratic", self.A.shape[0], meta,
+                         base_seed, params)
         self.second_moment = self.A
-        self.cross = self.A @ self.wstar_vec
+        self.cross = self.A @ meta.wstar
 
     def next_batch(self, stream, b):
         # no information in the samples, so no bits are drawn and only the
@@ -405,13 +400,13 @@ class DeterministicQuadratic(Problem):
 
     def suboptimality(self, w):
         X, one = _stack(w)
-        v = X - self.wstar_vec
+        v = X - self.meta.wstar
         gap = rowdot(vecmat(0.5 * v, self.A), v)
         return float(gap[0]) if one else gap
 
     def exact_grad(self, w):
         X, one = _stack(w)
-        g = gemv(self.A, X - self.wstar_vec)
+        g = gemv(self.A, X - self.meta.wstar)
         return g[0] if one else g
 
 
@@ -605,7 +600,7 @@ def make_noiseless_quadratic(d: int, H: float, B: float, seed: int,
     meta = ProblemMeta(H=float(H), B=float(B), Lstar=0.0, sigma_star_sq=0.0,
                        lam=float(evals.min()), Delta=delta, wstar=wstar)
     return DeterministicQuadratic(
-        A, wstar, meta, seed, {"d": d, "H": H, "B": B, "spread": spread})
+        A, meta, seed, {"d": d, "H": H, "B": B, "spread": spread})
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,8 @@ class TraceRecorder:
         self.problem = problem
         # set when a run stops early; ``build`` records it in the header
         self.abort_reason: str | None = None
-        # each row holds five d-vectors
-        self.block_rows = max(1, _BLOCK_ELEMENTS // (5 * problem.d))
+        # ``append`` keeps four d-vectors a row
+        self.block_rows = max(1, _BLOCK_ELEMENTS // (4 * problem.d))
         self._pending: list[tuple] = []
         self._blocks: list[tuple] = [_NO_ROWS]
         self._stage = 0

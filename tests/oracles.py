@@ -60,7 +60,7 @@ def dot_suboptimality(problem, w):
     """``problem.suboptimality`` of one point, by the 1-D ``.dot`` forms."""
     w = np.asarray(w, dtype=float)
     if isinstance(problem, DeterministicQuadratic):
-        v = w - problem.wstar_vec
+        v = w - problem.meta.wstar
         return float(0.5 * v @ problem.A @ v)
     u = problem._F.dot(w - problem.meta.wstar)
     return 0.5 * float(u.dot(u))
@@ -70,7 +70,7 @@ def dot_exact_grad(problem, w):
     """``problem.exact_grad`` of one point, by the 1-D ``.dot`` forms."""
     w = np.asarray(w, dtype=float)
     if isinstance(problem, DeterministicQuadratic):
-        return problem.A @ (w - problem.wstar_vec)
+        return problem.A @ (w - problem.meta.wstar)
     return problem._F.dot(w - problem.meta.wstar).dot(problem._F)
 
 

@@ -23,6 +23,7 @@ from optaccel.harness import (ExperimentSpec, SpecError, emit_plotdata,
                               load_spec, run_experiment, save_spec, spec_hash)
 from optaccel.problems import problem_from_config
 from optaccel.trace import canonical_json, trace_from_csv
+from optaccel.verify import run_suite
 from strategies import family_configs
 
 SIGN_PROBLEM = {"family": "sign_vector",
@@ -194,6 +195,13 @@ class TestRunExperiment:
         assert len(manifest["failures"]) == 1
         assert "T=1" in manifest["failures"][0]["error"]
         assert any("T600" in n for n in manifest["artifacts"])
+
+    def test_unknown_algorithm_in_a_built_spec_fails_its_cells(self,
+                                                                tmp_path):
+        spec = replace(load_spec(write_spec(tmp_path, minimal_spec(
+            tmp_path))), algorithm="adam")
+        (failure,) = run_experiment(spec)["failures"]
+        assert failure["error"] == "ValueError: unknown algorithm 'adam'"
 
     def test_abort_at_first_step_reported_as_aborted_cell(self, tmp_path,
                                                           monkeypatch):
@@ -536,9 +544,15 @@ class TestPlotdata:
         ("stage_decay", "t,norm_w,norm_wag,subopt,grad_noise_sq,stage\n"
          "1,0.5\n", "line 2: 2 fields where the header has 6"),
         ("stage_decay", "t,norm_w\n1,0.5\n",
-         "line 1: the header lacks column(s) ['norm_wag'")],
+         "line 1: the header lacks column(s) ['norm_wag'"),
+        ("stage_decay", "t,norm_w,norm_wag,subopt,grad_noise_sq,stage\n"
+         "1,0,0,0.5,0,1\n1,0,0,0.25,0,1\n",
+         "trace records must be strictly increasing in t"),
+        ("stage_decay", "t,norm_wag,norm_w,subopt,grad_noise_sq,stage\n"
+         "1,0,0,0.5,0,1\n", "not a trace CSV: the header must be")],
         ids=["short_row", "long_row", "no_family", "no_T_to_eps", "empty",
-             "short_trace_row", "few_trace_columns"])
+             "short_trace_row", "few_trace_columns", "repeated_t",
+             "reordered_trace_columns"])
     def test_malformed_input_named(self, tmp_path, capsys, kind, text, error):
         path = tmp_path / "in.csv"
         path.write_text(text)
@@ -572,6 +586,8 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["verify", "nonsense"])
         assert exc.value.code == 2
+        with pytest.raises(KeyError, match="unknown suite 'nope'"):
+            run_suite("nope")
 
     def test_missing_spec_file_is_config_error(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.json")]) == 2
@@ -615,7 +631,8 @@ class TestCli:
 
     @pytest.mark.parametrize("params,error", [
         ({"d": 8.0}, "'d' must be an integer"),
-        ({"H": "big"}, "TypeError")])
+        ({"H": "big"}, "TypeError"),
+        ({"spread": 0.5}, "spread >= 1")])
     def test_problem_build_failure_is_config_error(self, tmp_path, capsys,
                                                    params, error):
         problem = {"family": "noiseless_quadratic",
@@ -691,10 +708,11 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("data,error", [
-        (b"[" * 100_000 + b"]" * 100_000, "RecursionError"),
-        (b'{"problems": ' + b"9" * 5000 + b"}", "ValueError"),
-        (b'{"output_dir": "\xff"}', "UnicodeDecodeError")],
-        ids=["deep_nesting", "long_integer", "not_utf8"])
+        (b"[" * 100_000 + b"]" * 100_000, "unreadable spec: RecursionError"),
+        (b'{"problems": ' + b"9" * 5000 + b"}", "unreadable spec: ValueError"),
+        (b'{"output_dir": "\xff"}', "unreadable spec: UnicodeDecodeError"),
+        (b'[{"problems": []}]', "spec must be a JSON object")],
+        ids=["deep_nesting", "long_integer", "not_utf8", "array"])
     def test_unreadable_spec_is_config_error(self, tmp_path, capsys, data,
                                              error):
         path = tmp_path / "spec.json"
@@ -702,7 +720,7 @@ class TestCli:
         with pytest.raises(SpecError, match=error):
             load_spec(path)
         assert cli_main(["run", str(path)]) == 2
-        assert f"unreadable spec: {error}" in capsys.readouterr().err
+        assert f"{path}: {error}" in capsys.readouterr().err
 
     def test_restart_budget_below_first_stage_is_config_error(
             self, tmp_path, capsys):
@@ -747,6 +765,40 @@ class TestCli:
                          "--out", str(tmp_path)]) == 3
         assert "runtime failure: IsADirectoryError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["plotdata", "verify"])
+    @pytest.mark.parametrize("parent,error", [
+        ("missing", "FileNotFoundError"),
+        ("summary.csv", "NotADirectoryError")])
+    def test_output_under_missing_directory_or_file_is_runtime_failure(
+            self, tmp_path, capsys, command, parent, error):
+        # a failure to write an output names the path asked for, not the
+        # temporary name it is written under first
+        out = tmp_path / parent / "o.csv"
+        summary = tmp_path / "summary.csv"
+        summary.write_text(SUMMARY_CSV)
+        argv = (["plotdata", "rate_curve", str(summary), "--out", str(out)]
+                if command == "plotdata"
+                else ["verify", "lemma3", "--report", str(out)])
+        assert cli_main(argv) == 3
+        assert f"runtime failure: {error}: cannot write {out}: " in \
+            capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("b_grid", [2, 2]), ("T_grid", [16, 8, 16]),
+        ("eps_targets", [0.5, 0.5]), ("eps_targets", [1, 1.0])])
+    def test_repeated_grid_entry_is_config_error(self, tmp_path, capsys, key,
+                                                 value):
+        # a repeated entry would run its cells twice, list them once in the
+        # manifest's timing and count their seeds twice in the tables
+        raw = minimal_spec(tmp_path, **{
+            "problems": [GROWTH_PROBLEM], "b_grid": [2], "T_grid": [16],
+            "n_seeds": 2, "eps_targets": [0.5], key: value})
+        assert cli_main(["run", str(write_spec(tmp_path, raw))]) == 2
+        assert f"{key}: entries must be distinct, got {value}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_config_error(self, tmp_path, capsys,
                                                workers):
@@ -766,7 +818,10 @@ class TestCli:
          "sigma_signs entries must be the integers"),
         ({"family": "sign_vector",
           "params": {"n": 1, "H": 1.0, "B": 1.0, "sigma_signs": [1.0, -1.0]}},
-         "sigma_signs entries must be the integers")])
+         "sigma_signs entries must be the integers"),
+        ({"family": "gaussian_spike",
+          "params": {"H": 1.0, "B": 1.0, "p": 0.5, "s": 1.0, "sign": 0}},
+         "sign must be +1 or -1")])
     def test_bad_seed_or_signs_is_config_error(self, tmp_path, capsys,
                                                problem, error):
         path = write_spec(tmp_path, minimal_spec(tmp_path,
@@ -789,7 +844,8 @@ class TestCli:
         # the same problem twice once the default seed is filled in
         ("problems", [dict(GROWTH_PROBLEM, seed=0),
                       {"family": "growth", "params": GROWTH_PROBLEM["params"]}
-                      ])])
+                      ]),
+        ("output_dir", "")])
     def test_bad_override_or_target_is_config_error(self, tmp_path, capsys,
                                                      key, value):
         # each override value is checked under an algorithm that reads the

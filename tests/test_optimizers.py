@@ -46,9 +46,8 @@ def one_dim_quadratic(target=1.0):
     meta = ProblemMeta(H=1.0, B=abs(target), Lstar=0.0, sigma_star_sq=0.0,
                        lam=1.0, Delta=0.5 * target**2,
                        wstar=np.array([target]))
-    return DeterministicQuadratic(np.array([[1.0]]), np.array([target]), meta,
-                                  base_seed=0, params={"target": target},
-                                  family="noiseless_quadratic")
+    return DeterministicQuadratic(np.array([[1.0]]), meta, base_seed=0,
+                                  params={"target": target})
 
 
 class TestSchedule:
@@ -168,6 +167,15 @@ class TestAccStep:
         np.testing.assert_array_equal(w, w_ag)
         assert recorder.build().t.tolist() == [1]
 
+    @pytest.mark.parametrize("t", [4, 5])
+    def test_step_beyond_horizon_rejected(self, t):
+        prob = one_dim_quadratic()
+        sched = make_schedule(H=1.0, b=1, T=4, B=1.0, lstar=0.0)
+        with pytest.raises(ValueError, match=f"step t={t} beyond schedule "
+                           "horizon T=4"):
+            acc_step(np.zeros(1), np.zeros(1), t, sched, prob,
+                     prob.stream(0), TraceRecorder(prob, "", 1, 4, 0))
+
     def test_single_iteration_hand_trace(self):
         # gamma = 1/48, g = -1, w_1 = 1/48, w_ag_1 = 1/48
         prob = one_dim_quadratic()
@@ -231,8 +239,7 @@ class TestAccRun:
 
     def test_nonfinite_gradient_flags_trace(self):
         prob = one_dim_quadratic()
-        bad = DeterministicQuadratic(np.array([[np.nan]]), np.array([1.0]),
-                                     prob.meta, 0, {}, family="noiseless_quadratic")
+        bad = DeterministicQuadratic(np.array([[np.nan]]), prob.meta, 0, {})
         _, trace = run_acc_mb_sgd(bad, b=1, T=5, seed=0)
         assert trace.aborted
         assert "abort_reason" in trace.header
@@ -342,6 +349,28 @@ class TestStageBudget:
         assert got == T_oracle
         assert accel_error_bound(got, 1.0, 1.0, 10**6, 0.0) <= 1.08
         assert accel_error_bound(got - 1, 1.0, 1.0, 10**6, 0.0) > 1.08
+
+    @settings(max_examples=300, deadline=None)
+    @given(eps=st.floats(1e-4, 1e3), B_sq=st.floats(1e-3, 1e3),
+           H=st.floats(1e-3, 1e3), b=st.integers(1, 512),
+           Lstar=st.just(0.0) | st.floats(1e-9, 1.0))
+    def test_least_horizon_that_meets_eps(self, eps, B_sq, H, b, Lstar):
+        # the bound decreases in T, so the least T is the one whose
+        # predecessor misses eps
+        T = stage_budget(eps, B_sq, H, b, Lstar)
+        assert accel_error_bound(T, H, B_sq, b, Lstar) <= eps
+        assert T == 1 or accel_error_bound(T - 1, H, B_sq, b, Lstar) > eps
+
+    @pytest.mark.parametrize("eps,B_sq", [(0.0, 1.0), (-1.0, 1.0),
+                                          (0.1, 0.0)])
+    def test_non_positive_target_or_radius_rejected(self, eps, B_sq):
+        with pytest.raises(ValueError, match="eps and B_sq must be positive"):
+            stage_budget(eps, B_sq, H=1.0, b=1, Lstar=0.0)
+
+    def test_horizon_past_2_to_the_63_overflows(self):
+        # the search indexes a range of horizons; this one needs about 1.5e21
+        with pytest.raises(OverflowError):
+            stage_budget(1e-6, 1e3, H=1e3, b=1, Lstar=1.0)
 
     def test_non_increasing_in_eps(self):
         budgets = [stage_budget(eps, 1.0, 1.0, 4, 0.01)
@@ -633,7 +662,7 @@ def rows_per_block(cfg, rows):
     for ``cfg``'s problem; its own blocks are far longer than these runs."""
     problem = problem_from_config(cfg)
     saved = optaccel.trace._BLOCK_ELEMENTS
-    optaccel.trace._BLOCK_ELEMENTS = 5 * problem.d * rows
+    optaccel.trace._BLOCK_ELEMENTS = 4 * problem.d * rows
     try:
         assert TraceRecorder(problem, "", 1, 1, 0).block_rows == rows
         yield

@@ -1,10 +1,13 @@
 """Trace CSV rendering and parsing."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optaccel.trace import RunTrace, trace_from_csv, trace_to_csv
+from optaccel import make_growth_problem
+from optaccel.trace import (RunTrace, TraceRecorder, trace_from_csv,
+                            trace_to_csv)
 
 SPECIAL = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324,
            -2.2250738585072009e-308, 1.7976931348623157e308,
@@ -61,3 +64,13 @@ class TestTraceCsv:
                          stage=np.zeros(0, dtype=int))
         assert trace_to_csv(empty) == reference_csv(empty)
         assert len(trace_from_csv(trace_to_csv(empty)).t) == 0
+
+
+class TestTraceRecorder:
+    @pytest.mark.parametrize("d,rows", [(32, 32), (64, 16), (512, 2),
+                                        (513, 1), (2048, 1)])
+    def test_block_holds_4096_elements_of_four_vectors_a_row(self, d, rows):
+        # a pending row keeps w, w_avg, the query point and the gradient
+        problem = make_growth_problem(d=d, r=1, lam=0.5, H=1.0, Delta=1.0,
+                                      seed=0)
+        assert TraceRecorder(problem, "", 1, 1, 0).block_rows == rows
