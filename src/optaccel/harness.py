@@ -277,6 +277,8 @@ def _restart_plan(problem, b, T, overrides):
 
 
 def _cells_of(spec: ExperimentSpec):
+    # problem by problem: ``problem_from_config`` keeps its last build, so
+    # a sweep builds each problem once
     for prob_cfg in spec.problems:
         phash = config_hash(prob_cfg)
         for b in spec.b_grid:

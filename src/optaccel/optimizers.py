@@ -122,9 +122,7 @@ def acc_step(w: np.ndarray, w_ag: np.ndarray, t: int,
 
     The iterates live in coordinates relative to ``center`` (the origin for
     plain runs); gradients are evaluated at the corresponding absolute
-    point.  The step's vectors are appended to ``recorder``; every one of
-    them is a fresh array that no later step writes into, as
-    ``TraceRecorder.append`` requires.
+    point.  The step's vectors are appended to ``recorder``.
     """
     if t >= schedule.T:
         raise ValueError(f"step t={t} beyond schedule horizon T={schedule.T}")
@@ -246,8 +244,7 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
             lo = (t + 1) // 2  # average w_{lo+1} .. w_{t+1}
             if t % 2:  # lo moved up by one
                 prefix.popleft()
-            w_avg = (total - prefix[0]) / (t + 1 - lo)
-            # w, w_next and w_avg are fresh each step and never written
+            w_avg = (total - prefix[0]) / float(t + 1 - lo)
             recorder.append(w_next, w_avg, w, g)
             w = w_next
     return w_avg, recorder.build()

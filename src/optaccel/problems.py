@@ -11,6 +11,7 @@ noiseless case where every sample reveals the exact objective.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import sys
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rowwise import gemv, rowdot, vecmat
-from .trace import config_hash
+from .trace import canonical_json, config_hash
 
 __all__ = [
     "ProblemMeta",
@@ -89,6 +90,10 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # spread a block's 200 or so NumPy calls thin, few enough that each of its
 # arrays stays at 32 KiB
 _BLOCK_WORDS = 4096
+# noise-free designs draw batches of at least this many samples from the
+# position's generator instead: NumPy's C Philox then costs less than the
+# counter path's array rounds, and both give the same bits
+_GENERATOR_MIN_B = 64
 
 
 def _philox_uniforms(key, t0: int, count: int, b: int) -> np.ndarray:
@@ -293,16 +298,17 @@ class DiscreteLeastSquares(Problem):
     # -- sampling ---------------------------------------------------------
 
     def next_batch(self, stream, b):
-        if self._noise_free:
+        if self._noise_free and b < _GENERATOR_MIN_B:
             idx = stream.next_indices(self._cdf, b)
             y = self.label_means[idx]
         else:
             gen = stream.next_generator()
             idx = self._cdf.searchsorted(gen.random(b), side="right")
-            # draw the noise unconditionally so the stream layout does not
-            # depend on which atoms were selected
-            y = self.label_means[idx] + self.label_stds[idx] \
-                * gen.standard_normal(b)
+            y = self.label_means[idx]
+            if not self._noise_free:
+                # draw the noise unconditionally so the stream layout does
+                # not depend on which atoms were selected
+                y = y + self.label_stds[idx] * gen.standard_normal(b)
         # ``take`` gathers the rows ``atoms[idx]`` does, in half the time
         # at small b and d
         return self.atoms.take(idx, axis=0), y
@@ -329,9 +335,11 @@ class DiscreteLeastSquares(Problem):
         fixed deterministic order.
         """
         x, y = batch
-        r = x @ w - y
+        # ``dot`` dispatches faster than ``@`` and gives the same bits, but
+        # for the 1 x 1 product it keeps a -0.0 that matmul's gemv makes 0.0
+        r = (x.dot(w) if self.d > 1 else x @ w) - y
         np.multiply(x, r[:, None], out=x)
-        return np.add.reduce(x, axis=0) / len(r)
+        return np.add.reduce(x, axis=0) / float(len(r))
 
     # -- closed forms -------------------------------------------------------
 
@@ -651,8 +659,30 @@ def _is_finite(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+# the last successful build and its config's canonical JSON: a sweep asks
+# for its problem once per cell, and its cells come problem by problem
+_last_build: tuple[str, Problem] | None = None
+
+
 def problem_from_config(config: dict) -> Problem:
-    """Rebuild a problem from its declarative (family, params, seed) record."""
+    """Rebuild a problem from its declarative (family, params, seed) record.
+
+    The last successful build is kept, keyed by the config's canonical
+    JSON, and every call returns a fresh ``copy.copy`` of it (see
+    ``Problem`` for what the copies share).  A config that fails its
+    checks raises on every call and is never kept.
+    """
+    global _last_build
+    try:
+        key = canonical_json(config)
+    except TypeError:  # no JSON form, e.g. a range of signs: never kept
+        return _build(config)
+    if _last_build is None or _last_build[0] != key:
+        _last_build = (key, _build(config))
+    return copy.copy(_last_build[1])
+
+
+def _build(config: dict) -> Problem:
     unknown = set(config) - {"family", "params", "seed"}
     if unknown:
         raise ValueError(f"unknown problem config keys: {sorted(unknown)}")

@@ -62,10 +62,13 @@ class RunTrace:
         return out
 
 
-# the pending rows are evaluated once their vectors hold about this many
-# elements (32 KiB): at small d enough rows to spread a block's fixed NumPy
-# calls thin, at large d little memory kept alive by reference
-_BLOCK_ELEMENTS = 4096
+# a block of pending rows is evaluated once its four vectors a row hold
+# this many elements (a 256 KiB buffer).  Measured per row on a 2-vCPU
+# VM, ``append`` with its share of a flush falls steeply up to about this
+# size (d=64: 34 us at one row, 3.5 us at 128; d=2048: 62 us at one row,
+# 40 us at 4), by at most another 20% up to 16 times it, and rises again
+# from 32 times
+_BLOCK_ELEMENTS = 32768
 # the columns of no rows, so that ``build`` always has a block to join
 _NO_ROWS = (*[np.zeros(0)] * 4, np.zeros(0, dtype=int))
 
@@ -75,14 +78,17 @@ class TraceRecorder:
     and the algorithm's own ``fields``), rows numbered from 1 and labelled
     with the current stage, and the outcome.
 
-    ``append`` keeps a step's vectors by reference.  Whenever the pending
-    rows hold about ``_BLOCK_ELEMENTS`` vector elements, at ``start_stage``
-    and in ``build``, the block's columns are evaluated together through
-    ``problem.suboptimality`` and ``problem.exact_grad`` on stacked points
-    and the ``rowwise`` kernels; row ``i`` of each is bit-identical to
-    evaluating step ``i`` alone, so the trace does not depend on where
-    blocks end.  A caller must never write into an array after passing it
-    to ``append``.
+    ``append`` copies a step's vectors into the block's buffer.  Whenever
+    the pending rows fill a block of ``block_rows`` rows (see
+    ``_BLOCK_ELEMENTS``), at ``start_stage`` and in ``build``, the block's
+    columns are evaluated together through ``problem.suboptimality`` and
+    ``problem.exact_grad`` on stacked points and the ``rowwise`` kernels;
+    row ``i`` of each is bit-identical to evaluating step ``i`` alone, so
+    the trace does not depend on where blocks end.  Copying lets each
+    step's arrays be freed within the step: at d=2048 and b=256, blocks of
+    vectors kept by reference between the 4 MB batch arrays fragmented
+    the heap, and about 1 MB of pages was returned and faulted back in at
+    every step.
     """
 
     def __init__(self, problem, algorithm: str, b: int, T: int, seed: int,
@@ -94,9 +100,10 @@ class TraceRecorder:
         self.problem = problem
         # set when a run stops early; ``build`` records it in the header
         self.abort_reason: str | None = None
-        # ``append`` keeps four d-vectors a row
         self.block_rows = max(1, _BLOCK_ELEMENTS // (4 * problem.d))
-        self._pending: list[tuple] = []
+        # the pending rows' w, w_avg, query and g, copied in by ``append``
+        self._rows = np.empty((4, self.block_rows, problem.d))
+        self._n = 0
         self._blocks: list[tuple] = [_NO_ROWS]
         self._stage = 0
         self._center = None
@@ -104,7 +111,7 @@ class TraceRecorder:
     def start_stage(self, stage: int, center: np.ndarray) -> None:
         """Label the rows that follow with restart stage ``stage``, whose
         vectors are relative to ``center``."""
-        if self._pending:
+        if self._n:
             self._flush()
         self._stage, self._center = stage, center
 
@@ -113,13 +120,18 @@ class TraceRecorder:
         suboptimality at the absolute point of ``w_avg``, and the squared
         deviation of the minibatch gradient ``g`` from the exact gradient
         at ``query``, where ``g`` was taken."""
-        self._pending.append((w, w_avg, query, g))
-        if len(self._pending) == self.block_rows:
+        rows, i = self._rows, self._n
+        rows[0, i] = w
+        rows[1, i] = w_avg
+        rows[2, i] = query
+        rows[3, i] = g
+        self._n = i + 1
+        if self._n == self.block_rows:
             self._flush()
 
     def _flush(self):
-        W, W_avg, Q, G = map(np.array, zip(*self._pending))
-        self._pending = []
+        W, W_avg, Q, G = self._rows[:, :self._n]
+        self._n = 0
         # elementwise, so each row equals the step's own ``center + w_avg``
         P = W_avg if self._center is None else self._center + W_avg
         deviation = G - self.problem.exact_grad(Q)
@@ -130,7 +142,7 @@ class TraceRecorder:
 
     def build(self) -> RunTrace:
         """The trace, its header completed with the run's outcome."""
-        if self._pending:
+        if self._n:
             self._flush()
         cols = [np.concatenate(col) for col in zip(*self._blocks)]
         aborted = self.abort_reason is not None

@@ -28,7 +28,7 @@ from optaccel import (
 from optaccel import problems
 from optaccel.analysis import variance_at
 from optaccel.problems import _mix_key, _philox_uniforms
-from optaccel.trace import trace_to_csv
+from optaccel.trace import canonical_json, trace_to_csv
 from oracles import (dot_exact_grad, dot_suboptimality, generator_batch,
                      generator_next_batch, gradient_variance)
 from strategies import family_configs
@@ -590,21 +590,43 @@ class TestCounterPath:
                     assert x.base is None and x.dtype == np.float64
                     assert stream.position == t + 1
 
-    @settings(max_examples=200, deadline=None)
-    @given(cfg=family_configs(), b=st.integers(1, 300),
-           run_seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 5))
-    def test_each_family_matches_the_generator(self, cfg, b, run_seed, steps):
+    @staticmethod
+    def draws_match_the_generator(cfg, b, run_seed, steps):
+        """``steps`` draws of ``b`` samples have the generator path's bytes;
+        returns the problem and the number of generator calls made."""
         if cfg["family"] == "gaussian_spike":
             cfg["params"]["s"] = 0.0   # a spike without label noise
         prob = problem_from_config(cfg)
         stream, ref = prob.stream(run_seed), prob.stream(run_seed)
-        no_generator(stream)
+        calls, draw = [], stream.next_generator
+        stream.next_generator = lambda: calls.append(1) or draw()
         for _ in range(steps):
             x, y = sample_batch(prob, b, stream)
             x_ref, y_ref = generator_next_batch(prob, ref, b)
             assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
             assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
             assert stream.position == ref.position
+        return prob, len(calls)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=family_configs(),
+           b=st.integers(1, problems._GENERATOR_MIN_B - 1),
+           run_seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 5))
+    def test_each_family_below_the_threshold_draws_by_counter(
+            self, cfg, b, run_seed, steps):
+        _, calls = self.draws_match_the_generator(cfg, b, run_seed, steps)
+        assert calls == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=family_configs(),
+           b=st.integers(problems._GENERATOR_MIN_B, 300),
+           run_seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 5))
+    def test_each_family_from_the_threshold_draws_by_generator(
+            self, cfg, b, run_seed, steps):
+        prob, calls = self.draws_match_the_generator(cfg, b, run_seed, steps)
+        # the quadratic draws no bits at all
+        assert calls == (0 if isinstance(prob, DeterministicQuadratic)
+                         else steps)
 
     def test_negative_zero_mean_takes_the_generator_path(self):
         # -0.0 + 0 * z takes the sign of z: only the generator path gives
@@ -617,8 +639,9 @@ class TestCounterPath:
         stream, calls = signed.stream(3), []
         draw = stream.next_generator
         stream.next_generator = lambda: calls.append(1) or draw()
-        x, y = sample_batch(signed, 64, stream)
-        x_ref, y_ref = generator_next_batch(signed, signed.stream(3), 64)
+        # below the threshold, so the noise alone picks the path
+        x, y = sample_batch(signed, 32, stream)
+        x_ref, y_ref = generator_next_batch(signed, signed.stream(3), 32)
         assert calls == [1]
         assert x.tobytes() == x_ref.tobytes()
         assert y.tobytes() == y_ref.tobytes()
@@ -635,7 +658,7 @@ class TestCounterPath:
             sample_batch(prob, 4, stream)
 
     @settings(max_examples=50, deadline=None)
-    @given(cfg=family_configs(), b=st.integers(1, 40),
+    @given(cfg=family_configs(), b=st.integers(1, 100),
            T=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
     def test_runs_match_the_generator_path(self, cfg, b, T, seed):
         prob = problem_from_config(cfg)
@@ -720,6 +743,14 @@ class TestMinibatchGradient:
             tracemalloc.stop()
         assert peak < b * prob.d * 8 / 4
 
+    def test_one_sample_at_d1_gives_the_sign_of_matmul_zero(self):
+        # the zero atom at w < 0: ``dot`` makes the residual -0.0, ``@`` 0.0
+        prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=0.0,
+                                           sign=1, seed=0)
+        x, y = np.zeros((1, 1)), np.zeros(1)
+        g = minibatch_gradient(prob, np.array([-0.5]), (x, y))
+        assert x.tobytes() == g.tobytes() == np.zeros(1).tobytes()
+
     def test_two_sample_hand_value(self):
         # samples {(0,0), (1,0)} at w=1: (0 + 1*(1-0)) / 2 = 0.5
         prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
@@ -761,6 +792,94 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="unknown problem config keys"):
             problem_from_config({"family": "sign_vector", "params": {},
                                  "seed": 0, "extra": 1})
+
+
+SPIKE = {"family": "gaussian_spike",
+         "params": {"H": 1.0, "B": 1.0, "p": 0.5, "s": 0.0, "sign": 1},
+         "seed": 2}
+
+
+class TestBuildMemo:
+    """``problem_from_config`` keeps its last build and hands out copies."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The configs built from here on, with no build kept."""
+        built, build = [], problems._build
+        monkeypatch.setattr(problems, "_last_build", None)
+        monkeypatch.setattr(problems, "_build",
+                            lambda cfg: built.append(cfg) or build(cfg))
+        return built
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=family_configs(), b=st.integers(1, 100),
+           run_seed=st.integers(0, 2**32 - 1))
+    def test_copies_equal_a_fresh_build(self, cfg, b, run_seed):
+        first, second = problem_from_config(cfg), problem_from_config(cfg)
+        fresh = problems._build(cfg)
+        assert first is not second
+        for prob in (first, second):
+            assert type(prob) is type(fresh)
+            assert prob.config() == fresh.config()
+            assert config_hash(prob.config()) == config_hash(fresh.config())
+            x, y = sample_batch(prob, b, prob.stream(run_seed))
+            x_ref, y_ref = sample_batch(fresh, b, fresh.stream(run_seed))
+            assert x.tobytes() == x_ref.tobytes()
+            assert y.tobytes() == y_ref.tobytes()
+
+    def test_one_build_per_run_of_equal_configs(self, builds):
+        other = dict(SPIKE, seed=3)
+        for cfg in (SPIKE, SPIKE, other, other, SPIKE):
+            problem_from_config(cfg)
+        assert builds == [SPIKE, other, SPIKE]
+
+    def test_attribute_set_on_a_copy_stays_on_it(self):
+        first = problem_from_config(SPIKE)
+        first.batch_grad_mean = None
+        assert first.second_moment.shape == (1, 1)   # cached on the copy
+        second = problem_from_config(SPIKE)
+        assert {"batch_grad_mean", "second_moment"} & set(vars(second)) == set()
+        assert callable(second.batch_grad_mean)
+
+    def test_a_config_without_json_form_is_built_every_time(self, builds):
+        cfg = {"family": "sign_vector", "seed": 0,
+               "params": {"n": 1, "H": 1.0, "B": 1.0,
+                          "sigma_signs": range(-1, 2, 2)}}
+        first, second = problem_from_config(cfg), problem_from_config(cfg)
+        assert first.config() == second.config()
+        assert first.params["sigma_signs"] == [-1, 1]
+        assert builds == [cfg, cfg] and problems._last_build is None
+
+    @pytest.mark.parametrize("params,error", [
+        ({"H": -1.0}, ValueError), ({"H": "big"}, TypeError),
+        ({"p": float("nan")}, ValueError), ({"sign": True}, ValueError)])
+    def test_a_failing_config_is_never_kept(self, builds, params, error):
+        bad = dict(SPIKE, params=dict(SPIKE["params"], **params))
+        problem_from_config(SPIKE)
+        kept = problems._last_build
+        for _ in range(3):
+            with pytest.raises(error):
+                problem_from_config(bad)
+            assert problems._last_build is kept
+        problem_from_config(SPIKE)
+        assert builds == [SPIKE, bad, bad, bad]
+
+    @pytest.mark.parametrize("name,a,b", [
+        ("H", 1, 1.0), ("B", 2.0, 2), ("sign", 1, True), ("seed", 1, True)])
+    def test_json_distinct_configs_build_separately(self, builds, name, a, b):
+        def config(value):
+            if name == "seed":
+                return dict(SPIKE, seed=value)
+            return dict(SPIKE, params=dict(SPIKE["params"], **{name: value}))
+        prob = problem_from_config(config(a))
+        assert canonical_json(prob.config()) == canonical_json(config(a))
+        if isinstance(b, bool):   # JSON true is no integer
+            with pytest.raises(ValueError):
+                problem_from_config(config(b))
+        else:
+            assert canonical_json(problem_from_config(config(b)).config()) \
+                == canonical_json(config(b)) != canonical_json(config(a))
+        assert builds == [config(a), config(b)]
 
 
 def test_sampling_bit_reproducibility():

@@ -5,20 +5,31 @@ build whose stacked ``matmul`` stops making the per-row call fails here by
 kernel and shape, before it shows as a changed trace hash.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from optaccel.rowwise import gemv, rowdot, vecmat
+from optaccel.trace import TraceRecorder
 
 N_ATOMS = (1, 16, 63)
 ROWS = (1, 2, 5, 64, 257)
 
 
-@pytest.mark.parametrize("d", [1, 7, 32, 64, 513, 2048])
-def test_stacked_kernels_match_per_row_dot(d):
+def largest_block(d):
+    """The most rows a ``TraceRecorder`` evaluates in one block at ``d``."""
+    problem = SimpleNamespace(d=d, config=dict)
+    return TraceRecorder(problem, "", 1, 1, 0).block_rows
+
+
+@pytest.mark.parametrize("d,block", [(1, 8192), (7, 1170), (32, 256),
+                                     (64, 128), (513, 15), (2048, 4)])
+def test_stacked_kernels_match_per_row_dot(d, block):
+    assert largest_block(d) == block
     gen = np.random.default_rng(d)
     mismatches = []
-    for k in ROWS:
+    for k in sorted({*ROWS, block}):
         X = gen.standard_normal((k, d))
         Y = gen.standard_normal((k, d))
         if (rowdot(X, Y).tobytes()

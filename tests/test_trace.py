@@ -67,10 +67,28 @@ class TestTraceCsv:
 
 
 class TestTraceRecorder:
-    @pytest.mark.parametrize("d,rows", [(32, 32), (64, 16), (512, 2),
-                                        (513, 1), (2048, 1)])
-    def test_block_holds_4096_elements_of_four_vectors_a_row(self, d, rows):
-        # a pending row keeps w, w_avg, the query point and the gradient
+    @pytest.mark.parametrize("d,rows", [
+        (2, 4096), (9, 910), (32, 256), (64, 128), (512, 16), (513, 15),
+        (2048, 4), (8192, 1), (8193, 1)])
+    def test_block_holds_32768_elements_of_four_vectors_a_row(self, d, rows):
+        # a pending row holds w, w_avg, the query point and the gradient
         problem = make_growth_problem(d=d, r=1, lam=0.5, H=1.0, Delta=1.0,
                                       seed=0)
         assert TraceRecorder(problem, "", 1, 1, 0).block_rows == rows
+
+    @pytest.mark.parametrize("d,steps", [(2, 5), (64, 300), (2048, 9)])
+    def test_append_copies_the_vectors(self, d, steps):
+        # a caller may reuse its arrays once ``append`` returns
+        problem = make_growth_problem(d=d, r=1, lam=0.5, H=1.0, Delta=1.0,
+                                      seed=0)
+        gen = np.random.default_rng(d)
+        rows = gen.standard_normal((steps, 4, d))
+        kept, reused = (TraceRecorder(problem, "", 1, steps, 0)
+                        for _ in range(2))
+        scratch = np.empty((4, d))
+        for row in rows:
+            kept.append(*row.copy())
+            scratch[:] = row
+            reused.append(*scratch)
+            scratch[:] = np.nan
+        assert trace_to_csv(reused.build()) == trace_to_csv(kept.build())
