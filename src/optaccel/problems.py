@@ -198,8 +198,10 @@ class Problem:
     ``second_moment`` (``E[x x']``, or the Hessian) and ``cross`` (the
     normal equations' right-hand side), and the methods ``next_batch``,
     ``loss``, ``grad``, ``batch_grad_mean``, ``exact_loss``, ``exact_grad``
-    and ``suboptimality``.  Instances are immutable after construction and
-    safe to share across workers.
+    and ``suboptimality``.  ``problem_from_config`` returns shallow copies
+    of one build: the copies share its arrays, ``meta`` and ``params``,
+    none of which may be written, and an attribute set on a copy stays on
+    that copy.
 
     ``next_batch(stream, n)`` is the one way to draw: it returns the ``n``
     i.i.d. samples of batch ``stream.position`` and advances the stream
@@ -335,9 +337,7 @@ class DiscreteLeastSquares(Problem):
         fixed deterministic order.
         """
         x, y = batch
-        # ``dot`` dispatches faster than ``@`` and gives the same bits, but
-        # for the 1 x 1 product it keeps a -0.0 that matmul's gemv makes 0.0
-        r = (x.dot(w) if self.d > 1 else x @ w) - y
+        r = x @ w - y
         np.multiply(x, r[:, None], out=x)
         return np.add.reduce(x, axis=0) / float(len(r))
 

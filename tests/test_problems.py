@@ -744,7 +744,7 @@ class TestMinibatchGradient:
         assert peak < b * prob.d * 8 / 4
 
     def test_one_sample_at_d1_gives_the_sign_of_matmul_zero(self):
-        # the zero atom at w < 0: ``dot`` makes the residual -0.0, ``@`` 0.0
+        # the zero atom at w < 0: matmul makes the residual 0.0 (``dot`` -0.0)
         prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=0.0,
                                            sign=1, seed=0)
         x, y = np.zeros((1, 1)), np.zeros(1)
