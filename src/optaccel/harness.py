@@ -18,8 +18,6 @@ import math
 import os
 import time
 from contextlib import suppress
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -303,8 +301,10 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
     ``workers`` defaults to the spec's, and below 1 is a ``SpecError``) and
     per-cell failures are recorded in the manifest without aborting the
     others; cells lost with a dying worker are rerun alone, so only a cell
-    that kills its own worker fails.  Returns the manifest, which lists
-    every artifact with the sha256 of the bytes written.
+    that kills its own worker fails.  The process pool (and with it
+    ``multiprocessing``) is imported on first parallel use: serial runs are
+    the default and never need it.  Returns the manifest, which lists every
+    artifact with the sha256 of the bytes written.
     """
     workers = _check_workers(spec.workers if workers is None else workers)
     out = Path(spec.output_dir)
@@ -312,6 +312,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
 
     cells = list(_cells_of(spec))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [_submit(pool, c) for c in cells]
         outcomes = [_pool_outcome(f, c) for f, c in zip(futures, cells)]
@@ -367,6 +368,7 @@ def _run_cell_safe(cell: dict) -> dict:
 
 
 def _submit(pool, cell):
+    from concurrent.futures.process import BrokenProcessPool
     try:
         return pool.submit(_run_cell_safe, cell)
     except BrokenProcessPool:  # a worker died before this submit
@@ -377,6 +379,8 @@ def _pool_outcome(future, cell=None) -> dict:
     """A worker's outcome.  A dying worker fails every cell its pool holds
     or has yet to take (``future`` None): each is rerun alone in a fresh
     one-worker pool, and one that kills that worker too is a failed cell."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     try:
         if future is not None:
             return future.result()

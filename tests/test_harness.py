@@ -6,6 +6,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import asdict, replace
@@ -465,10 +467,52 @@ class TestDyingWorker:
                 return future
 
         monkeypatch.setattr(harness, "_run_cell", dying)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SlowSubmit)
+        # the harness imports the pool from ``concurrent.futures`` when it
+        # runs in parallel
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            SlowSubmit)
         manifest = run_experiment(spec)
         assert [f["stem"] for f in manifest["failures"]] == [stems[0]]
         assert len(manifest["artifacts"]) == 2 * 3 + 1
+
+
+# `optaccel run` in a fresh interpreter; the last line of its output lists
+# which of the process pool's modules it loaded
+FRESH_RUN = """
+import sys
+from optaccel.cli import main
+code = main(["run"] + sys.argv[1:])
+print(code, [m for m in ("concurrent.futures.process", "multiprocessing")
+             if m in sys.modules])
+"""
+
+
+class TestFreshInterpreter:
+    # pytest's own process has ``multiprocessing`` loaded already
+
+    def run_fresh(self, *argv):
+        src = Path(harness.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-c", FRESH_RUN, *argv], capture_output=True,
+            text=True, timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert run.returncode == 0, run.stderr
+        return run.stdout.splitlines()[-1]
+
+    def test_serial_run_never_imports_the_process_pool(self, tmp_path):
+        path = write_spec(tmp_path, minimal_spec(tmp_path, b_grid=[1, 2]))
+        assert self.run_fresh(str(path)) == "0 []"
+        assert (tmp_path / "out" / "manifest.json").exists()
+
+    def test_first_parallel_run_writes_the_serial_artifacts(self, tmp_path):
+        path = write_spec(tmp_path, minimal_spec(tmp_path, b_grid=[1, 2, 3, 4],
+                                                 eps_targets=[0.5]))
+        serial = run_experiment(load_spec(path), workers=1)
+        assert self.run_fresh(str(path), "--workers", "2") == \
+            "0 ['concurrent.futures.process', 'multiprocessing']"
+        parallel = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert parallel["failures"] == []
+        assert parallel["artifacts"] == serial["artifacts"]
+        assert parallel["content_hash"] == serial["content_hash"]
 
 
 SUMMARY_CSV = ("problem_hash,family,algorithm,b,T,n_seeds,median_subopt,"
