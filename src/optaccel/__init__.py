@@ -6,7 +6,7 @@ from .problems import (
     make_interpolation_least_squares, make_sign_vector_problem,
     make_gaussian_spike_problem, make_growth_problem,
     make_noiseless_quadratic, sample_batch, minibatch_gradient,
-    problem_from_config, config_hash,
+    problem_from_config,
 )
 from .optimizers import (
     StepSchedule, make_schedule, project_ball, acc_step,
@@ -17,6 +17,6 @@ from .analysis import (
     RateFit, exact_min, variance_at, fit_rate, time_to_eps, critical_batch,
     check_projection_lemma, certify_assumptions,
 )
-from .trace import RunTrace
+from .trace import RunTrace, config_hash
 
 __version__ = "0.1.0"

@@ -25,17 +25,15 @@ import numpy as np
 
 from . import optimizers
 from .analysis import time_to_eps
-from .problems import (_ball_bounds, _is_finite, _is_int, config_hash,
-                       problem_from_config)
-from .trace import (canonical_json, csv_records, sha256_text, trace_from_csv,
-                    trace_to_csv)
+from .problems import _ball_bounds, _is_finite, _is_int, problem_from_config
+from .trace import (canonical_json, config_hash, csv_records, sha256_text,
+                    trace_from_csv, trace_to_csv)
 
 __all__ = [
     "ExperimentSpec",
     "SpecError",
     "OutputError",
     "load_spec",
-    "save_spec",
     "spec_hash",
     "run_experiment",
     "emit_plotdata",
@@ -204,11 +202,6 @@ def load_spec(path) -> ExperimentSpec:
     return _validate(raw)
 
 
-def save_spec(spec: ExperimentSpec, path) -> None:
-    """Write a spec as canonical JSON (stable bytes for identical specs)."""
-    _write(Path(path), canonical_json(asdict(spec)) + "\n")
-
-
 def spec_hash(spec: ExperimentSpec) -> str:
     return sha256_text(canonical_json(asdict(spec)))
 
@@ -298,7 +291,8 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
     """Run every cell of a sweep and write the aggregate artifacts.
 
     Cells execute independently (in parallel when ``workers > 1``;
-    ``workers`` defaults to the spec's, and below 1 is a ``SpecError``) and
+    ``workers`` defaults to the spec's, and below 1 is a ``SpecError``; the
+    pool holds no more processes than there are cells or usable CPUs) and
     per-cell failures are recorded in the manifest without aborting the
     others; cells lost with a dying worker are rerun alone, so only a cell
     that kills its own worker fails.  The process pool (and with it
@@ -313,7 +307,10 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
     cells = list(_cells_of(spec))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forking pool starts all its processes at the first submit
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        with ProcessPoolExecutor(min(workers, len(cells), cpus)) as pool:
             futures = [_submit(pool, c) for c in cells]
         outcomes = [_pool_outcome(f, c) for f, c in zip(futures, cells)]
     else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rowwise import gemv, rowdot, vecmat
-from .trace import canonical_json, config_hash
+from .trace import canonical_json
 
 __all__ = [
     "ProblemMeta",
@@ -36,7 +37,6 @@ __all__ = [
     "sample_batch",
     "minibatch_gradient",
     "problem_from_config",
-    "config_hash",
 ]
 
 
@@ -90,7 +90,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # spread a block's 200 or so NumPy calls thin, few enough that each of its
 # arrays stays at 32 KiB
 _BLOCK_WORDS = 4096
-# noise-free designs draw batches of at least this many samples from the
+# ``next_indices`` draws batches of at least this many samples from the
 # position's generator instead: NumPy's C Philox then costs less than the
 # counter path's array rounds, and both give the same bits
 _GENERATOR_MIN_B = 64
@@ -145,9 +145,9 @@ class SampleStream:
     ``Philox(key=key, counter=[0, 0, t, 0])`` afresh, just cheaper.
 
     Since batch ``t`` is a function of ``t``, ``next_indices`` computes the
-    uniforms of a block of positions in one call, bit-identical to what
-    their generators draw; ``_BLOCK_WORDS`` bounds how far ahead, never
-    what is drawn.
+    uniforms of a block of positions in one call below ``_GENERATOR_MIN_B``
+    samples, bit-identical to what their generators draw; ``_BLOCK_WORDS``
+    bounds how far ahead, never what is drawn.
     """
 
     def __init__(self, seed: int, run_seed: int):
@@ -169,9 +169,12 @@ class SampleStream:
         return self._gen
 
     def next_indices(self, cdf: np.ndarray, b: int) -> np.ndarray:
-        """``cdf.searchsorted(next_generator().random(b), side="right")``,
-        the same bits, served from a block of positions computed in one
-        Philox call and one ``searchsorted``; advances the stream."""
+        """``cdf.searchsorted(next_generator().random(b), side="right")``;
+        advances the stream.  Below ``_GENERATOR_MIN_B`` it serves the same
+        bits from a block of positions computed in one Philox call."""
+        if b >= _GENERATOR_MIN_B:
+            return cdf.searchsorted(self.next_generator().random(b),
+                                    side="right")
         t = self.position
         block = self._block
         if (block is None or block[0] is not cdf or block[1] != b
@@ -206,7 +209,8 @@ class Problem:
     ``next_batch(stream, n)`` is the one way to draw: it returns the ``n``
     i.i.d. samples of batch ``stream.position`` and advances the stream
     by one position, so a batch is a function of the stream's key and its
-    position alone.
+    position alone.  A design without label noise takes its indices from
+    ``stream.next_indices``, which chooses how to compute them.
 
     ``exact_loss``, ``suboptimality`` and ``exact_grad`` take one ``(d,)``
     point or a ``(k, d)`` stack of points; ``loss(W, batch)`` and
@@ -300,17 +304,16 @@ class DiscreteLeastSquares(Problem):
     # -- sampling ---------------------------------------------------------
 
     def next_batch(self, stream, b):
-        if self._noise_free and b < _GENERATOR_MIN_B:
+        if self._noise_free:
             idx = stream.next_indices(self._cdf, b)
             y = self.label_means[idx]
         else:
             gen = stream.next_generator()
             idx = self._cdf.searchsorted(gen.random(b), side="right")
+            # draw the noise unconditionally so the stream layout does not
+            # depend on which atoms were selected
             y = self.label_means[idx]
-            if not self._noise_free:
-                # draw the noise unconditionally so the stream layout does
-                # not depend on which atoms were selected
-                y = y + self.label_stds[idx] * gen.standard_normal(b)
+            y = y + self.label_stds[idx] * gen.standard_normal(b)
         # ``take`` gathers the rows ``atoms[idx]`` does, in half the time
         # at small b and d
         return self.atoms.take(idx, axis=0), y
@@ -565,10 +568,7 @@ def make_growth_problem(d: int, r: int, lam: float, H: float, Delta: float,
     basis, _ = np.linalg.qr(gen.standard_normal((d, r)))
     # eigenvalue targets: lam exactly in the first direction, the rest
     # interpolating up to the trace-feasible maximum H/r
-    if r == 1:
-        targets = np.array([lam], dtype=float)
-    else:
-        targets = np.linspace(lam, H / r, r)
+    targets = np.linspace(lam, H / r, r)
     atoms = (basis * np.sqrt(r * targets)).T  # atom j has ||x_j||^2 = r*targets[j]
     probs = np.full(r, 1.0 / r)
 
@@ -659,27 +659,22 @@ def _is_finite(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-# the last successful build and its config's canonical JSON: a sweep asks
-# for its problem once per cell, and its cells come problem by problem
-_last_build: tuple[str, Problem] | None = None
-
-
 def problem_from_config(config: dict) -> Problem:
     """Rebuild a problem from its declarative (family, params, seed) record.
 
     The last successful build is kept, keyed by the config's canonical
     JSON, and every call returns a fresh ``copy.copy`` of it (see
     ``Problem`` for what the copies share).  A config that fails its
-    checks raises on every call and is never kept.
+    checks raises on every call and is never kept; one with no JSON form
+    is a ``TypeError``.
     """
-    global _last_build
-    try:
-        key = canonical_json(config)
-    except TypeError:  # no JSON form, e.g. a range of signs: never kept
-        return _build(config)
-    if _last_build is None or _last_build[0] != key:
-        _last_build = (key, _build(config))
-    return copy.copy(_last_build[1])
+    return copy.copy(_built(canonical_json(config)))
+
+
+# one entry: a sweep's cells come problem by problem
+@functools.lru_cache(maxsize=1)
+def _built(key: str) -> Problem:
+    return _build(json.loads(key))
 
 
 def _build(config: dict) -> Problem:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,9 +13,10 @@ import numpy as np
 from .rowwise import rowdot
 
 __all__ = ["RunTrace", "trace_to_csv", "trace_from_csv", "csv_records",
-           "canonical_json"]
+           "canonical_json", "config_hash"]
 
 _CSV_HEADER = "t,norm_w,norm_wag,subopt,grad_noise_sq,stage"
+_INT_FIELD = re.compile(r"-?[0-9]{1,15}")   # exact as a float
 
 
 def canonical_json(obj) -> str:
@@ -168,11 +170,12 @@ def trace_to_csv(trace: RunTrace) -> str:
     return _CSV_HEADER + "\n" + "".join([_CSV_ROW % row for row in rows])
 
 
-def csv_records(text: str, columns) -> tuple[list[str], list[list[str]]]:
+def csv_records(text, columns, ints=()) -> tuple[list[str], list[list[str]]]:
     """The header fields and data rows of a CSV text, blank lines skipped.
 
-    A header without one of ``columns``, or a row whose field count
-    differs from the header's, is a ``ValueError`` naming the line.
+    A header without one of ``columns``, a row whose field count differs
+    from the header's, or a field of an ``ints`` column that is not a
+    decimal integer is a ``ValueError`` naming the line.
     """
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
@@ -180,17 +183,21 @@ def csv_records(text: str, columns) -> tuple[list[str], list[list[str]]]:
     missing = [c for c in columns if c not in header]
     if missing:
         raise ValueError(f"line 1: the header lacks column(s) {missing}")
+    at = [header.index(c) for c in ints]
     rows = []
     for i, ln in lines[1:]:
         rows.append(ln.split(","))
         if len(rows[-1]) != len(header):
             raise ValueError(f"line {i}: {len(rows[-1])} fields where the "
                              f"header has {len(header)}")
+        bad = [header[j] for j in at if not _INT_FIELD.fullmatch(rows[-1][j])]
+        if bad:
+            raise ValueError(f"line {i}: {bad} must be integers")
     return header, rows
 
 
 def trace_from_csv(text: str) -> RunTrace:
-    header, rows = csv_records(text, _CSV_HEADER.split(","))
+    header, rows = csv_records(text, _CSV_HEADER.split(","), ("t", "stage"))
     if ",".join(header) != _CSV_HEADER:
         raise ValueError(f"not a trace CSV: the header must be {_CSV_HEADER}")
     arr = np.array(rows, dtype=float).reshape(-1, 6)

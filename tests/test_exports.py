@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,17 @@ def test_module_all_resolves(name):
     assert len(set(exported)) == len(exported), "duplicate __all__ entry"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"optaccel.{name}.__all__ names {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_defines_its_functions_and_classes(name):
+    # one owner per name: a module exports only what it defines
+    module = importlib.import_module(f"optaccel.{name}")
+    values = [getattr(module, n) for n in getattr(module, "__all__", [])]
+    foreign = [v.__qualname__ for v in values
+               if (inspect.isfunction(v) or inspect.isclass(v))
+               and v.__module__ != module.__name__]
+    assert not foreign, f"optaccel.{name}.__all__ re-exports {foreign}"
 
 
 def _reexports():

@@ -9,7 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -22,7 +22,7 @@ from optaccel import (harness, make_schedule, make_sign_vector_problem,
                       optimizers)
 from optaccel.cli import main as cli_main
 from optaccel.harness import (ExperimentSpec, SpecError, emit_plotdata,
-                              load_spec, run_experiment, save_spec, spec_hash)
+                              load_spec, run_experiment, spec_hash)
 from optaccel.problems import problem_from_config
 from optaccel.trace import canonical_json, trace_from_csv
 from optaccel.verify import run_suite
@@ -84,13 +84,18 @@ def write_spec(tmp_path, raw, name="spec.json"):
     return path
 
 
+def write_canonical(spec, path):
+    """Write a validated spec back as canonical JSON."""
+    path.write_text(canonical_json(asdict(spec)) + "\n")
+    return path
+
+
 class TestLoadSpec:
     def test_round_trip_bytes(self, tmp_path):
         path = write_spec(tmp_path, minimal_spec(tmp_path))
         spec = load_spec(path)
-        save_spec(spec, tmp_path / "canon.json")
-        spec2 = load_spec(tmp_path / "canon.json")
-        save_spec(spec2, tmp_path / "canon2.json")
+        spec2 = load_spec(write_canonical(spec, tmp_path / "canon.json"))
+        write_canonical(spec2, tmp_path / "canon2.json")
         assert (tmp_path / "canon.json").read_bytes() == \
             (tmp_path / "canon2.json").read_bytes()
         assert spec_hash(spec) == spec_hash(spec2)
@@ -290,8 +295,8 @@ class TestRunExperiment:
         assert name.startswith("0e6f6172f193d97f_")
         assert header["problem_hash"] == "0e6f6172f193d97f"
         assert summary.splitlines()[1].startswith("0e6f6172f193d97f,")
-        save_spec(spec, tmp_path / "canon.json")
-        assert spec_hash(load_spec(tmp_path / "canon.json")) == spec_hash(spec)
+        assert spec_hash(load_spec(write_canonical(
+            spec, tmp_path / "canon.json"))) == spec_hash(spec)
 
     def test_sgd_cells_with_eta_override(self, tmp_path):
         raw = minimal_spec(tmp_path, algorithm="sgd",
@@ -368,18 +373,13 @@ class TestCrashSafeWrites:
             json.loads(want["manifest.json"])["content_hash"]
 
 
-    @pytest.mark.parametrize("writer", ["save_spec", "emit_plotdata",
-                                        "verify_report"])
+    @pytest.mark.parametrize("writer", ["emit_plotdata", "verify_report"])
     def test_interrupted_rename_leaves_nothing(self, tmp_path, monkeypatch,
                                                capsys, writer):
         spec = load_spec(write_spec(tmp_path, minimal_spec(tmp_path)))
         run_experiment(spec)
         target = tmp_path / "written.txt"
-        if writer == "save_spec":
-            def write():
-                save_spec(spec, target)
-                return canonical_json(asdict(spec)) + "\n"
-        elif writer == "verify_report":
+        if writer == "verify_report":
             def write():
                 # the report printed on stdout is the one written
                 capsys.readouterr()
@@ -474,6 +474,49 @@ class TestDyingWorker:
         manifest = run_experiment(spec)
         assert [f["stem"] for f in manifest["failures"]] == [stems[0]]
         assert len(manifest["artifacts"]) == 2 * 3 + 1
+
+
+class TestPoolSize:
+    """A forking pool starts all its processes at its first submit, so it
+    holds no more than there are cells or usable CPUs."""
+
+    @pytest.mark.parametrize("workers,cpus,size", [
+        (5000, 2, 2), (5000, 64, 4), (3, 64, 3), (5000, None, 3)])
+    def test_pool_is_capped_by_cells_and_cpus(self, tmp_path, monkeypatch,
+                                              workers, cpus, size):
+        spec = load_spec(write_spec(tmp_path, minimal_spec(
+            tmp_path, b_grid=[1, 2, 3, 4], workers=workers)))
+        serial = run_experiment(spec, workers=1)
+        sizes = []
+
+        class InlinePool:
+            # records its size and runs each cell at submit: no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, cell):
+                future = Future()
+                future.set_result(fn(cell))
+                return future
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            InlinePool)
+        if cpus is None:   # no affinity call: the CPU count, here 3
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)))
+        manifest = run_experiment(spec)
+        assert sizes == [size]
+        assert manifest["failures"] == []
+        assert manifest["content_hash"] == serial["content_hash"]
 
 
 # `optaccel run` in a fresh interpreter; the last line of its output lists
@@ -593,10 +636,16 @@ class TestPlotdata:
          "1,0,0,0.5,0,1\n1,0,0,0.25,0,1\n",
          "trace records must be strictly increasing in t"),
         ("stage_decay", "t,norm_wag,norm_w,subopt,grad_noise_sq,stage\n"
-         "1,0,0,0.5,0,1\n", "not a trace CSV: the header must be")],
+         "1,0,0,0.5,0,1\n", "not a trace CSV: the header must be"),
+        ("stage_decay", "t,norm_w,norm_wag,subopt,grad_noise_sq,stage\n"
+         "2.7,0,0,0.5,0,1.9\n", "line 2: ['t', 'stage'] must be integers"),
+        # a NaN t cast to an integer wraps past the increasing check
+        ("stage_decay", "t,norm_w,norm_wag,subopt,grad_noise_sq,stage\n"
+         "1,0,0,0.5,0,1\n\nnan,0,0,0.25,0,1\n",
+         "line 4: ['t'] must be integers")],
         ids=["short_row", "long_row", "no_family", "no_T_to_eps", "empty",
              "short_trace_row", "few_trace_columns", "repeated_t",
-             "reordered_trace_columns"])
+             "reordered_trace_columns", "fractional_t_and_stage", "nan_t"])
     def test_malformed_input_named(self, tmp_path, capsys, kind, text, error):
         path = tmp_path / "in.csv"
         path.write_text(text)
@@ -1047,8 +1096,8 @@ def fuzz_example(problem, algorithm, b_grid, T_grid):
 
 class TestSpecFuzz:
     """A malformed spec is a ``SpecError`` and exit 2; an accepted one
-    builds finite problems, survives ``save_spec``/``load_spec`` and, if it
-    is small, runs without a failed cell."""
+    builds finite problems, survives a canonical rewrite and ``load_spec``
+    and, if it is small, runs without a failed cell."""
 
     def check(self, path):
         try:
@@ -1059,9 +1108,8 @@ class TestSpecFuzz:
             return
         for cfg in spec.problems:
             assert_finite_problem(problem_from_config(cfg))
-        save_spec(spec, path.with_name("canon.json"))
-        assert spec_hash(load_spec(path.with_name("canon.json"))) == \
-            spec_hash(spec)
+        assert spec_hash(load_spec(write_canonical(
+            spec, path.with_name("canon.json")))) == spec_hash(spec)
         steps = (len(spec.problems) * len(spec.b_grid) * sum(spec.T_grid)
                  * spec.n_seeds)
         if steps <= _FUZZ_RUN_STEPS:

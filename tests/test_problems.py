@@ -590,6 +590,24 @@ class TestCounterPath:
                     assert x.base is None and x.dtype == np.float64
                     assert stream.position == t + 1
 
+    @pytest.mark.parametrize("b", [1, problems._GENERATOR_MIN_B - 1,
+                                   problems._GENERATOR_MIN_B, 300])
+    def test_next_indices_picks_its_engine_by_batch_size(self, b):
+        cdf = np.array([0.125, 0.5, 0.75, 1.0])
+        stream, ref = SampleStream(3, 5), SampleStream(3, 5)
+        calls, draw = [], stream.next_generator
+        stream.next_generator = lambda: calls.append(1) or draw()
+        for t in range(1, 4):
+            want = cdf.searchsorted(ref.next_generator().random(b),
+                                    side="right")
+            assert stream.next_indices(cdf, b).tobytes() == want.tobytes()
+            assert stream.position == t
+        # below the threshold no generator is re-seated; from it, one per
+        # draw and no block is kept
+        by_generator = b >= problems._GENERATOR_MIN_B
+        assert len(calls) == (3 if by_generator else 0)
+        assert (stream._block is None) == by_generator
+
     @staticmethod
     def draws_match_the_generator(cfg, b, run_seed, steps):
         """``steps`` draws of ``b`` samples have the generator path's bytes;
@@ -799,17 +817,24 @@ SPIKE = {"family": "gaussian_spike",
          "seed": 2}
 
 
+def json_of(*configs):
+    return [canonical_json(cfg) for cfg in configs]
+
+
 class TestBuildMemo:
     """``problem_from_config`` keeps its last build and hands out copies."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The configs built from here on, with no build kept."""
+        """The canonical JSON of each config built from here on, with no
+        build kept."""
         built, build = [], problems._build
-        monkeypatch.setattr(problems, "_last_build", None)
-        monkeypatch.setattr(problems, "_build",
-                            lambda cfg: built.append(cfg) or build(cfg))
-        return built
+        problems._built.cache_clear()
+        monkeypatch.setattr(
+            problems, "_build",
+            lambda cfg: built.append(canonical_json(cfg)) or build(cfg))
+        yield built
+        problems._built.cache_clear()
 
     @settings(max_examples=100, deadline=None)
     @given(cfg=family_configs(), b=st.integers(1, 100),
@@ -831,7 +856,7 @@ class TestBuildMemo:
         other = dict(SPIKE, seed=3)
         for cfg in (SPIKE, SPIKE, other, other, SPIKE):
             problem_from_config(cfg)
-        assert builds == [SPIKE, other, SPIKE]
+        assert builds == json_of(SPIKE, other, SPIKE)
 
     def test_attribute_set_on_a_copy_stays_on_it(self):
         first = problem_from_config(SPIKE)
@@ -841,28 +866,29 @@ class TestBuildMemo:
         assert {"batch_grad_mean", "second_moment"} & set(vars(second)) == set()
         assert callable(second.batch_grad_mean)
 
-    def test_a_config_without_json_form_is_built_every_time(self, builds):
+    def test_a_config_without_json_form_is_a_type_error(self, builds):
         cfg = {"family": "sign_vector", "seed": 0,
                "params": {"n": 1, "H": 1.0, "B": 1.0,
                           "sigma_signs": range(-1, 2, 2)}}
-        first, second = problem_from_config(cfg), problem_from_config(cfg)
-        assert first.config() == second.config()
-        assert first.params["sigma_signs"] == [-1, 1]
-        assert builds == [cfg, cfg] and problems._last_build is None
+        kept = problems._built(canonical_json(SPIKE))
+        with pytest.raises(TypeError):
+            problem_from_config(cfg)
+        assert problems._built(canonical_json(SPIKE)) is kept
+        assert problem_from_config(SPIKE).config() == kept.config()
+        assert builds == json_of(SPIKE)
 
     @pytest.mark.parametrize("params,error", [
         ({"H": -1.0}, ValueError), ({"H": "big"}, TypeError),
         ({"p": float("nan")}, ValueError), ({"sign": True}, ValueError)])
     def test_a_failing_config_is_never_kept(self, builds, params, error):
         bad = dict(SPIKE, params=dict(SPIKE["params"], **params))
-        problem_from_config(SPIKE)
-        kept = problems._last_build
+        kept = problems._built(canonical_json(SPIKE))
         for _ in range(3):
             with pytest.raises(error):
                 problem_from_config(bad)
-            assert problems._last_build is kept
+            assert problems._built(canonical_json(SPIKE)) is kept
         problem_from_config(SPIKE)
-        assert builds == [SPIKE, bad, bad, bad]
+        assert builds == json_of(SPIKE, bad, bad, bad)
 
     @pytest.mark.parametrize("name,a,b", [
         ("H", 1, 1.0), ("B", 2.0, 2), ("sign", 1, True), ("seed", 1, True)])
@@ -879,7 +905,7 @@ class TestBuildMemo:
         else:
             assert canonical_json(problem_from_config(config(b)).config()) \
                 == canonical_json(config(b)) != canonical_json(config(a))
-        assert builds == [config(a), config(b)]
+        assert builds == json_of(config(a), config(b))
 
 
 def test_sampling_bit_reproducibility():
