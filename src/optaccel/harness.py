@@ -422,11 +422,14 @@ def _speedup_csv(spec, finals):
 # ---------------------------------------------------------------------------
 
 
-# the columns each table kind reads, in the order it writes them
+# the columns each table kind reads, in the order it writes them, each
+# with the ``trace._FIELD_KINDS`` kind of its fields
 _PLOT_COLUMNS = {
-    "rate_curve": ("family", "algorithm", "b", "T", "median_subopt",
-                   "q25_subopt", "q75_subopt"),
-    "speedup_curve": ("eps", "b", "T_to_eps")}
+    "rate_curve": {"family": None, "algorithm": None, "b": "count",
+                   "T": "count", "median_subopt": "float",
+                   "q25_subopt": "float", "q75_subopt": "float"},
+    "speedup_curve": {"eps": "float", "b": "count",
+                      "T_to_eps": "count or empty"}}
 
 
 def _parse_input(path: Path, parse):

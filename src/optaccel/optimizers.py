@@ -223,6 +223,8 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
                          f"b={b}, eta={eta}")
     meta = problem.meta
     B = meta.B if B_override is None else float(B_override)
+    if not 0 < B < math.inf:
+        raise ValueError(f"the radius B must be finite and positive, got {B}")
     step = 1.0 / (2.0 * meta.H)
     if eta is not None:
         step = min(step, float(eta))

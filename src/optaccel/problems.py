@@ -11,7 +11,6 @@ noiseless case where every sample reveals the exact objective.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import math
@@ -201,10 +200,9 @@ class Problem:
     ``second_moment`` (``E[x x']``, or the Hessian) and ``cross`` (the
     normal equations' right-hand side), and the methods ``next_batch``,
     ``loss``, ``grad``, ``batch_grad_mean``, ``exact_loss``, ``exact_grad``
-    and ``suboptimality``.  ``problem_from_config`` returns shallow copies
-    of one build: the copies share its arrays, ``meta`` and ``params``,
-    none of which may be written, and an attribute set on a copy stays on
-    that copy.
+    and ``suboptimality``.  ``problem_from_config`` returns one build to
+    every caller of an equal config, so nothing writes a built problem,
+    apart from the cached ``second_moment``.
 
     ``next_batch(stream, n)`` is the one way to draw: it returns the ``n``
     i.i.d. samples of batch ``stream.position`` and advances the stream
@@ -663,12 +661,12 @@ def problem_from_config(config: dict) -> Problem:
     """Rebuild a problem from its declarative (family, params, seed) record.
 
     The last successful build is kept, keyed by the config's canonical
-    JSON, and every call returns a fresh ``copy.copy`` of it (see
-    ``Problem`` for what the copies share).  A config that fails its
-    checks raises on every call and is never kept; one with no JSON form
-    is a ``TypeError``.
+    JSON, and every call with an equal config returns it (see ``Problem``
+    for what may not be written).  A config that fails its checks raises
+    on every call and is never kept; one with no JSON form is a
+    ``TypeError``.
     """
-    return copy.copy(_built(canonical_json(config)))
+    return _built(canonical_json(config))
 
 
 # one entry: a sweep's cells come problem by problem

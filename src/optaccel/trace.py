@@ -15,8 +15,29 @@ from .rowwise import rowdot
 __all__ = ["RunTrace", "trace_to_csv", "trace_from_csv", "csv_records",
            "canonical_json", "config_hash"]
 
-_CSV_HEADER = "t,norm_w,norm_wag,subopt,grad_noise_sq,stage"
-_INT_FIELD = re.compile(r"-?[0-9]{1,15}")   # exact as a float
+
+def _reads_as_float(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+# the kinds of field ``csv_records`` checks: each one's test, and what a
+# field of that kind must be
+_FIELD_KINDS = {
+    "int": (re.compile(r"-?[0-9]{1,15}").fullmatch,   # exact as a float
+            "integers"),
+    "count": (re.compile(r"[1-9][0-9]*").fullmatch, "positive integers"),
+    "count or empty": (re.compile(r"([1-9][0-9]*)?").fullmatch,
+                       "empty or positive integers"),
+    "float": (_reads_as_float, "numbers"),
+}
+# a trace CSV's columns, in order, and the kind of each
+_TRACE_COLUMNS = {"t": "int", "norm_w": "float", "norm_wag": "float",
+                  "subopt": "float", "grad_noise_sq": "float", "stage": "int"}
+_CSV_HEADER = ",".join(_TRACE_COLUMNS)
 
 
 def canonical_json(obj) -> str:
@@ -48,6 +69,12 @@ class RunTrace:
     def __post_init__(self):
         if len(self.t) and np.any(np.diff(self.t) <= 0):
             raise ValueError("trace records must be strictly increasing in t")
+        # with t increasing, its first row is its least
+        if len(self.t) and self.t[0] < 1:
+            raise ValueError(f"trace records start at t >= 1, got {self.t[0]}")
+        if np.any(self.stage < 0):
+            raise ValueError("trace stages must be >= 0, got "
+                             f"{self.stage.min()}")
 
     @property
     def final_subopt(self) -> float:
@@ -170,12 +197,14 @@ def trace_to_csv(trace: RunTrace) -> str:
     return _CSV_HEADER + "\n" + "".join([_CSV_ROW % row for row in rows])
 
 
-def csv_records(text, columns, ints=()) -> tuple[list[str], list[list[str]]]:
+def csv_records(text, columns) -> tuple[list[str], list[list[str]]]:
     """The header fields and data rows of a CSV text, blank lines skipped.
 
+    ``columns`` maps each column the text must have to the
+    ``_FIELD_KINDS`` kind of its fields, or to None if any text will do.
     A header without one of ``columns``, a row whose field count differs
-    from the header's, or a field of an ``ints`` column that is not a
-    decimal integer is a ``ValueError`` naming the line.
+    from the header's, or a field not of its column's kind is a
+    ``ValueError`` naming the line.
     """
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
@@ -183,21 +212,26 @@ def csv_records(text, columns, ints=()) -> tuple[list[str], list[list[str]]]:
     missing = [c for c in columns if c not in header]
     if missing:
         raise ValueError(f"line 1: the header lacks column(s) {missing}")
-    at = [header.index(c) for c in ints]
+    checks = [(header.index(c), c, *_FIELD_KINDS[kind])
+              for c, kind in columns.items() if kind]
     rows = []
     for i, ln in lines[1:]:
         rows.append(ln.split(","))
         if len(rows[-1]) != len(header):
             raise ValueError(f"line {i}: {len(rows[-1])} fields where the "
                              f"header has {len(header)}")
-        bad = [header[j] for j in at if not _INT_FIELD.fullmatch(rows[-1][j])]
+        bad = {}
+        for j, name, ok, what in checks:
+            if not ok(rows[-1][j]):
+                bad.setdefault(what, []).append(name)
         if bad:
-            raise ValueError(f"line {i}: {bad} must be integers")
+            raise ValueError(f"line {i}: " + "; ".join(
+                f"{names} must be {what}" for what, names in bad.items()))
     return header, rows
 
 
 def trace_from_csv(text: str) -> RunTrace:
-    header, rows = csv_records(text, _CSV_HEADER.split(","), ("t", "stage"))
+    header, rows = csv_records(text, _TRACE_COLUMNS)
     if ",".join(header) != _CSV_HEADER:
         raise ValueError(f"not a trace CSV: the header must be {_CSV_HEADER}")
     arr = np.array(rows, dtype=float).reshape(-1, 6)

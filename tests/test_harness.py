@@ -1,5 +1,6 @@
 """Spec validation, experiment execution, manifests, plotdata, CLI."""
 
+import copy
 import hashlib
 import json
 import math
@@ -234,8 +235,8 @@ class TestRunExperiment:
 
         def build(cfg):
             # the first cell's problem (seed 0) gives NaN gradients from
-            # step 3 on
-            prob = problem_from_config(cfg)
+            # step 3 on; the kept build is shared, so the fault goes on a copy
+            prob = copy.copy(problem_from_config(cfg))
             if not built:
                 exact, calls = prob.batch_grad_mean, [0]
 
@@ -642,10 +643,36 @@ class TestPlotdata:
         # a NaN t cast to an integer wraps past the increasing check
         ("stage_decay", "t,norm_w,norm_wag,subopt,grad_noise_sq,stage\n"
          "1,0,0,0.5,0,1\n\nnan,0,0,0.25,0,1\n",
-         "line 4: ['t'] must be integers")],
+         "line 4: ['t'] must be integers"),
+        # a plot table's fields are read as their column's type
+        ("rate_curve", SUMMARY_CSV + "abc,growth,sgd,2.7,abc,1,nope,0.25,"
+         "0.75,0,1\n", "line 3: ['b', 'T'] must be positive integers; "
+         "['median_subopt'] must be numbers"),
+        ("rate_curve", SUMMARY_CSV.replace(",1,16,", ",0,16,"),
+         "line 2: ['b'] must be positive integers"),
+        ("speedup_curve", "problem_hash,eps,b,T_to_eps,n_seeds\n"
+         "abc,zz,0,-3,1\n", "line 2: ['eps'] must be numbers; ['b'] must "
+         "be positive integers; ['T_to_eps'] must be empty or positive "
+         "integers"),
+        ("speedup_curve", "problem_hash,eps,b,T_to_eps,n_seeds\n"
+         "abc,0.5,4,16.0,1\n",
+         "line 2: ['T_to_eps'] must be empty or positive integers"),
+        ("stage_decay", "t,norm_w,norm_wag,subopt,grad_noise_sq,stage\n"
+         "1,abc,0,0.5,0,0\n", "line 2: ['norm_w'] must be numbers"),
+        # a trace is numbered from t = 1, and a plain run is stage 0
+        ("stage_decay", "t,norm_w,norm_wag,subopt,grad_noise_sq,stage\n"
+         "-5,0,0,0.5,0,-2\n", "trace records start at t >= 1, got -5"),
+        ("stage_decay", "t,norm_w,norm_wag,subopt,grad_noise_sq,stage\n"
+         "0,0,0,0.5,0,0\n1,0,0,0.25,0,0\n",
+         "trace records start at t >= 1, got 0"),
+        ("stage_decay", "t,norm_w,norm_wag,subopt,grad_noise_sq,stage\n"
+         "1,0,0,0.5,0,0\n2,0,0,0.25,0,-1\n",
+         "trace stages must be >= 0, got -1")],
         ids=["short_row", "long_row", "no_family", "no_T_to_eps", "empty",
              "short_trace_row", "few_trace_columns", "repeated_t",
-             "reordered_trace_columns", "fractional_t_and_stage", "nan_t"])
+             "reordered_trace_columns", "fractional_t_and_stage", "nan_t",
+             "summary_words", "zero_b", "speedup_words", "fractional_T_to_eps",
+             "trace_word", "negative_t_and_stage", "zero_t", "negative_stage"])
     def test_malformed_input_named(self, tmp_path, capsys, kind, text, error):
         path = tmp_path / "in.csv"
         path.write_text(text)
@@ -657,6 +684,36 @@ class TestPlotdata:
         err = capsys.readouterr().err
         assert str(path) in err and error in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_every_kind_reads_the_package_s_own_artifacts(self, tmp_path):
+        # one eps no horizon reaches leaves its T_to_eps fields empty, and
+        # a restarted cell gives a trace with several stages
+        sweep = write_spec(tmp_path, minimal_spec(
+            tmp_path, b_grid=[1, 4], T_grid=[8, 32], eps_targets=[0.05, 1e-12],
+            output_dir=str(tmp_path / "sweep")))
+        restart = write_spec(tmp_path, minimal_spec(
+            tmp_path, problems=[GROWTH_PROBLEM], algorithm="restarted",
+            b_grid=[8], T_grid=[1300], output_dir=str(tmp_path / "restart")),
+            name="restart.json")
+        assert cli_main(["run", str(sweep)]) == 0
+        assert cli_main(["run", str(restart)]) == 0
+        speedup = (tmp_path / "sweep" / "speedup.csv").read_text()
+        assert ",1,,1\n" in speedup
+        inputs = {
+            "rate_curve": [tmp_path / "sweep" / "summary.csv",
+                           tmp_path / "restart" / "summary.csv"],
+            "speedup_curve": [tmp_path / "sweep" / "speedup.csv"],
+            "stage_decay": list((tmp_path / "restart").glob("*_s0.csv"))}
+        digests = {}
+        for kind, paths in inputs.items():
+            out = tmp_path / f"{kind}.csv"
+            assert cli_main(["plotdata", kind, *map(str, paths),
+                             "--out", str(out)]) == 0
+            digests[kind] = hashlib.sha256(out.read_bytes()).hexdigest()[:16]
+        assert len((tmp_path / "stage_decay.csv").read_text().split()) == 4
+        assert digests == {"rate_curve": "2ee898d9c7e01c4b",
+                           "speedup_curve": "0e9983047fa186d3",
+                           "stage_decay": "2a3922cf20d17298"}
 
     def test_well_formed_input_still_read(self, tmp_path):
         path = tmp_path / "in.csv"

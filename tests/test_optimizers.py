@@ -1,5 +1,6 @@
 """Schedule arithmetic, single-step traces, run invariants, restarts."""
 
+import copy
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -310,6 +311,19 @@ class TestSgd:
         with pytest.raises(ValueError, match="need T >= 1, b >= 1 and eta"):
             run_sgd(make_interpolation_least_squares(
                 d=8, n_atoms=4, H=1.0, B=1.0, seed=3), **args)
+
+    @pytest.mark.parametrize("B", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_radius_rejected_before_the_recorder(self, B, monkeypatch):
+        # unchecked, NaN would abort at t=1 with a NaN radius in the
+        # header, inf would run unprojected, and 0 or -1 would fail only
+        # in the first projection
+        def no_recorder(*args, **kwargs):
+            raise AssertionError("a recorder was built")
+
+        monkeypatch.setattr(optaccel.optimizers, "TraceRecorder", no_recorder)
+        with pytest.raises(ValueError, match="radius B must be finite"):
+            run_sgd(make_interpolation_least_squares(
+                d=8, n_atoms=4, H=1.0, B=1.0, seed=3), 1, 50, B_override=B)
 
     def test_tail_average_keeps_a_quarter_of_the_partial_sums(self):
         # a later tail start reads only the sums from the current one up to
@@ -624,9 +638,9 @@ def reference_restarted(problem, plan, seed=0):
 
 
 def build(cfg, nan_from):
-    """The configured problem; its gradients are NaN from call ``nan_from``
-    on (never when ``nan_from`` is None)."""
-    prob = problem_from_config(cfg)
+    """A copy of the configured problem whose gradients are NaN from call
+    ``nan_from`` on (never when ``nan_from`` is None)."""
+    prob = copy.copy(problem_from_config(cfg))
     if nan_from is not None:
         exact = prob.batch_grad_mean
         calls = [0]

@@ -822,7 +822,7 @@ def json_of(*configs):
 
 
 class TestBuildMemo:
-    """``problem_from_config`` keeps its last build and hands out copies."""
+    """``problem_from_config`` keeps its last build and returns it."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -839,32 +839,23 @@ class TestBuildMemo:
     @settings(max_examples=100, deadline=None)
     @given(cfg=family_configs(), b=st.integers(1, 100),
            run_seed=st.integers(0, 2**32 - 1))
-    def test_copies_equal_a_fresh_build(self, cfg, b, run_seed):
-        first, second = problem_from_config(cfg), problem_from_config(cfg)
+    def test_kept_build_equals_a_fresh_build(self, cfg, b, run_seed):
+        prob = problem_from_config(cfg)
         fresh = problems._build(cfg)
-        assert first is not second
-        for prob in (first, second):
-            assert type(prob) is type(fresh)
-            assert prob.config() == fresh.config()
-            assert config_hash(prob.config()) == config_hash(fresh.config())
-            x, y = sample_batch(prob, b, prob.stream(run_seed))
-            x_ref, y_ref = sample_batch(fresh, b, fresh.stream(run_seed))
-            assert x.tobytes() == x_ref.tobytes()
-            assert y.tobytes() == y_ref.tobytes()
+        assert problem_from_config(cfg) is prob
+        assert type(prob) is type(fresh)
+        assert prob.config() == fresh.config()
+        assert config_hash(prob.config()) == config_hash(fresh.config())
+        x, y = sample_batch(prob, b, prob.stream(run_seed))
+        x_ref, y_ref = sample_batch(fresh, b, fresh.stream(run_seed))
+        assert x.tobytes() == x_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
 
     def test_one_build_per_run_of_equal_configs(self, builds):
         other = dict(SPIKE, seed=3)
         for cfg in (SPIKE, SPIKE, other, other, SPIKE):
             problem_from_config(cfg)
         assert builds == json_of(SPIKE, other, SPIKE)
-
-    def test_attribute_set_on_a_copy_stays_on_it(self):
-        first = problem_from_config(SPIKE)
-        first.batch_grad_mean = None
-        assert first.second_moment.shape == (1, 1)   # cached on the copy
-        second = problem_from_config(SPIKE)
-        assert {"batch_grad_mean", "second_moment"} & set(vars(second)) == set()
-        assert callable(second.batch_grad_mean)
 
     def test_a_config_without_json_form_is_a_type_error(self, builds):
         cfg = {"family": "sign_vector", "seed": 0,
