@@ -57,9 +57,9 @@ def main():
     for b in (1, 4, 16):
         subs = [run_sgd(prob, b=b, T=2048, seed=s)[1].subopt
                 for s in range(SEEDS)]
-        med = np.median(np.array(subs), axis=0)
-        hit = np.flatnonzero(med <= EPS)
-        t = int(hit[0]) + 1 if len(hit) else None
+        # the running tail average at step t is a run of horizon t
+        med = np.median(subs, axis=0)
+        t = time_to_eps({(b, t): [m] for t, m in enumerate(med, 1)}, EPS)[b]
         print(f"  b={b:<3d} T_to_eps={t}")
     print("SGD's count barely moves with b: no parallelization speedup.")
 

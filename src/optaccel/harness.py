@@ -18,7 +18,7 @@ import math
 import os
 import time
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +71,8 @@ class ExperimentSpec:
     base_seed: int
     eps_targets: tuple[float, ...]
     output_dir: str
-    overrides: dict = field(default_factory=dict)
-    workers: int = 1
+    overrides: dict
+    workers: int
 
 
 def _validate(raw: dict) -> ExperimentSpec:
@@ -153,18 +153,29 @@ def _validate(raw: dict) -> ExperimentSpec:
             raise SpecError(f"overrides.{key}: must be a finite number "
                             f"{op} {low:g}, got {value!r}")
     # problem_from_config checks the ball bounds at B, here at overrides.B;
-    # a restart plan fits a budget of at least min(T_grid) if it fits that
-    T = min(T_grid)
+    # each accelerated schedule and restart plan is made here too, so no
+    # cell of a spec that loads fails to plan
     for i, problem in enumerate(built):
+        meta = problem.meta
         if "B" in overrides and not np.isfinite(
                 _ball_bounds(problem, overrides["B"])).all():
             raise SpecError(f"problems[{i}]: parameters overflow a float "
                             f"with overrides.B")
-        for b in b_grid if algorithm == "restarted" else ():
+        if algorithm == "acc_mb_sgd":
+            # a schedule fails only on its noise term, whatever b and T are
             try:
-                _restart_plan(problem, b, T, overrides)
+                optimizers.make_schedule(meta.H, b_grid[0], T_grid[0],
+                                         overrides.get("B", meta.B),
+                                         overrides.get("lstar", meta.Lstar))
             except (ValueError, ArithmeticError) as err:
-                raise SpecError(f"problems[{i}]: b={b}, T={T}: {err}") from err
+                raise SpecError(f"problems[{i}]: {err}") from err
+        for b in b_grid if algorithm == "restarted" else ():
+            for T in T_grid:
+                try:
+                    _restart_plan(problem, b, T, overrides)
+                except (ValueError, ArithmeticError) as err:
+                    raise SpecError(f"problems[{i}]: b={b}, T={T}: "
+                                    f"{err}") from err
 
     workers = _check_workers(raw.get("workers", 1))
 
@@ -184,10 +195,13 @@ def _check_workers(workers):
 def load_spec(path) -> ExperimentSpec:
     """Load and strictly validate an experiment spec from JSON.
 
-    Unknown keys are rejected; parse errors report line and column.
+    Unknown keys, and a key repeated within one object, are rejected;
+    parse errors report line and column.
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=_no_repeats)
+    except SpecError as err:
+        raise SpecError(f"{path}: {err}") from err
     except json.JSONDecodeError as err:
         raise SpecError(f"{path}: parse error at line {err.lineno} "
                         f"column {err.colno}: {err.msg}") from err
@@ -200,6 +214,17 @@ def load_spec(path) -> ExperimentSpec:
     if not isinstance(raw, dict):
         raise SpecError(f"{path}: spec must be a JSON object")
     return _validate(raw)
+
+
+def _no_repeats(pairs):
+    """A JSON object's dict; ``json.loads`` alone keeps a repeated key's
+    last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SpecError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def spec_hash(spec: ExperimentSpec) -> str:
@@ -269,7 +294,9 @@ def _restart_plan(problem, b, T, overrides):
 
 def _cells_of(spec: ExperimentSpec):
     # problem by problem: ``problem_from_config`` keeps its last build, so
-    # a sweep builds each problem once
+    # a run builds each problem once; loading the spec built them all
+    # before, so the first cell reuses that build only when the spec has
+    # one problem and its config lists every default
     for prob_cfg in spec.problems:
         phash = config_hash(prob_cfg)
         for b in spec.b_grid:

@@ -94,6 +94,9 @@ def make_schedule(H: float, b: int, T: int, B: float,
     if not 0 <= lstar < math.inf:
         raise ValueError(f"lstar must be finite and >= 0, got {lstar}")
     noise_sq = 2.0 * H * lstar
+    if noise_sq == math.inf:
+        raise ValueError(f"noise_sq = 2 H lstar overflows a float, got H={H}, "
+                         f"lstar={lstar}")
     gamma = min(1.0 / (12.0 * H), b / (24.0 * H * (T + 1)))
     if noise_sq > 0:
         gamma = min(gamma, math.sqrt(b * B**2 / (noise_sq * T**3)))

@@ -268,7 +268,9 @@ class DiscreteLeastSquares(Problem):
         self.atoms = np.asarray(atoms, dtype=float)
         super().__init__(family, self.atoms.shape[1], meta, base_seed, params)
         self.probs = np.asarray(probs, dtype=float)
-        self.label_means = np.asarray(label_means, dtype=float)
+        # ``+ 0.0`` turns -0.0 into 0.0 and keeps every other value's bits,
+        # so ``mean + 0 * z`` is ``mean`` for every drawn normal ``z``
+        self.label_means = np.asarray(label_means, dtype=float) + 0.0
         self.label_stds = np.asarray(label_stds, dtype=float)
         # the check ``Generator.choice`` made on every draw, made once
         tol = np.sqrt(np.finfo(float).eps)
@@ -286,13 +288,9 @@ class DiscreteLeastSquares(Problem):
         # validating ``p``; drawing through them skips that per-call check
         self._cdf = self.probs.cumsum()
         self._cdf /= self._cdf[-1]
-        # with every label std 0, the drawn ``y`` is ``label_means[idx] +
-        # 0 * z``, which is ``label_means[idx]`` bit for bit unless a mean
-        # is -0.0 (then the sum takes the sign of z); the normals then need
-        # not be drawn, and the next position's re-seat discards their rest
-        zero = self.label_means == 0
-        self._noise_free = not (self.label_stds.any()
-                                or np.signbit(self.label_means[zero]).any())
+        # with every label std 0 the normals need not be drawn, and the
+        # next position's re-seat discards their rest
+        self._noise_free = not self.label_stds.any()
 
     @functools.cached_property
     def second_moment(self):

@@ -20,13 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optaccel import (harness, make_schedule, make_sign_vector_problem,
-                      optimizers)
+                      optimizers, problems)
 from optaccel.cli import main as cli_main
 from optaccel.harness import (ExperimentSpec, SpecError, emit_plotdata,
                               load_spec, run_experiment, spec_hash)
 from optaccel.problems import problem_from_config
 from optaccel.trace import canonical_json, trace_from_csv
-from optaccel.verify import run_suite
+from optaccel.verify import SUITES, run_suite
 from strategies import family_configs
 
 SIGN_PROBLEM = {"family": "sign_vector",
@@ -162,6 +162,27 @@ class TestLoadSpec:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("configs,n_builds", [
+        ([GROWTH_PROBLEM], 1),
+        ([{"family": "growth", "params": GROWTH_PROBLEM["params"]}], 2),
+        ([SIGN_PROBLEM, GROWTH_PROBLEM], 4)],
+        ids=["one_complete", "one_with_default_seed", "two_complete"])
+    def test_builds_per_load_and_run(self, tmp_path, monkeypatch, configs,
+                                     n_builds):
+        # loading builds every problem and the run each one again; the
+        # first cell reuses the load's build only for one complete config,
+        # the benchmark's case
+        built, build = [], problems._build
+        monkeypatch.setattr(problems, "_build",
+                            lambda cfg: built.append(cfg) or build(cfg))
+        problems._built.cache_clear()
+        raw = minimal_spec(tmp_path, problems=configs, b_grid=[1, 2],
+                           T_grid=[8, 16], n_seeds=2)
+        manifest = run_experiment(load_spec(write_spec(tmp_path, raw)))
+        problems._built.cache_clear()
+        assert manifest["failures"] == []
+        assert len(built) == n_builds
+
     def test_single_cell_artifacts(self, tmp_path):
         spec = load_spec(write_spec(tmp_path, minimal_spec(tmp_path)))
         manifest = run_experiment(spec)
@@ -542,6 +563,16 @@ class TestFreshInterpreter:
         assert run.returncode == 0, run.stderr
         return run.stdout.splitlines()[-1]
 
+    def test_cli_import_leaves_the_suites_unloaded(self):
+        src = Path(harness.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, optaccel.cli; "
+             "print('optaccel.verify' in sys.modules)"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "False\n"
+
     def test_serial_run_never_imports_the_process_pool(self, tmp_path):
         path = write_spec(tmp_path, minimal_spec(tmp_path, b_grid=[1, 2]))
         assert self.run_fresh(str(path)) == "0 []"
@@ -733,9 +764,11 @@ class TestCli:
         assert exc.value.code == 0
 
     def test_unknown_suite_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["verify", "nonsense"])
-        assert exc.value.code == 2
+        # ``run_suite`` is the one check of the name
+        assert cli_main(["verify", "nonsense"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown suite 'nonsense'" in err
+        assert str(sorted(SUITES)) in err and len(SUITES) == 7
         with pytest.raises(KeyError, match="unknown suite 'nope'"):
             run_suite("nope")
 
@@ -758,6 +791,11 @@ class TestCli:
         gamma = make_schedule(1, 64, 1024, 1, 0.5).gamma
         assert gamma == math.sqrt(64 / 1024**3)  # the noise term binds
         assert capsys.readouterr().out.startswith(f"gamma = {gamma:.12g} ")
+        # 2 H lstar overflows: no table with a stepsize of 0
+        assert cli_main(argv + ["--lstar", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: noise_sq = 2 H lstar overflows a float" in captured.err
         with pytest.raises(SystemExit) as exc:
             cli_main(argv + ["--noise-sq", "1"])
         assert exc.value.code == 2
@@ -882,6 +920,55 @@ class TestCli:
         err = capsys.readouterr().err
         assert "problems[0]: b=8, T=2: budget T=2 is below the first " \
             "stage's 985 iterations" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_restart_plans_every_budget_at_load(self, tmp_path, capsys):
+        # T=400 plans one stage; a larger budget plans more, and a late
+        # stage's target theta**-t * Delta underflows to 0
+        problem = dict(GROWTH_PROBLEM,
+                       params=dict(GROWTH_PROBLEM["params"], Delta=1e-300))
+        raw = minimal_spec(tmp_path, algorithm="restarted", b_grid=[8],
+                           T_grid=[400, 30000], problems=[problem])
+        assert cli_main(["run", str(write_spec(tmp_path, raw))]) == 2
+        assert "problems[0]: b=8, T=30000: eps and B_sq must be positive" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("configs,overrides,error", [
+        # 2 H lstar is finite at H=1 and overflows at H=10: each problem's
+        # schedule is checked with its own constants
+        ([SIGN_PROBLEM, {"d": 8, "n_atoms": 4, "H": 10.0, "B": 1.0}],
+         {"lstar": 1e307}, "problems[1]: noise_sq = 2 H lstar overflows a "
+                           "float, got H=10.0, lstar=1e+307"),
+        # 4 H B**2 is finite at H=1e-10; B**2 in the noise term is not
+        ([{"d": 2, "n_atoms": 1, "H": 1e-10, "B": 1.0}],
+         {"lstar": 1.0, "B": 1e155}, "problems[0]: ")],
+        ids=["noise_sq", "radius_squared"])
+    def test_noise_term_that_overflows_is_config_error(
+            self, tmp_path, capsys, configs, overrides, error):
+        configs = [cfg if "family" in cfg else
+                   {"family": "interpolation_least_squares", "params": cfg,
+                    "seed": 1} for cfg in configs]
+        raw = minimal_spec(tmp_path, problems=configs, b_grid=[2],
+                           overrides=overrides)
+        assert cli_main(["run", str(write_spec(tmp_path, raw))]) == 2
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda text: text[:-1] + ', "T_grid": [8]}', "T_grid"),
+        (lambda text: text.replace('"H": 1.0', '"H": 1.0, "H": 2.0'), "H"),
+        (lambda text: text.replace('"overrides": {}',
+                                   '"overrides": {"B": 1.0, "B": 2.0}'), "B")],
+        ids=["top_level", "problem_params", "overrides"])
+    def test_repeated_key_is_config_error(self, tmp_path, capsys, edit, key):
+        # ``json.loads`` alone would keep the last copy and run it
+        path = tmp_path / "spec.json"
+        path.write_text(edit(json.dumps(minimal_spec(tmp_path))))
+        with pytest.raises(SpecError, match=f"repeated key '{key}'"):
+            load_spec(path)
+        assert cli_main(["run", str(path)]) == 2
+        assert f"{path}: repeated key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("params", [

@@ -116,6 +116,13 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"{name}.*finite"):
             make_schedule(**full)
 
+    def test_noise_term_that_overflows_rejected(self):
+        # H and lstar are finite, 2 H lstar is not; the noise term would
+        # give a stepsize of exactly 0
+        make_schedule(H=1.0, b=1, T=2, B=1.0, lstar=8e307)
+        with pytest.raises(ValueError, match="noise_sq = 2 H lstar overflows"):
+            make_schedule(H=1.0, b=1, T=2, B=1.0, lstar=1e308)
+
 
 class TestProjectBall:
     def test_scaling(self):

@@ -646,25 +646,21 @@ class TestCounterPath:
         assert calls == (0 if isinstance(prob, DeterministicQuadratic)
                          else steps)
 
-    def test_negative_zero_mean_takes_the_generator_path(self):
-        # -0.0 + 0 * z takes the sign of z: only the generator path gives
-        # those bits
+    def test_negative_zero_mean_is_stored_as_zero(self):
+        # -0.0 + 0 * z would take the sign of z; a mean stored as 0.0 plus
+        # zero noise is the mean, so the design is noise-free
         prob = make_sign_vector_problem(n=1, H=1.0, B=1.0, sigma_signs=[1, 1])
-        means = np.array([-0.0, 1.0])
-        signed = noise_free(prob, means)
-        assert not signed._noise_free
-        assert noise_free(prob, means + 0.0)._noise_free  # -0.0 + 0.0 is 0.0
-        stream, calls = signed.stream(3), []
-        draw = stream.next_generator
-        stream.next_generator = lambda: calls.append(1) or draw()
-        # below the threshold, so the noise alone picks the path
+        signed = noise_free(prob, np.array([-0.0, 1.0]))
+        assert signed.label_means.tobytes() == np.array([0.0, 1.0]).tobytes()
+        assert signed._noise_free
+        stream = signed.stream(3)
+        no_generator(stream)
+        # below the threshold, so by the counter path
         x, y = sample_batch(signed, 32, stream)
         x_ref, y_ref = generator_next_batch(signed, signed.stream(3), 32)
-        assert calls == [1]
         assert x.tobytes() == x_ref.tobytes()
         assert y.tobytes() == y_ref.tobytes()
-        signs = np.signbit(y[x[:, 0] != 0])
-        assert signs.any() and not signs.all()
+        assert (x[:, 0] == 0).any() and not np.signbit(y).any()
 
     def test_noisy_design_takes_the_generator_path(self):
         prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
