@@ -25,7 +25,7 @@ import numpy as np
 
 from . import optimizers
 from .analysis import time_to_eps
-from .problems import _ball_bounds, _is_finite, _is_int, problem_from_config
+from .problems import _is_finite, _is_int, problem_from_config
 from .trace import (canonical_json, config_hash, csv_records, sha256_text,
                     trace_from_csv, trace_to_csv)
 
@@ -40,11 +40,7 @@ __all__ = [
 ]
 
 # algorithm -> the overrides it reads
-_ALGORITHMS = {"acc_mb_sgd": ("B", "lstar"), "sgd": ("B", "eta"),
-               "restarted": ("lstar", "theta")}
-# override -> (comparison, bound) that its value must satisfy
-_OVERRIDES = {"B": (">", 0.0), "lstar": (">=", 0.0), "theta": (">", 1.0),
-              "eta": (">", 0.0)}
+_ALGORITHMS = {"acc_mb_sgd": (), "sgd": ("eta",), "restarted": ()}
 _SPEC_KEYS = ("problems", "algorithm", "b_grid", "T_grid", "n_seeds",
               "base_seed", "eps_targets", "output_dir", "overrides",
               "workers")
@@ -113,6 +109,10 @@ def _validate(raw: dict) -> ExperimentSpec:
             raise SpecError(f"{name}: empty grid")
         if any(not _is_int(v) or v < 1 for v in grid):
             raise SpecError(f"{name}: entries must be positive integers")
+        # a schedule and an error bound compute with floats, which hold
+        # every integer up to 2**53 exactly
+        if max(grid) > 2**53:
+            raise SpecError(f"{name}: entries must be at most 2**53")
         if len(set(grid)) < len(grid):
             raise SpecError(f"{name}: entries must be distinct, got {grid}")
         return tuple(grid)
@@ -147,32 +147,17 @@ def _validate(raw: dict) -> ExperimentSpec:
     if bad:
         raise SpecError(f"overrides: {algorithm} does not read "
                         f"{sorted(bad)}; it reads {_ALGORITHMS[algorithm]}")
-    for key, value in overrides.items():
-        op, low = _OVERRIDES[key]
-        if not _is_finite(value) or value < low or (op == ">" and value == low):
-            raise SpecError(f"overrides.{key}: must be a finite number "
-                            f"{op} {low:g}, got {value!r}")
-    # problem_from_config checks the ball bounds at B, here at overrides.B;
-    # each accelerated schedule and restart plan is made here too, so no
-    # cell of a spec that loads fails to plan
+    eta = overrides.get("eta", 1.0)
+    if not _is_finite(eta) or eta <= 0:
+        raise SpecError(f"overrides.eta: must be a finite number > 0, "
+                        f"got {eta!r}")
+    # each restart plan is made here, so no cell of a spec that loads fails
+    # to plan
     for i, problem in enumerate(built):
-        meta = problem.meta
-        if "B" in overrides and not np.isfinite(
-                _ball_bounds(problem, overrides["B"])).all():
-            raise SpecError(f"problems[{i}]: parameters overflow a float "
-                            f"with overrides.B")
-        if algorithm == "acc_mb_sgd":
-            # a schedule fails only on its noise term, whatever b and T are
-            try:
-                optimizers.make_schedule(meta.H, b_grid[0], T_grid[0],
-                                         overrides.get("B", meta.B),
-                                         overrides.get("lstar", meta.Lstar))
-            except (ValueError, ArithmeticError) as err:
-                raise SpecError(f"problems[{i}]: {err}") from err
         for b in b_grid if algorithm == "restarted" else ():
             for T in T_grid:
                 try:
-                    _restart_plan(problem, b, T, overrides)
+                    _restart_plan(problem, b, T)
                 except (ValueError, ArithmeticError) as err:
                     raise SpecError(f"problems[{i}]: b={b}, T={T}: "
                                     f"{err}") from err
@@ -261,18 +246,14 @@ def _run_cell(cell: dict) -> dict:
     and header JSON, and return their digests with the run's outcome."""
     problem = problem_from_config(cell["problem"])
     alg, b, T, seed = cell["algorithm"], cell["b"], cell["T"], cell["seed"]
-    ov = cell["overrides"]
     if alg == "acc_mb_sgd":
-        _, trace = optimizers.run_acc_mb_sgd(
-            problem, b, T, B_override=ov.get("B"),
-            lstar_override=ov.get("lstar"), seed=seed)
+        _, trace = optimizers.run_acc_mb_sgd(problem, b, T, seed=seed)
     elif alg == "sgd":
         _, trace = optimizers.run_sgd(problem, b, T, seed=seed,
-                                      eta=ov.get("eta"),
-                                      B_override=ov.get("B"))
+                                      eta=cell["overrides"].get("eta"))
     elif alg == "restarted":
         _, trace = optimizers.run_restarted(
-            problem, _restart_plan(problem, b, T, ov), seed=seed)
+            problem, _restart_plan(problem, b, T), seed=seed)
     else:
         raise ValueError(f"unknown algorithm {alg!r}")
 
@@ -284,12 +265,11 @@ def _run_cell(cell: dict) -> dict:
             "aborted": trace.aborted, "rows": len(trace.t)}
 
 
-def _restart_plan(problem, b, T, overrides):
+def _restart_plan(problem, b, T):
     """The restart stages of ``problem`` that fit a budget of ``T``."""
     meta = problem.meta
-    return optimizers.make_budget_plan(
-        meta.Delta, T, overrides.get("theta", math.e), meta.lam, meta.H, b,
-        overrides.get("lstar", meta.Lstar))
+    return optimizers.make_budget_plan(meta.Delta, T, math.e, meta.lam,
+                                       meta.H, b, meta.Lstar)
 
 
 def _cells_of(spec: ExperimentSpec):

@@ -99,7 +99,8 @@ def make_schedule(H: float, b: int, T: int, B: float,
                          f"lstar={lstar}")
     gamma = min(1.0 / (12.0 * H), b / (24.0 * H * (T + 1)))
     if noise_sq > 0:
-        gamma = min(gamma, math.sqrt(b * B**2 / (noise_sq * T**3)))
+        # B * B, unlike B**2, is inf rather than an OverflowError
+        gamma = min(gamma, math.sqrt(b * (B * B) / (noise_sq * T**3)))
     return StepSchedule(gamma=gamma, T=int(T), b=int(b), H=float(H),
                         B=float(B), noise_sq=float(noise_sq))
 
@@ -163,21 +164,19 @@ def _abort_on_nonfinite(recorder):
 
 
 def run_acc_mb_sgd(problem: Problem, b: int, T: int,
-                   B_override: float | None = None,
                    lstar_override: float | None = None,
                    seed: int = 0) -> tuple[np.ndarray, RunTrace]:
     """Run the accelerated method for ``T`` steps from the origin.
 
-    The feasible radius defaults to the problem's certified minimizer-norm
-    bound and the minimum loss to the certified one, which sets the noise
-    parameter to twice the smoothness constant times it; both accept
-    looser upper bounds via the overrides.  Returns the final averaged
-    iterate and the full trace.
+    The feasible radius is the problem's certified minimizer-norm bound.
+    The minimum loss defaults to the certified one, and ``lstar_override``
+    accepts a looser upper bound; the noise parameter is twice the
+    smoothness constant times it.  Returns the final averaged iterate and
+    the full trace.
     """
     meta = problem.meta
-    B = meta.B if B_override is None else float(B_override)
     lstar = meta.Lstar if lstar_override is None else float(lstar_override)
-    schedule = make_schedule(meta.H, b, T, B, lstar)
+    schedule = make_schedule(meta.H, b, T, meta.B, lstar)
     content = asdict(schedule)
     recorder = TraceRecorder(problem, "acc_mb_sgd", b, T, seed,
                              schedule=content,
@@ -212,11 +211,11 @@ def _run_stages(problem, recorder, seed, schedules, center=None):
 
 
 def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
-            eta: float | None = None,
-            B_override: float | None = None) -> tuple[np.ndarray, RunTrace]:
+            eta: float | None = None) -> tuple[np.ndarray, RunTrace]:
     """Projected minibatch SGD with tail averaging, as a baseline.
 
-    The stepsize is the constant ``min(1 / (2 H), eta)``; pass ``eta`` from
+    The iterates stay in the ball of the problem's certified radius.  The
+    stepsize is the constant ``min(1 / (2 H), eta)``; pass ``eta`` from
     a tuning grid to give the baseline its best case.  The averaged iterate
     at step ``t`` is the mean of the most recent ``ceil(t / 2)`` projected
     iterates, and the final tail average is returned.
@@ -225,7 +224,8 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
         raise ValueError(f"need T >= 1, b >= 1 and eta > 0, got T={T}, "
                          f"b={b}, eta={eta}")
     meta = problem.meta
-    B = meta.B if B_override is None else float(B_override)
+    B = meta.B
+    # a problem built directly, not from a config, may carry any radius
     if not 0 < B < math.inf:
         raise ValueError(f"the radius B must be finite and positive, got {B}")
     step = 1.0 / (2.0 * meta.H)

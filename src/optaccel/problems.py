@@ -704,21 +704,21 @@ def _build(config: dict) -> Problem:
         problem = _FAMILIES[family](**params)
     meta = problem.meta
     if not np.isfinite([meta.Lstar, meta.sigma_star_sq, meta.lam, meta.Delta,
-                        *_ball_bounds(problem, meta.B)]).all():
+                        *_ball_bounds(problem)]).all():
         raise ValueError(f"{family}: parameters overflow a float: certified "
                          f"constants and ball bounds must be finite")
     return problem
 
 
-def _ball_bounds(problem: Problem, B: float) -> list[float]:
-    """On the ball of radius ``B``, ``4 H B**2`` bounds ``||F (w -
-    wstar)||**2`` and ``(4 H B + 16 sqrt(H) s_max)**2`` the squared
+def _ball_bounds(problem: Problem) -> list[float]:
+    """On the ball of the certified radius ``B``, ``4 H B**2`` bounds
+    ``||F (w - wstar)||**2`` and ``(4 H B + 16 sqrt(H) s_max)**2`` the squared
     deviation of a sample gradient from its mean: ``x x'(w - wstar)`` has
     norm at most ``H ||w - wstar|| <= 2 H B``, and label noise adds
     ``sqrt(H) s |z|`` with ``s_max`` the largest label std (0 if none) and
     ``|z| <= 13.71`` for any normal NumPy's float64 sampler returns.  As
     Python floats, a bound that overflows is ``inf``, with no warning."""
-    H = problem.meta.H
+    H, B = problem.meta.H, problem.meta.B
     s_max = float(max(getattr(problem, "label_stds", ()), default=0.0))
     dev = 4.0 * H * B
     noisy = dev + 16.0 * math.sqrt(H) * s_max

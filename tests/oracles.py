@@ -145,10 +145,10 @@ def reference_acc_step(state, schedule, problem, stream, recorder=None,
     return OptimizerState(w=w_next, w_ag=w_ag_next, t=t + 1)
 
 
-def reference_sgd(problem, b, T, seed=0, eta=None, B_override=None):
+def reference_sgd(problem, b, T, seed=0, eta=None):
     """Projected minibatch SGD with tail averaging, recording per step."""
     meta = problem.meta
-    B = meta.B if B_override is None else float(B_override)
+    B = meta.B
     step = 1.0 / (2.0 * meta.H)
     if eta is not None:
         step = min(step, float(eta))

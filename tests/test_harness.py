@@ -45,8 +45,7 @@ SLOW_GROWTH_PROBLEM = {"family": "growth",
 
 
 # the overrides each algorithm reads
-READS = {"acc_mb_sgd": ("B", "lstar"), "sgd": ("B", "eta"),
-         "restarted": ("lstar", "theta")}
+READS = {"acc_mb_sgd": (), "sgd": ("eta",), "restarted": ()}
 
 
 def minimal_spec(tmp_path, **kw):
@@ -772,6 +771,12 @@ class TestCli:
         with pytest.raises(KeyError, match="unknown suite 'nope'"):
             run_suite("nope")
 
+    def test_unknown_suite_message_is_unquoted(self, capsys):
+        # reads like every other config error, not as a KeyError's repr
+        assert cli_main(["verify", "nope"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown suite 'nope'; expected one of ")
+
     def test_missing_spec_file_is_config_error(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.json")]) == 2
 
@@ -799,6 +804,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(argv + ["--noise-sq", "1"])
         assert exc.value.code == 2
+
+    def test_schedule_whose_radius_squared_overflows(self, capsys):
+        # b B**2 overflows a float; the noise term is then infinite and
+        # does not bind
+        assert cli_main(["schedule", "--H", "1e-10", "--b", "1", "--T", "2",
+                         "--B", "1e155", "--lstar", "1"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "gamma = 138888888.889  (H=1e-10, b=1, T=2, B=1e+155, "
+            "noise_sq=2e-10)\n")
 
     @pytest.mark.parametrize("flag,value", [
         ("--H", "nan"), ("--H", "inf"), ("--B", "inf"), ("--B", "nan"),
@@ -874,8 +888,9 @@ class TestCli:
         # (4 H B)**2, which bounds the squared gradient deviation, overflows
         ("interpolation_least_squares",
          {"d": 4, "n_atoms": 2, "H": 1e200, "B": 1e50}),
+        # 4 H B**2 overflows, (4 H B)**2 and Delta do not
         ("interpolation_least_squares",
-         {"d": 4, "n_atoms": 2, "H": 1e100, "B": 1.0, "overrides.B": 1e60}),
+         {"d": 4, "n_atoms": 2, "H": 1e-10, "B": 1e159}),
         # the label noise sqrt(H) s z of an informative sample overflows
         # the squared gradient, while p H s**2 stays finite
         ("gaussian_spike",
@@ -885,12 +900,9 @@ class TestCli:
         # finite parameters whose problem has an infinite Delta or B, found
         # by TestSpecFuzz; the finite check reports them, with no overflow
         # warning first (a warning fails the run under the test settings)
-        params = dict(params)
-        overrides = {"B": params.pop("overrides.B")} \
-            if "overrides.B" in params else {}
         problem = {"family": family, "params": params, "seed": 0}
-        path = write_spec(tmp_path, minimal_spec(
-            tmp_path, problems=[problem], overrides=overrides))
+        path = write_spec(tmp_path, minimal_spec(tmp_path,
+                                                 problems=[problem]))
         assert cli_main(["run", str(path)]) == 2
         assert "parameters overflow a float" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -934,32 +946,12 @@ class TestCli:
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("configs,overrides,error", [
-        # 2 H lstar is finite at H=1 and overflows at H=10: each problem's
-        # schedule is checked with its own constants
-        ([SIGN_PROBLEM, {"d": 8, "n_atoms": 4, "H": 10.0, "B": 1.0}],
-         {"lstar": 1e307}, "problems[1]: noise_sq = 2 H lstar overflows a "
-                           "float, got H=10.0, lstar=1e+307"),
-        # 4 H B**2 is finite at H=1e-10; B**2 in the noise term is not
-        ([{"d": 2, "n_atoms": 1, "H": 1e-10, "B": 1.0}],
-         {"lstar": 1.0, "B": 1e155}, "problems[0]: ")],
-        ids=["noise_sq", "radius_squared"])
-    def test_noise_term_that_overflows_is_config_error(
-            self, tmp_path, capsys, configs, overrides, error):
-        configs = [cfg if "family" in cfg else
-                   {"family": "interpolation_least_squares", "params": cfg,
-                    "seed": 1} for cfg in configs]
-        raw = minimal_spec(tmp_path, problems=configs, b_grid=[2],
-                           overrides=overrides)
-        assert cli_main(["run", str(write_spec(tmp_path, raw))]) == 2
-        assert f"error: {error}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("edit,key", [
         (lambda text: text[:-1] + ', "T_grid": [8]}', "T_grid"),
         (lambda text: text.replace('"H": 1.0', '"H": 1.0, "H": 2.0'), "H"),
-        (lambda text: text.replace('"overrides": {}',
-                                   '"overrides": {"B": 1.0, "B": 2.0}'), "B")],
+        (lambda text: text.replace(
+            '"overrides": {}', '"overrides": {"eta": 1.0, "eta": 2.0}'),
+         "eta")],
         ids=["top_level", "problem_params", "overrides"])
     def test_repeated_key_is_config_error(self, tmp_path, capsys, edit, key):
         # ``json.loads`` alone would keep the last copy and run it
@@ -1036,6 +1028,26 @@ class TestCli:
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["b_grid", "T_grid"])
+    def test_grid_entry_past_2_53_is_config_error(self, tmp_path, capsys,
+                                                  key):
+        # a schedule or restart plan converts b and T to floats; a first
+        # entry that loads must not hide a later one that cannot convert
+        error = f"{key}: entries must be at most 2**53"
+        raw = minimal_spec(tmp_path, **{key: [8, 10**400]})
+        path = write_spec(tmp_path, raw)
+        with pytest.raises(SpecError, match=re.escape(error)):
+            load_spec(path)
+        assert cli_main(["run", str(path)]) == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # every integer up to 2**53 converts exactly
+        raw[key] = [2**53 + 1]
+        with pytest.raises(SpecError, match=re.escape(error)):
+            load_spec(write_spec(tmp_path, raw))
+        raw[key] = [2**53]
+        assert getattr(load_spec(write_spec(tmp_path, raw)), key) == (2**53,)
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_config_error(self, tmp_path, capsys,
                                                workers):
@@ -1070,9 +1082,9 @@ class TestCli:
 
     @pytest.mark.parametrize("key,value", [
         ("overrides", {"eta": "fast"}), ("overrides", {"eta": 0.0}),
-        ("overrides", {"B": -1.0}), ("overrides", {"B": float("inf")}),
-        ("overrides", {"lstar": True}), ("overrides", {"lstar": -0.1}),
-        ("overrides", {"theta": 0.5}), ("overrides", {"theta": 1}),
+        ("overrides", {"eta": -1.0}), ("overrides", {"eta": float("inf")}),
+        ("overrides", {"eta": True}), ("overrides", {"eta": -0.1}),
+        ("overrides", {"eta": None}), ("overrides", {"eta": 0}),
         ("overrides", {"eta": float("nan")}), ("overrides", {"eta": 10**400}),
         ("overrides", [["eta", 0.25]]),
         ("eps_targets", [float("nan"), True]), ("eps_targets", [True]),
@@ -1102,11 +1114,18 @@ class TestCli:
 
     @pytest.mark.parametrize("algorithm,overrides,unread", [
         ("acc_mb_sgd", {"eta": 0.25}, ["eta"]),
-        ("acc_mb_sgd", {"B": 2.0, "theta": 2.0}, ["theta"]),
+        ("acc_mb_sgd", {"B": 2.0, "theta": 2.0}, ["B", "theta"]),
         ("sgd", {"lstar": 0.0}, ["lstar"]),
         ("sgd", {"eta": 0.25, "theta": 2.0}, ["theta"]),
         ("restarted", {"B": 2.0}, ["B"]),
-        ("restarted", {"eta": 0.25, "theta": 2.0, "step": 1}, ["eta", "step"])])
+        ("restarted", {"eta": 0.25, "theta": 2.0, "step": 1},
+         ["eta", "step", "theta"]),
+        # with the cases above, each of B, lstar and theta on each
+        # algorithm: runs take B and Lstar from the problem's certified
+        # constants, and restart plans take theta = e
+        ("acc_mb_sgd", {"lstar": 0.0}, ["lstar"]),
+        ("sgd", {"B": 2.0}, ["B"]),
+        ("restarted", {"lstar": 0.0}, ["lstar"])])
     def test_override_the_algorithm_never_reads_is_config_error(
             self, tmp_path, capsys, algorithm, overrides, unread):
         # an unread key would change nothing but the spec hash
@@ -1119,15 +1138,9 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_boundary_overrides_accepted(self, tmp_path):
-        for algorithm, overrides in (
-                ("acc_mb_sgd", {"B": 2, "lstar": 0}),
-                ("sgd", {"B": 2, "eta": 0.25}),
-                ("restarted", {"lstar": 0, "theta": 1.5})):
-            # a restart budget must fit the first stage, 1729 steps here
-            raw = minimal_spec(tmp_path, algorithm=algorithm,
-                               overrides=overrides, eps_targets=[1, 0.5],
-                               T_grid=[2048 if algorithm == "restarted"
-                                       else 16])
+        for overrides in ({"eta": 5e-324}, {"eta": 1}):
+            raw = minimal_spec(tmp_path, algorithm="sgd",
+                               overrides=overrides, eps_targets=[1, 0.5])
             assert load_spec(write_spec(tmp_path, raw)).overrides == overrides
 
     def test_plotdata_cli(self, tmp_path):
@@ -1176,7 +1189,7 @@ _PLAUSIBLE = (st.integers(-2, 8) | st.floats(-1.0, 100.0)
 
 
 # a valid value of each override
-_OVERRIDE_VALUES = {"B": 2.0, "lstar": 0.0, "theta": 2.0, "eta": 0.25}
+_OVERRIDE_VALUES = {"eta": 0.25}
 
 
 @st.composite
@@ -1185,7 +1198,7 @@ def mutated_specs(draw):
     removed."""
     algorithm = draw(st.sampled_from(["acc_mb_sgd", "sgd", "restarted"]))
     # overrides the algorithm reads, so the unmutated spec is valid
-    keys = draw(st.lists(st.sampled_from(READS[algorithm]), unique=True))
+    keys = draw(st.sampled_from([(), READS[algorithm]]))
     raw = {"problems": [draw(family_configs())], "algorithm": algorithm,
            "b_grid": [1, 4], "T_grid": [16], "n_seeds": 1, "base_seed": 0,
            "eps_targets": [0.1], "output_dir": "out",
@@ -1240,8 +1253,9 @@ def fuzz_example(problem, algorithm, b_grid, T_grid):
 
 class TestSpecFuzz:
     """A malformed spec is a ``SpecError`` and exit 2; an accepted one
-    builds finite problems, survives a canonical rewrite and ``load_spec``
-    and, if it is small, runs without a failed cell."""
+    builds finite problems, makes each cell's schedule or restart plan,
+    survives a canonical rewrite and ``load_spec`` and, if it is small,
+    runs without a failed cell."""
 
     def check(self, path):
         try:
@@ -1251,7 +1265,16 @@ class TestSpecFuzz:
             assert cli_main(["run", str(path)]) == 2
             return
         for cfg in spec.problems:
-            assert_finite_problem(problem_from_config(cfg))
+            problem = problem_from_config(cfg)
+            assert_finite_problem(problem)
+            meta = problem.meta
+            # what a cell makes before its first step, whatever its size
+            for b in spec.b_grid:
+                for T in spec.T_grid:
+                    if spec.algorithm == "acc_mb_sgd":
+                        make_schedule(meta.H, b, T, meta.B, meta.Lstar)
+                    elif spec.algorithm == "restarted":
+                        harness._restart_plan(problem, b, T)
         assert spec_hash(load_spec(write_canonical(
             spec, path.with_name("canon.json")))) == spec_hash(spec)
         steps = (len(spec.problems) * len(spec.b_grid) * sum(spec.T_grid)
@@ -1267,6 +1290,12 @@ class TestSpecFuzz:
     # accepted by validation once, and then failing every cell at T=2 or
     # every cell of the spike
     @example(fuzz_example(SLOW_GROWTH_PROBLEM, "restarted", [8], [2, 1024]))
+    # accepted once on its first horizon, and then failing to schedule
+    # the second
+    @example(fuzz_example({"family": "interpolation_least_squares",
+                           "seed": 0, "params": {"d": 8, "n_atoms": 4,
+                                                 "H": 1.0, "B": 1.0}},
+                          "acc_mb_sgd", [1], [16, 10**400]))
     @example(fuzz_example({"family": "gaussian_spike", "seed": 0, "params": {
         "H": 0.0, "B": 1.0, "p": 0.5, "s": 1.0, "sign": 1}},
         "acc_mb_sgd", [1], [16]))

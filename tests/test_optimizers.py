@@ -4,6 +4,7 @@ import copy
 import math
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,10 +257,11 @@ class TestAccRun:
     def test_overrides_change_schedule(self):
         prob = make_interpolation_least_squares(d=4, n_atoms=2, H=1.0, B=1.0,
                                                 seed=0)
-        _, t_narrow = run_acc_mb_sgd(prob, b=1, T=8, seed=0)
-        _, t_wide = run_acc_mb_sgd(prob, b=1, T=8, B_override=2.0, seed=0)
-        assert t_narrow.header["schedule"]["B"] == 1.0
-        assert t_wide.header["schedule"]["B"] == 2.0
+        _, t_certified = run_acc_mb_sgd(prob, b=1, T=8, seed=0)
+        _, t_loose = run_acc_mb_sgd(prob, b=1, T=8, lstar_override=0.5,
+                                    seed=0)
+        assert t_certified.header["schedule"]["noise_sq"] == 0.0
+        assert t_loose.header["schedule"]["noise_sq"] == 1.0
 
     def test_header_hash_matches_problem_config(self):
         from optaccel import config_hash
@@ -328,9 +330,11 @@ class TestSgd:
             raise AssertionError("a recorder was built")
 
         monkeypatch.setattr(optaccel.optimizers, "TraceRecorder", no_recorder)
+        bad = DeterministicQuadratic(np.array([[1.0]]),
+                                     replace(one_dim_quadratic().meta, B=B),
+                                     0, {})
         with pytest.raises(ValueError, match="radius B must be finite"):
-            run_sgd(make_interpolation_least_squares(
-                d=8, n_atoms=4, H=1.0, B=1.0, seed=3), 1, 50, B_override=B)
+            run_sgd(bad, 1, 50)
 
     def test_tail_average_keeps_a_quarter_of_the_partial_sums(self):
         # a later tail start reads only the sums from the current one up to
@@ -522,8 +526,8 @@ class TestRestarted:
         assert len(plan.stages) == 1
         st = plan.stages[0]
         w_restart, t_restart = run_restarted(prob, plan, seed=3)
-        w_plain, t_plain = run_acc_mb_sgd(prob, b=4, T=st.T_t,
-                                          B_override=st.B_t, seed=3)
+        w_plain, t_plain = reference_acc_mb_sgd(prob, b=4, T=st.T_t,
+                                                B_override=st.B_t, seed=3)
         assert w_restart.tobytes() == w_plain.tobytes()
         assert t_restart.subopt.tobytes() == t_plain.subopt.tobytes()
 
@@ -740,16 +744,14 @@ def same_run(got, want):
 class TestOneAcceleratedLoop:
     @settings(max_examples=150, deadline=None)
     @given(cfg=family_configs(), b=st.integers(1, 8),
-           B_override=st.none() | st.floats(0.1, 10.0),
            lstar_override=st.none() | st.floats(0.0, 1.0),
            seed=st.integers(0, 2**32), data=st.data())
-    def test_plain_run_matches_reference(self, cfg, b, B_override,
-                                         lstar_override, seed, data):
+    def test_plain_run_matches_reference(self, cfg, b, lstar_override, seed,
+                                         data):
         block = data.draw(st.integers(1, 80), label="rows per block")
         T = data.draw(st.integers(1, 60) | near_blocks(block), label="T")
         nan_from = data.draw(aborts(T, block), label="nan_from")
-        kwargs = dict(B_override=B_override, lstar_override=lstar_override,
-                      seed=seed)
+        kwargs = dict(lstar_override=lstar_override, seed=seed)
         with rows_per_block(cfg, block):
             got = run_acc_mb_sgd(build(cfg, nan_from), b, T, **kwargs)
         same_run(got,
@@ -791,14 +793,12 @@ class TestSgdLoop:
     @settings(max_examples=150, deadline=None)
     @given(cfg=family_configs(), b=st.integers(1, 8),
            eta=st.none() | st.floats(1e-3, 2.0),
-           B_override=st.none() | st.floats(0.1, 10.0),
            seed=st.integers(0, 2**32), data=st.data())
-    def test_matches_per_step_recording(self, cfg, b, eta, B_override, seed,
-                                        data):
+    def test_matches_per_step_recording(self, cfg, b, eta, seed, data):
         block = data.draw(st.integers(1, 80), label="rows per block")
         T = data.draw(st.integers(1, 60) | near_blocks(block), label="T")
         nan_from = data.draw(aborts(T, block), label="nan_from")
-        kwargs = dict(seed=seed, eta=eta, B_override=B_override)
+        kwargs = dict(seed=seed, eta=eta)
         with rows_per_block(cfg, block):
             got = run_sgd(build(cfg, nan_from), b, T, **kwargs)
         same_run(got, reference_sgd(build(cfg, nan_from), b, T, **kwargs))
