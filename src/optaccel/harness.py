@@ -151,13 +151,13 @@ def _validate(raw: dict) -> ExperimentSpec:
     if not _is_finite(eta) or eta <= 0:
         raise SpecError(f"overrides.eta: must be a finite number > 0, "
                         f"got {eta!r}")
-    # each restart plan is made here, so no cell of a spec that loads fails
-    # to plan
+    # each cell's step rule is made here, so no cell of a spec that loads
+    # fails to plan or steps by 0 or inf
     for i, problem in enumerate(built):
-        for b in b_grid if algorithm == "restarted" else ():
+        for b in b_grid:
             for T in T_grid:
                 try:
-                    _restart_plan(problem, b, T)
+                    _make_step_rule(problem, algorithm, b, T, overrides)
                 except (ValueError, ArithmeticError) as err:
                     raise SpecError(f"problems[{i}]: b={b}, T={T}: "
                                     f"{err}") from err
@@ -270,6 +270,19 @@ def _restart_plan(problem, b, T):
     meta = problem.meta
     return optimizers.make_budget_plan(meta.Delta, T, math.e, meta.lam,
                                        meta.H, b, meta.Lstar)
+
+
+def _make_step_rule(problem, algorithm, b, T, overrides):
+    """Make what a cell's run steps by, raising as the run would: its
+    schedule, its SGD step, or its restart plan and each stage's
+    schedule."""
+    meta = problem.meta
+    if algorithm == "acc_mb_sgd":
+        optimizers.make_schedule(meta.H, b, T, meta.B, meta.Lstar)
+    elif algorithm == "sgd":
+        optimizers.sgd_step(meta.H, overrides.get("eta"))
+    else:
+        optimizers.stage_schedules(_restart_plan(problem, b, T))
 
 
 def _cells_of(spec: ExperimentSpec):

@@ -33,12 +33,14 @@ __all__ = [
     "acc_step",
     "run_acc_mb_sgd",
     "run_sgd",
+    "sgd_step",
     "stage_budget",
     "Stage",
     "StagePlan",
     "make_stage_plan",
     "make_budget_plan",
     "run_restarted",
+    "stage_schedules",
     "accel_error_bound",
 ]
 
@@ -84,7 +86,10 @@ def make_schedule(H: float, b: int, T: int, B: float,
     With ``noise_sq = 2 H lstar`` (``lstar`` bounds the minimum loss from
     above), the base stepsize is
     ``min(1 / (12 H), b / (24 H (T + 1)), sqrt(b B**2 / (noise_sq T**3)))``,
-    the last term treated as infinite when ``noise_sq`` is zero.
+    the last term treated as infinite when ``noise_sq`` is zero.  A base
+    stepsize that underflows to 0, or whose largest multiple
+    ``gamma_t(T - 1) = gamma * T`` overflows, is a ``ValueError``: the run
+    would never move, or would step by ``inf``.
     """
     if not (0 < H < math.inf and 0 < B < math.inf):
         raise ValueError(f"H and B must be finite and positive, got H={H}, "
@@ -101,6 +106,12 @@ def make_schedule(H: float, b: int, T: int, B: float,
     if noise_sq > 0:
         # B * B, unlike B**2, is inf rather than an OverflowError
         gamma = min(gamma, math.sqrt(b * (B * B) / (noise_sq * T**3)))
+    if gamma == 0:
+        raise ValueError(f"the base stepsize underflows to 0, got H={H}, "
+                         f"b={b}, T={T}, B={B}, noise_sq={noise_sq}")
+    if gamma * T == math.inf:
+        raise ValueError(f"the last stepsize gamma * T overflows a float, "
+                         f"got gamma={gamma}, T={T}")
     return StepSchedule(gamma=gamma, T=int(T), b=int(b), H=float(H),
                         B=float(B), noise_sq=float(noise_sq))
 
@@ -228,9 +239,7 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
     # a problem built directly, not from a config, may carry any radius
     if not 0 < B < math.inf:
         raise ValueError(f"the radius B must be finite and positive, got {B}")
-    step = 1.0 / (2.0 * meta.H)
-    if eta is not None:
-        step = min(step, float(eta))
+    step = sgd_step(meta.H, eta)
     recorder = TraceRecorder(problem, "sgd", b, T, seed, eta=step, B=B)
     stream = problem.stream(seed)
     w = np.zeros(problem.d)
@@ -253,6 +262,18 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
             recorder.append(w_next, w_avg, w, g)
             w = w_next
     return w_avg, recorder.build()
+
+
+def sgd_step(H: float, eta: float | None = None) -> float:
+    """``run_sgd``'s constant stepsize ``min(1 / (2 H), eta)``; one that is
+    not finite and positive is a ``ValueError``."""
+    step = 1.0 / (2.0 * H)
+    if eta is not None:
+        step = min(step, float(eta))
+    if not 0 < step < math.inf:
+        raise ValueError(f"the SGD step min(1 / (2 H), eta) must be finite "
+                         f"and positive, got {step} (H={H}, eta={eta})")
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +422,11 @@ def run_restarted(problem: Problem, plan: StagePlan, seed: int = 0
     """
     recorder = TraceRecorder(problem, "restarted", plan.b,
                              plan.total_iterations, seed, plan=asdict(plan))
-    schedules = (make_schedule(plan.H, plan.b, st.T_t, st.B_t, plan.Lstar)
-                 for st in plan.stages)
-    return _run_stages(problem, recorder, seed, schedules,
+    return _run_stages(problem, recorder, seed, stage_schedules(plan),
                        center=np.zeros(problem.d))
+
+
+def stage_schedules(plan: StagePlan) -> list[StepSchedule]:
+    """The schedule of each stage of ``plan``, in order."""
+    return [make_schedule(plan.H, plan.b, st.T_t, st.B_t, plan.Lstar)
+            for st in plan.stages]

@@ -93,6 +93,9 @@ _BLOCK_WORDS = 4096
 # position's generator instead: NumPy's C Philox then costs less than the
 # counter path's array rounds, and both give the same bits
 _GENERATOR_MIN_B = 64
+# ``batch_grad_mean`` gathers a larger batch in blocks of at most this many
+# float64 elements (512 KB), so no step allocates a ``b x d`` array
+_GRAD_BLOCK_ELEMENTS = 65536
 
 
 def _philox_uniforms(key, t0: int, count: int, b: int) -> np.ndarray:
@@ -181,6 +184,8 @@ class SampleStream:
             count = max(1, _BLOCK_WORDS // (4 * -(-b // 4)))
             rows = cdf.searchsorted(
                 _philox_uniforms(self._key, t, count, b), side="right")
+            # each draw is a view of the block: nothing may write it
+            rows.flags.writeable = False
             block = self._block = (cdf, b, t, rows)
         self.position = t + 1
         return block[3][t - block[2]]
@@ -207,8 +212,11 @@ class Problem:
     ``next_batch(stream, n)`` is the one way to draw: it returns the ``n``
     i.i.d. samples of batch ``stream.position`` and advances the stream
     by one position, so a batch is a function of the stream's key and its
-    position alone.  A design without label noise takes its indices from
-    ``stream.next_indices``, which chooses how to compute them.
+    position alone.  A finite design's batch is ``(idx, y)``: the drawn
+    atom indices and their labels, sample ``i`` being
+    ``(atoms[idx[i]], y[i])``.  A design without label noise takes its
+    indices from ``stream.next_indices``, which chooses how to compute
+    them.
 
     ``exact_loss``, ``suboptimality`` and ``exact_grad`` take one ``(d,)``
     point or a ``(k, d)`` stack of points; ``loss(W, batch)`` and
@@ -218,10 +226,9 @@ class Problem:
     one-row call bit for bit (see ``rowwise``); one point gives a float or
     a ``(d,)`` gradient.
 
-    ``batch_grad_mean(w, batch)`` consumes its batch: it may overwrite the
-    batch's feature array, so a caller that needs the batch afterwards
-    passes a copy.  ``next_batch`` returns a fresh, writable float64
-    feature array for that reason.
+    ``loss``, ``grad`` and ``batch_grad_mean`` gather the features of a
+    batch themselves and write no batch; nothing else writes one either,
+    since its indices may be a read-only view of the stream's block.
     """
 
     def __init__(self, family, d, meta, base_seed, params):
@@ -302,43 +309,84 @@ class DiscreteLeastSquares(Problem):
     def next_batch(self, stream, b):
         if self._noise_free:
             idx = stream.next_indices(self._cdf, b)
-            y = self.label_means[idx]
-        else:
-            gen = stream.next_generator()
-            idx = self._cdf.searchsorted(gen.random(b), side="right")
-            # draw the noise unconditionally so the stream layout does not
-            # depend on which atoms were selected
-            y = self.label_means[idx]
-            y = y + self.label_stds[idx] * gen.standard_normal(b)
-        # ``take`` gathers the rows ``atoms[idx]`` does, in half the time
-        # at small b and d
-        return self.atoms.take(idx, axis=0), y
+            return idx, self.label_means[idx]
+        gen = stream.next_generator()
+        idx = self._cdf.searchsorted(gen.random(b), side="right")
+        # draw the noise unconditionally so the stream layout does not
+        # depend on which atoms were selected
+        y = self.label_means[idx]
+        return idx, y + self.label_stds[idx] * gen.standard_normal(b)
 
     # -- per-sample quantities ---------------------------------------------
 
     def loss(self, W, batch):
-        x, y = batch
+        idx, y = batch
+        # ``take`` gathers the rows ``atoms[idx]`` does, in half the time
+        # at small b and d
+        x = self.atoms.take(idx, axis=0)
         # libm ``pow``, as a Python float squares; NumPy's ``** 2`` differs
         # from it in the last bit for about 1 residual in 1,000
         return 0.5 * np.float_power(rowdot(x, W) - y, 2)
 
     def grad(self, W, batch):
-        x, y = batch
+        idx, y = batch
+        x = self.atoms.take(idx, axis=0)
         return x * (rowdot(x, W) - y)[:, None]
 
     def batch_grad_mean(self, w, batch):
-        """Mean per-sample gradient over ``batch``; consumes the batch.
+        """Mean per-sample gradient ``atoms[idx[i]] * r[i]`` over the batch
+        ``(idx, y)``, with residuals ``r = atoms[idx] @ w - y``.
 
-        The per-sample gradients ``x[i] * r[i]`` are written into ``x``
-        itself (which must be a writable float64 array, as ``next_batch``
-        returns), so afterwards ``x`` holds them and no ``b x d`` array is
-        allocated per step.  The mean reduces over the sample axis in a
-        fixed deterministic order.
+        A batch of at most ``_GRAD_BLOCK_ELEMENTS`` feature elements, or
+        of ``d = 1``, is gathered whole: one gemv, one product in place and
+        one sum over the sample axis, which NumPy adds row by row for
+        ``d > 1`` (and pairwise for a ``(b, 1)`` array, so that one is
+        never split).  A larger batch goes through ``_grad_sum_by_blocks``,
+        which gives the same bits without a ``b x d`` array.
         """
-        x, y = batch
+        idx, y = batch
+        b, d = len(idx), self.d
+        if b * d > _GRAD_BLOCK_ELEMENTS and d > 1:
+            return self._grad_sum_by_blocks(w, idx, y) / float(b)
+        x = self.atoms.take(idx, axis=0)
         r = x @ w - y
         np.multiply(x, r[:, None], out=x)
-        return np.add.reduce(x, axis=0) / float(len(r))
+        return np.add.reduce(x, axis=0) / float(b)
+
+    def _grad_sum_by_blocks(self, w, idx, y):
+        """Sum of the per-sample gradients, gathered block by block into
+        one buffer, bit for bit the sum over the whole gathered batch.
+
+        A block holds the largest power of two of rows, at least 4, that
+        fits ``_GRAD_BLOCK_ELEMENTS``, so each block starts on OpenBLAS
+        ``dgemv_t``'s 4-row grouping and its residuals round as in one
+        gemv over the batch.  A last block of one row joins the block
+        before it: NumPy computes a 1-row product as a dot, which rounds
+        otherwise.  The running sum goes into row 0 of the next block
+        before that block is summed, so the rows are added in batch order
+        (``acc + x`` and ``x + acc`` are the same float).  The bits match
+        at one BLAS thread: OpenBLAS may split a gemv over threads at a row
+        off the 4-row grouping, the whole batch's gemv included.
+        """
+        b, d = len(idx), self.d
+        rows = 1 << max(2, (_GRAD_BLOCK_ELEMENTS // d).bit_length() - 1)
+        edges = [*range(0, b, rows), b]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            del edges[-2]
+        spans = list(zip(edges, edges[1:]))
+        buf = np.empty((max(hi - lo for lo, hi in spans), d))
+        acc = None
+        for lo, hi in spans:
+            blk = buf[:hi - lo]
+            # into ``out``, mode "raise" would copy through a temporary;
+            # every drawn index is in range, so "clip" changes none
+            self.atoms.take(idx[lo:hi], axis=0, out=blk, mode="clip")
+            r = blk @ w - y[lo:hi]
+            np.multiply(blk, r[:, None], out=blk)
+            if acc is not None:
+                blk[0] += acc
+            acc = np.add.reduce(blk, axis=0)
+        return acc
 
     # -- closed forms -------------------------------------------------------
 
@@ -623,9 +671,10 @@ def minibatch_gradient(problem: Problem, w, batch):
     """Arithmetic mean of the per-sample gradients over a batch.
 
     The reduction runs over the sample axis in a fixed deterministic order,
-    so identical batches always produce bit-identical gradients.  The call
-    consumes the batch: a finite design's feature array ``x`` holds the
-    per-sample gradients afterwards (see ``Problem``).
+    so identical batches always produce bit-identical gradients.  A finite
+    design gathers the batch's features itself, a large batch block by
+    block, so the call allocates no ``b x d`` array and leaves the batch
+    as it was (see ``DiscreteLeastSquares.batch_grad_mean``).
     """
     return problem.batch_grad_mean(np.asarray(w, dtype=float), batch)
 

@@ -41,7 +41,7 @@ def generator_batch(problem, gen, n):
     idx = problem._cdf.searchsorted(gen.random(n), side="right")
     y = problem.label_means[idx] + problem.label_stds[idx] \
         * gen.standard_normal(n)
-    return problem.atoms[idx], y
+    return idx, y
 
 
 def generator_next_batch(problem, stream, n):
@@ -193,27 +193,33 @@ def dot_exact_loss(problem, w):
 
 
 def sample_loss(problem, w, z):
-    """Loss of the one sample ``z = (x, y)`` at the one point ``w``."""
+    """Loss of the one sample ``z = (atom index, y)`` at the one point
+    ``w``."""
     if isinstance(problem, DeterministicQuadratic):
         return dot_exact_loss(problem, w)
-    x, y = z
+    i, y = z
+    # a contiguous copy, as a batch gathers it (the growth family's atoms
+    # are a transposed array)
+    x = problem.atoms.take(i, axis=0)
     return 0.5 * (float(x @ w) - float(y)) ** 2
 
 
 def sample_grad(problem, w, z):
-    """Gradient of the one sample ``z = (x, y)`` at the one point ``w``."""
+    """Gradient of the one sample ``z = (atom index, y)`` at the one point
+    ``w``."""
     if isinstance(problem, DeterministicQuadratic):
         return dot_exact_grad(problem, w)
-    x, y = z
+    i, y = z
+    x = problem.atoms.take(i, axis=0)
     return x * (float(x @ w) - float(y))
 
 
 def reference_variance_at(problem, w, n_samples, seed=0):
     """``variance_at`` from per-sample gradients taken one at a time."""
     w = np.asarray(w, dtype=float)
-    x, y = generator_batch(problem, problem.stream(seed).next_generator(),
-                           n_samples)
-    grads = np.array([sample_grad(problem, w, z) for z in zip(x, y)])
+    idx, y = generator_batch(problem, problem.stream(seed).next_generator(),
+                             n_samples)
+    grads = np.array([sample_grad(problem, w, z) for z in zip(idx, y)])
     sq = ((grads - problem.exact_grad(w)) ** 2).sum(axis=1)
     return (float(sq.mean()),
             float(sq.std(ddof=1) / math.sqrt(n_samples)))
@@ -239,7 +245,7 @@ def reference_certify_assumptions(problem, n_probes=1000, seed=0):
     """``certify_assumptions`` by loops over the probes."""
     meta = problem.meta
     gen = np.random.default_rng(np.random.SeedSequence([seed, 0xA55E]))
-    x, y = generator_batch(
+    idx, y = generator_batch(
         problem, problem.stream(seed ^ 0x517).next_generator(), n_probes)
     points = _ball_points(gen, 2 * meta.B, (2 * n_probes, problem.d))
     ws, us = points[:n_probes], points[n_probes:]
@@ -247,7 +253,7 @@ def reference_certify_assumptions(problem, n_probes=1000, seed=0):
     worst = {"nonneg": -math.inf, "convex": -math.inf, "smooth": -math.inf,
              "lips": -math.inf}
     for i in range(n_probes):
-        z = (x[i], y[i])
+        z = (idx[i], y[i])
         w, u = ws[i], us[i]
         lw, lu = sample_loss(problem, w, z), sample_loss(problem, u, z)
         gw, gu = sample_grad(problem, w, z), sample_grad(problem, u, z)

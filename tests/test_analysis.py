@@ -37,11 +37,11 @@ def finite_difference_check(problem, n_probes=100, seed=0, h=1e-6):
     """Worst relative error of central differences against ``grad``, over
     sampled ``z`` and points ``w`` in the ball of radius ``2 B``."""
     gen = np.random.default_rng(np.random.SeedSequence([seed, 0xFD1F]))
-    x, y = problem.next_batch(problem.stream(seed ^ 0x90D), n_probes)
+    idx, y = problem.next_batch(problem.stream(seed ^ 0x90D), n_probes)
     points = _ball_points(gen, 2 * problem.meta.B, (n_probes, problem.d))
     worst = 0.0
     for i, w in enumerate(points):
-        z = (x[i:i + 1], y[i:i + 1])  # one-row stacks
+        z = (idx[i:i + 1], y[i:i + 1])  # one-sample batches
         g = problem.grad(w[None], z)[0]
         for k, e in enumerate(h * np.eye(problem.d)):
             fd = (problem.loss((w + e)[None], z)[0]
@@ -359,11 +359,11 @@ class TestArrayFormsMatchReferences:
         prob = problem_from_config(cfg)
         gen = np.random.default_rng(seed)
         W = _ball_points(gen, 10.0 ** gen.uniform(-3, 2), (n, prob.d))
-        x, y = prob.next_batch(prob.stream(seed), n)
-        rows = list(zip(W, zip(x, y)))
-        assert same_bits(prob.loss(W, (x, y)),
+        idx, y = prob.next_batch(prob.stream(seed), n)
+        rows = list(zip(W, zip(idx, y)))
+        assert same_bits(prob.loss(W, (idx, y)),
                          [sample_loss(prob, w, z) for w, z in rows])
-        assert same_bits(prob.grad(W, (x, y)),
+        assert same_bits(prob.grad(W, (idx, y)),
                          [sample_grad(prob, w, z) for w, z in rows])
         assert same_bits(prob.exact_loss(W),
                          [dot_exact_loss(prob, w) for w in W])

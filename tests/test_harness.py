@@ -24,6 +24,7 @@ from optaccel import (harness, make_schedule, make_sign_vector_problem,
 from optaccel.cli import main as cli_main
 from optaccel.harness import (ExperimentSpec, SpecError, emit_plotdata,
                               load_spec, run_experiment, spec_hash)
+from optaccel.optimizers import sgd_step, stage_schedules
 from optaccel.problems import problem_from_config
 from optaccel.trace import canonical_json, trace_from_csv
 from optaccel.verify import SUITES, run_suite
@@ -946,6 +947,33 @@ class TestCli:
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("algorithm,params,T,error", [
+        ("acc_mb_sgd", {"family": "gaussian_spike", "params": {
+            "H": 1e-175, "B": 1e-100, "p": 0.5, "s": 1e150, "sign": 1}}, 16,
+         "problems[0]: b=1, T=16: the base stepsize underflows to 0"),
+        ("acc_mb_sgd", {"family": "interpolation_least_squares", "params": {
+            "d": 4, "n_atoms": 2, "H": 1e-310, "B": 1.0}}, 4,
+         "problems[0]: b=1, T=4: the last stepsize gamma * T overflows"),
+        ("sgd", {"family": "interpolation_least_squares", "params": {
+            "d": 4, "n_atoms": 2, "H": 1e-310, "B": 1.0}}, 4,
+         "problems[0]: b=1, T=4: the SGD step min(1 / (2 H), eta) must be "
+         "finite and positive, got inf"),
+        # the plan's one stage of 784 steps has gamma = 5.3e305
+        ("restarted", {"family": "growth", "params": {
+            "d": 2, "r": 1, "lam": 1e-310, "H": 1e-310, "Delta": 1e-10}},
+         1000, "problems[0]: b=1, T=1000: the last stepsize gamma * T "
+         "overflows")],
+        ids=["acc_gamma_zero", "acc_gamma_T_inf", "sgd_step_inf",
+             "restart_stage_gamma_T_inf"])
+    def test_zero_or_overflowing_stepsize_is_config_error(
+            self, tmp_path, capsys, algorithm, params, T, error):
+        # each ran before with a stepsize of 0 or a NaN row, and exit 0
+        raw = minimal_spec(tmp_path, algorithm=algorithm, b_grid=[1],
+                           T_grid=[T], problems=[dict(params, seed=0)])
+        assert cli_main(["run", str(write_spec(tmp_path, raw))]) == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("edit,key", [
         (lambda text: text[:-1] + ', "T_grid": [8]}', "T_grid"),
         (lambda text: text.replace('"H": 1.0', '"H": 1.0, "H": 2.0'), "H"),
@@ -1253,7 +1281,8 @@ def fuzz_example(problem, algorithm, b_grid, T_grid):
 
 class TestSpecFuzz:
     """A malformed spec is a ``SpecError`` and exit 2; an accepted one
-    builds finite problems, makes each cell's schedule or restart plan,
+    builds finite problems, makes each cell's schedule, SGD step or
+    restart plan and its stage schedules,
     survives a canonical rewrite and ``load_spec`` and, if it is small,
     runs without a failed cell."""
 
@@ -1273,8 +1302,10 @@ class TestSpecFuzz:
                 for T in spec.T_grid:
                     if spec.algorithm == "acc_mb_sgd":
                         make_schedule(meta.H, b, T, meta.B, meta.Lstar)
-                    elif spec.algorithm == "restarted":
-                        harness._restart_plan(problem, b, T)
+                    elif spec.algorithm == "sgd":
+                        sgd_step(meta.H, spec.overrides.get("eta"))
+                    else:
+                        stage_schedules(harness._restart_plan(problem, b, T))
         assert spec_hash(load_spec(write_canonical(
             spec, path.with_name("canon.json")))) == spec_hash(spec)
         steps = (len(spec.problems) * len(spec.b_grid) * sum(spec.T_grid)

@@ -120,9 +120,30 @@ class TestSchedule:
     def test_noise_term_that_overflows_rejected(self):
         # H and lstar are finite, 2 H lstar is not; the noise term would
         # give a stepsize of exactly 0
-        make_schedule(H=1.0, b=1, T=2, B=1.0, lstar=8e307)
+        make_schedule(H=1.0, b=1, T=1, B=1.0, lstar=8e307)
         with pytest.raises(ValueError, match="noise_sq = 2 H lstar overflows"):
             make_schedule(H=1.0, b=1, T=2, B=1.0, lstar=1e308)
+
+    def test_stepsize_that_underflows_rejected(self):
+        # b B**2 / (noise_sq T**3) = 1e-200 / (5e124 * 4096) is below the
+        # least subnormal, so the run would never move; with B = 1e-90 it
+        # is not
+        args = {"H": 1e-175, "b": 1, "T": 16, "lstar": 2.5e299}
+        assert make_schedule(B=1e-90, **args).gamma > 0
+        with pytest.raises(ValueError, match="base stepsize underflows to 0"):
+            make_schedule(B=1e-100, **args)
+        # 2 H lstar is finite here, but 2 H lstar T**3 is not
+        with pytest.raises(ValueError, match="base stepsize underflows to 0"):
+            make_schedule(H=1.0, b=1, T=2, B=1.0, lstar=8e307)
+
+    def test_last_stepsize_that_overflows_rejected(self):
+        # gamma = 1 / (24 H (T + 1)) = 8.3e307 is finite, but gamma_t(2)
+        # is not: the run would step by inf and record NaN rows; at
+        # H = 1e-308 every stepsize is finite
+        s = make_schedule(H=1e-308, b=1, T=4, B=1.0, lstar=0.0)
+        assert math.isfinite(s.gamma_t(s.T - 1))
+        with pytest.raises(ValueError, match="gamma \\* T overflows"):
+            make_schedule(H=1e-310, b=1, T=4, B=1.0, lstar=0.0)
 
 
 class TestProjectBall:
@@ -335,6 +356,21 @@ class TestSgd:
                                      0, {})
         with pytest.raises(ValueError, match="radius B must be finite"):
             run_sgd(bad, 1, 50)
+
+    def test_infinite_step_rejected_before_the_recorder(self, monkeypatch):
+        # 1 / (2 H) overflows: unchecked, the header's eta was Infinity and
+        # the first row NaN
+        def no_recorder(*args, **kwargs):
+            raise AssertionError("a recorder was built")
+
+        monkeypatch.setattr(optaccel.optimizers, "TraceRecorder", no_recorder)
+        prob = problem_from_config({
+            "family": "interpolation_least_squares", "seed": 0,
+            "params": {"d": 4, "n_atoms": 2, "H": 1e-310, "B": 1.0}})
+        with pytest.raises(ValueError, match="SGD step .* must be finite"):
+            run_sgd(prob, b=1, T=4)
+        # an eta below the overflowing bound gives a finite step
+        assert optaccel.optimizers.sgd_step(1e-310, 0.5) == 0.5
 
     def test_tail_average_keeps_a_quarter_of_the_partial_sums(self):
         # a later tail start reads only the sums from the current one up to

@@ -1,5 +1,8 @@
 """Problem-family construction, metadata exactness, and sampling contracts."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -103,7 +106,8 @@ class TestSignVector:
     def test_sampled_features_have_norm_sq_H(self):
         prob = make_sign_vector_problem(n=4, H=2.0, B=1.0,
                                         sigma_signs=self.signs)
-        x, _ = sample_batch(prob, 500, prob.stream(1))
+        idx, _ = sample_batch(prob, 500, prob.stream(1))
+        x = prob.atoms[idx]
         np.testing.assert_allclose((x**2).sum(axis=1), 2.0, rtol=1e-14)
 
     def test_rejects_bad_signs(self):
@@ -336,8 +340,9 @@ class TestSampling:
     def test_singleton_batch(self):
         prob = make_sign_vector_problem(n=2, H=1.0, B=1.0,
                                         sigma_signs=[1, -1, 1, -1])
-        x, y = sample_batch(prob, 1, prob.stream(0))
-        assert x.shape == (1, 4) and y.shape == (1,)
+        idx, y = sample_batch(prob, 1, prob.stream(0))
+        assert idx.shape == y.shape == (1,)
+        assert prob.atoms[idx].shape == (1, 4)
         with pytest.raises(ValueError):
             sample_batch(prob, 0, prob.stream(0))
 
@@ -345,8 +350,8 @@ class TestSampling:
         # binomial: freq of e_1 over 1e5 uniform draws from 4 atoms
         prob = make_sign_vector_problem(n=2, H=1.0, B=1.0,
                                         sigma_signs=[1, 1, -1, 1])
-        x, _ = sample_batch(prob, 100000, prob.stream(13))
-        freq = float(np.mean(x[:, 0] != 0.0))
+        idx, _ = sample_batch(prob, 100000, prob.stream(13))
+        freq = float(np.mean(prob.atoms[idx][:, 0] != 0.0))
         assert abs(freq - 0.25) < 0.02
 
 
@@ -456,14 +461,12 @@ class TestSamplerMatchesChoice:
     def test_bit_identical_to_choice(self, design):
         prob, run_seed, t, b = design
         stream = stream_at(prob, run_seed, t)
-        x, y = prob.next_batch(stream, b)
+        idx, y = prob.next_batch(stream, b)
         ref = philox_at(prob.base_seed, run_seed, t)
         idx_ref, x_ref, y_ref = reference_sample(prob, ref, b)
 
-        # the atoms are distinct, so each row of x names its index
-        hits = (x[:, None, :] == prob.atoms[None]).all(axis=-1)
-        assert (hits.sum(axis=1) == 1).all()
-        assert hits.argmax(axis=1).tolist() == idx_ref.tolist()
+        assert idx.dtype == np.intp and idx.tolist() == idx_ref.tolist()
+        x = prob.atoms[idx]
         assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
         assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
         if not prob._noise_free:
@@ -514,9 +517,10 @@ class TestStreamAddressability:
         assert_same_philox_state(gen.bit_generator.state,
                                  fresh.bit_generator.state)
         stream.position = t
-        x, y = sample_batch(prob, b, stream)
-        x_ref, y_ref = generator_batch(prob, philox_at(seed, run_seed, t), b)
-        assert x.tobytes() == x_ref.tobytes()
+        idx, y = sample_batch(prob, b, stream)
+        idx_ref, y_ref = generator_batch(prob, philox_at(seed, run_seed, t),
+                                         b)
+        assert idx.tobytes() == idx_ref.tobytes()
         assert y.tobytes() == y_ref.tobytes()
         assert stream.position == t + 1
 
@@ -581,13 +585,16 @@ class TestCounterPath:
                     want = philox_at(prob.base_seed, run_seed, t).random(n)
                     assert got.tobytes() == want.tobytes()
                 else:
-                    x, y = sample_batch(prob, n, stream)
-                    x_ref, y_ref = generator_batch(
+                    idx, y = sample_batch(prob, n, stream)
+                    idx_ref, y_ref = generator_batch(
                         prob, philox_at(prob.base_seed, run_seed, t), n)
-                    assert x.tobytes() == x_ref.tobytes()
+                    assert idx.tobytes() == idx_ref.tobytes()
                     assert y.tobytes() == y_ref.tobytes()
-                    assert x.flags.c_contiguous and x.flags.writeable
-                    assert x.base is None and x.dtype == np.float64
+                    assert idx.dtype == np.intp
+                    # below the threshold a draw is a view of the block,
+                    # which no caller may write
+                    assert idx.flags.writeable == (
+                        n >= problems._GENERATOR_MIN_B)
                     assert stream.position == t + 1
 
     @pytest.mark.parametrize("b", [1, problems._GENERATOR_MIN_B - 1,
@@ -619,9 +626,10 @@ class TestCounterPath:
         calls, draw = [], stream.next_generator
         stream.next_generator = lambda: calls.append(1) or draw()
         for _ in range(steps):
-            x, y = sample_batch(prob, b, stream)
-            x_ref, y_ref = generator_next_batch(prob, ref, b)
-            assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+            idx, y = sample_batch(prob, b, stream)
+            idx_ref, y_ref = generator_next_batch(prob, ref, b)
+            assert idx.dtype == idx_ref.dtype
+            assert idx.tobytes() == idx_ref.tobytes()
             assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
             assert stream.position == ref.position
         return prob, len(calls)
@@ -656,11 +664,12 @@ class TestCounterPath:
         stream = signed.stream(3)
         no_generator(stream)
         # below the threshold, so by the counter path
-        x, y = sample_batch(signed, 32, stream)
-        x_ref, y_ref = generator_next_batch(signed, signed.stream(3), 32)
-        assert x.tobytes() == x_ref.tobytes()
+        idx, y = sample_batch(signed, 32, stream)
+        idx_ref, y_ref = generator_next_batch(signed, signed.stream(3), 32)
+        assert idx.tobytes() == idx_ref.tobytes()
         assert y.tobytes() == y_ref.tobytes()
-        assert (x[:, 0] == 0).any() and not np.signbit(y).any()
+        assert (signed.atoms[idx][:, 0] == 0).any()
+        assert not np.signbit(y).any()
 
     def test_noisy_design_takes_the_generator_path(self):
         prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
@@ -699,59 +708,104 @@ class TestCounterPath:
 
 
 def reference_batch_grad_mean(prob, w, batch):
-    """The gradient formula that allocated a fresh ``b x d`` product array;
-    it leaves ``batch`` as it was."""
+    """The gradient formula that gathered the whole batch into one fresh
+    ``b x d`` array and summed its product in one call."""
     if isinstance(prob, DeterministicQuadratic):
         return prob.exact_grad(w)
-    x, y = batch
+    idx, y = batch
+    x = prob.atoms[idx]
     r = x @ w - y
     return np.add.reduce(x * r[:, None], axis=0) / len(r)
+
+
+def block_rows(d, budget):
+    """Rows of a gradient block: the largest power of two, at least 4,
+    whose ``d`` columns fit ``budget`` elements."""
+    rows = 4
+    while 2 * rows * d <= budget:
+        rows *= 2
+    return rows
+
+
+# the benchmark's shapes at the default budget, with every tail length;
+# OpenBLAS may split a gemv this large over threads at a row off its 4-row
+# grouping, so the comparison runs at one BLAS thread, as perfbench does
+_ONE_THREAD_CHECK = """
+import numpy as np
+from optaccel import make_interpolation_least_squares
+for d, b in [(2048, 33), (2048, 64), (2048, 65), (2048, 255), (2048, 256),
+             (2048, 257), (2048, 258), (2048, 259), (1024, 130), (32, 4097)]:
+    prob = make_interpolation_least_squares(d=d, n_atoms=16, H=1.0, B=4.0,
+                                            seed=d + b)
+    gen = np.random.default_rng(b)
+    idx, y = gen.integers(0, 16, b), gen.standard_normal(b)
+    w = gen.standard_normal(d)
+    x = prob.atoms[idx]
+    want = np.add.reduce(x * (x @ w - y)[:, None], axis=0) / b
+    got = prob.batch_grad_mean(w, (idx, y))
+    assert got.tobytes() == want.tobytes(), (d, b)
+print("ok")
+"""
 
 
 class TestMinibatchGradient:
     def test_identical_samples_collapse(self):
         prob = make_sign_vector_problem(n=2, H=1.0, B=1.0,
                                         sigma_signs=[1, -1, -1, 1])
-        x = np.tile(prob.atoms[2], (5, 1))
+        idx = np.full(5, 2)
         y = np.full(5, prob.label_means[2])
         w = np.array([0.3, -0.2, 0.5, 0.1])
-        untouched = x.copy()  # the call consumes x
-        g = minibatch_gradient(prob, w, (x, y))
+        g = minibatch_gradient(prob, w, (idx, y))
         np.testing.assert_allclose(
-            g, prob.grad(w[None], (untouched[:1], y[:1]))[0], rtol=1e-15)
+            g, prob.grad(w[None], (idx[:1], y[:1]))[0], rtol=1e-15)
 
-    @settings(max_examples=200, deadline=None)
-    @given(cfg=family_configs(), b=st.integers(1, 300),
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=family_configs(), budget=st.sampled_from([8, 16, 64, 256]),
+           blocks=st.integers(0, 12), tail=st.integers(0, 3),
            seed=st.integers(0, 2**32 - 1), pool=st.integers(1, 4),
            hand_built=st.booleans())
-    def test_bit_identical_to_reference(self, cfg, b, seed, pool, hand_built):
+    def test_bit_identical_to_reference(self, cfg, budget, blocks, tail,
+                                        seed, pool, hand_built):
+        # a small budget splits even these small-d batches into many
+        # blocks, ending on a tail of 0 to 3 rows
         prob = problem_from_config(cfg)
+        b = max(1, blocks * block_rows(prob.d, budget) + tail)
         gen = np.random.default_rng(seed)
         w = gen.standard_normal(prob.d) * 10.0 ** gen.uniform(-3, 3)
         if hand_built and isinstance(prob, DiscreteLeastSquares):
-            # rows drawn from a pool of at most ``pool`` atoms, so rows repeat
+            # indices drawn from a pool of at most ``pool`` atoms, so rows
+            # repeat
             idx = gen.integers(0, min(pool, len(prob.atoms)), b)
-            batch = (prob.atoms[idx], gen.standard_normal(b))
+            batch = (idx, gen.standard_normal(b))
         else:
             batch = sample_batch(prob, b, prob.stream(seed))
-        x0 = batch[0].copy()
-        want = reference_batch_grad_mean(prob, w, (x0, batch[1]))
-        got = minibatch_gradient(prob, w, batch)
+        before = [a.tobytes() for a in batch]
+        want = reference_batch_grad_mean(prob, w, batch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(problems, "_GRAD_BLOCK_ELEMENTS", budget)
+            got = minibatch_gradient(prob, w, batch)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        if isinstance(prob, DiscreteLeastSquares):
-            # the batch now holds its per-sample gradients
-            per_sample = x0 * (x0 @ w - batch[1])[:, None]
-            assert batch[0].tobytes() == per_sample.tobytes()
+        # the batch is left as it was
+        assert [a.tobytes() for a in batch] == before
+
+    def test_bit_identical_at_the_default_budget(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", _ONE_THREAD_CHECK],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "ok\n"
 
     def test_allocates_no_batch_sized_array(self):
+        # a draw and its gradient: a b x d feature array alone is 4 MB
         prob = make_interpolation_least_squares(d=2048, n_atoms=16, H=1.0,
                                                 B=4.0, seed=334)
         b = 256
-        batch = sample_batch(prob, b, prob.stream(0))
-        w = np.full(prob.d, 1e-3)
+        w, stream = np.full(prob.d, 1e-3), prob.stream(0)
         tracemalloc.start()
         try:
-            minibatch_gradient(prob, w, batch)
+            minibatch_gradient(prob, w, sample_batch(prob, b, stream))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -761,15 +815,16 @@ class TestMinibatchGradient:
         # the zero atom at w < 0: matmul makes the residual 0.0 (``dot`` -0.0)
         prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=0.0,
                                            sign=1, seed=0)
-        x, y = np.zeros((1, 1)), np.zeros(1)
-        g = minibatch_gradient(prob, np.array([-0.5]), (x, y))
-        assert x.tobytes() == g.tobytes() == np.zeros(1).tobytes()
+        assert prob.atoms[0].tobytes() == np.zeros(1).tobytes()
+        g = minibatch_gradient(prob, np.array([-0.5]), (np.zeros(1, int),
+                                                        np.zeros(1)))
+        assert g.tobytes() == np.zeros(1).tobytes()
 
     def test_two_sample_hand_value(self):
         # samples {(0,0), (1,0)} at w=1: (0 + 1*(1-0)) / 2 = 0.5
         prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
                                            seed=0)
-        batch = (np.array([[0.0], [1.0]]), np.array([0.0, 0.0]))
+        batch = (np.array([0, 1]), np.array([0.0, 0.0]))
         g = minibatch_gradient(prob, np.array([1.0]), batch)
         assert g[0] == pytest.approx(0.5)
 
