@@ -1,10 +1,12 @@
 """Restarting the convex-rate method yields linear convergence under growth.
 
 The meta-scheme runs the accelerated method in stages with geometrically
-shrinking targets and radii, re-centering on each stage's output.  On an
-objective with quadratic growth the end-of-stage gap drops by a roughly
-constant factor per stage; the plain (non-restarted) method on the same
-budget decays polynomially instead.  Run:
+shrinking targets and radii, re-centering on each stage's output.  The plan
+is made from the problem's certified constants (initial gap, growth
+constant, smoothness, minimum loss), and each stage shrinks the target by
+a factor of e.  On an objective with quadratic growth the end-of-stage gap
+drops by a roughly constant factor per stage; the plain (non-restarted)
+method on the same budget decays polynomially instead.  Run:
 
     python demos/04_restart_linear_convergence.py
 """
@@ -25,8 +27,7 @@ SEEDS = 10
 
 def main():
     prob = make_growth_problem(d=6, r=3, lam=0.25, H=1.0, Delta=1.0, seed=5)
-    plan = make_stage_plan(Delta=1.0, eps=math.exp(-5), theta=math.e,
-                           lam=0.25, H=1.0, b=8, Lstar=0.0)
+    plan = make_stage_plan(prob, b=8, eps=math.exp(-5))
     print("stage plan (theta = e):")
     for i, st in enumerate(plan.stages, 1):
         print(f"  stage {i}: target {st.eps_t:.4f}  radius {st.B_t:.3f}  "

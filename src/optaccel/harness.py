@@ -6,15 +6,17 @@ minibatch/horizon grids, and seeds.  Each (problem, b, T, seed) cell runs
 independently, writes its own trace CSV and header JSON, and the aggregate
 summary/speedup tables are derived afterwards.  Rerunning an identical spec
 reproduces byte-identical artifacts; the manifest's content hash covers
-everything except its timestamp and timings.  Every artifact is written
-under a temporary name and renamed into place, so an interrupted sweep
-leaves no half-written file under an artifact's name.
+everything except its timestamp and timings.  Across machines the bytes
+match only at one BLAS thread (``OPENBLAS_NUM_THREADS=1``): at more,
+OpenBLAS may split a gemv of over 9216 elements where rounding differs.
+Every artifact is written under a temporary name and renamed into place,
+so an interrupted sweep leaves no half-written file under an artifact's
+name.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from contextlib import suppress
@@ -253,7 +255,7 @@ def _run_cell(cell: dict) -> dict:
                                       eta=cell["overrides"].get("eta"))
     elif alg == "restarted":
         _, trace = optimizers.run_restarted(
-            problem, _restart_plan(problem, b, T), seed=seed)
+            problem, optimizers.make_budget_plan(problem, b, T), seed=seed)
     else:
         raise ValueError(f"unknown algorithm {alg!r}")
 
@@ -265,16 +267,9 @@ def _run_cell(cell: dict) -> dict:
             "aborted": trace.aborted, "rows": len(trace.t)}
 
 
-def _restart_plan(problem, b, T):
-    """The restart stages of ``problem`` that fit a budget of ``T``."""
-    meta = problem.meta
-    return optimizers.make_budget_plan(meta.Delta, T, math.e, meta.lam,
-                                       meta.H, b, meta.Lstar)
-
-
 def _make_step_rule(problem, algorithm, b, T, overrides):
     """Make what a cell's run steps by, raising as the run would: its
-    schedule, its SGD step, or its restart plan and each stage's
+    schedule, its SGD step, or its restart plan, which makes each stage's
     schedule."""
     meta = problem.meta
     if algorithm == "acc_mb_sgd":
@@ -282,7 +277,7 @@ def _make_step_rule(problem, algorithm, b, T, overrides):
     elif algorithm == "sgd":
         optimizers.sgd_step(meta.H, overrides.get("eta"))
     else:
-        optimizers.stage_schedules(_restart_plan(problem, b, T))
+        optimizers.make_budget_plan(problem, b, T)
 
 
 def _cells_of(spec: ExperimentSpec):

@@ -18,7 +18,7 @@ import bisect
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "make_stage_plan",
     "make_budget_plan",
     "run_restarted",
-    "stage_schedules",
     "accel_error_bound",
 ]
 
@@ -322,10 +321,10 @@ class StagePlan:
     Stage ``t`` (1-based) targets suboptimality ``theta**-t * Delta`` inside
     a ball of squared radius ``2 theta**(1-t) Delta / lam`` around the
     previous stage's output, with just enough iterations for the error
-    bound to meet the target.
+    bound to meet the target.  The shrink factor ``theta`` is always ``e``.
     """
 
-    theta: float
+    theta: float = field(default=math.e, init=False)
     stages: tuple[Stage, ...]
     lam: float
     Delta: float
@@ -338,68 +337,74 @@ class StagePlan:
         return sum(s.T_t for s in self.stages)
 
 
-def _check_plan_args(Delta: float, theta: float, lam: float, H: float,
-                     Lstar: float) -> None:
-    # each test is false for NaN, so a NaN argument is rejected too; a NaN
+def _plan_constants(problem: Problem, b: int):
+    meta = problem.meta
+    # each test is false for NaN, so a NaN constant is rejected too; a NaN
     # error bound would meet every target in one step
-    if not (0 < H < math.inf and 0 <= Lstar < math.inf):
+    if not (0 < meta.H < math.inf and 0 <= meta.Lstar < math.inf):
         raise ValueError(f"H must be finite and positive and Lstar finite "
-                         f"and >= 0, got H={H}, Lstar={Lstar}")
-    if not 1 < theta < math.inf:
-        raise ValueError(f"theta must be finite and exceed 1, got {theta}")
-    if not 0 < Delta < math.inf:
-        raise ValueError(f"Delta must be finite and positive, got {Delta}")
-    if not 0 < lam < math.inf:
+                         f"and >= 0, got H={meta.H}, Lstar={meta.Lstar}")
+    if not 0 < meta.Delta < math.inf:
+        raise ValueError(f"Delta must be finite and positive, got "
+                         f"{meta.Delta}")
+    if not 0 < meta.lam < math.inf:
         raise ValueError(f"growth constant must be finite and positive, "
-                         f"got {lam}")
+                         f"got {meta.lam}")
+    if b < 1:
+        raise ValueError(f"b must be >= 1, got b={b}")
+    return meta
 
 
-def _stage(t: int, Delta: float, theta: float, lam: float, H: float, b: int,
-           Lstar: float) -> Stage:
-    eps_t = theta**-t * Delta
-    B_sq = 2.0 * theta ** (1 - t) * Delta / lam
+def _stage(t: int, meta, b: int) -> Stage:
+    eps_t = math.e**-t * meta.Delta
+    B_sq = 2.0 * math.e ** (1 - t) * meta.Delta / meta.lam
     return Stage(eps_t=eps_t, B_t=math.sqrt(B_sq),
-                 T_t=stage_budget(eps_t, B_sq, H, b, Lstar))
+                 T_t=stage_budget(eps_t, B_sq, meta.H, b, meta.Lstar))
 
 
-def _plan(stages, Delta, theta, lam, H, b, Lstar) -> StagePlan:
-    return StagePlan(theta=float(theta), stages=tuple(stages), lam=float(lam),
-                     Delta=float(Delta), H=float(H), b=int(b),
-                     Lstar=float(Lstar))
+def _plan(stages, meta, b) -> StagePlan:
+    plan = StagePlan(stages=tuple(stages), lam=float(meta.lam),
+                     Delta=float(meta.Delta), H=float(meta.H), b=int(b),
+                     Lstar=float(meta.Lstar))
+    # a stage whose schedule cannot be made fails here, not mid-run
+    _stage_schedules(plan)
+    return plan
 
 
-def make_stage_plan(Delta: float, eps: float, theta: float, lam: float,
-                    H: float, b: int, Lstar: float) -> StagePlan:
-    """Plan ``ceil(log_theta(Delta / eps))`` restart stages.
+def make_stage_plan(problem: Problem, b: int, eps: float) -> StagePlan:
+    """Plan ``ceil(ln(Delta / eps))`` restart stages at batch size ``b``.
 
+    ``Delta``, ``lam``, ``H`` and ``Lstar`` are the problem's certified
+    constants, and each stage shrinks the target by ``theta = e``.
     Returns an empty plan when ``eps >= Delta`` (nothing to do).  The
-    number-of-stages logarithm is evaluated with a 1e-9 tolerance so exact
-    powers of ``theta`` do not round up.
+    logarithm is evaluated with a 1e-9 tolerance so exact powers of ``e``
+    do not round up.  Every stage's schedule is made before the plan is
+    returned, so ``run_restarted`` can run it.
     """
-    _check_plan_args(Delta, theta, lam, H, Lstar)
+    meta = _plan_constants(problem, b)
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    if eps >= Delta:
-        n_stages = 0
-    else:
-        n_stages = math.ceil(math.log(Delta / eps) / math.log(theta) - 1e-9)
-    stages = [_stage(t, Delta, theta, lam, H, b, Lstar)
-              for t in range(1, n_stages + 1)]
-    return _plan(stages, Delta, theta, lam, H, b, Lstar)
+    n_stages = (0 if eps >= meta.Delta
+                else math.ceil(math.log(meta.Delta / eps) - 1e-9))
+    return _plan([_stage(t, meta, b) for t in range(1, n_stages + 1)],
+                 meta, b)
 
 
-def make_budget_plan(Delta: float, budget: int, theta: float, lam: float,
-                     H: float, b: int, Lstar: float) -> StagePlan:
+def make_budget_plan(problem: Problem, b: int, budget: int) -> StagePlan:
     """Plan the restart stages that fit within ``budget`` total iterations.
 
-    Stages are taken in order, at most 63 of them, up to the first one that
-    would overrun the budget.  At least one stage must fit.
+    Constants, stages and the schedule check are ``make_stage_plan``'s.
+    Stages are taken in order, at most 63 of them, up to the first one
+    that would overrun the budget, a finite number >= 1.  At least one
+    stage must fit.
     """
-    _check_plan_args(Delta, theta, lam, H, Lstar)
-    stages = []
-    used = 0
+    meta = _plan_constants(problem, b)
+    if not 1 <= budget < math.inf:
+        raise ValueError(f"budget must be a finite number >= 1, got "
+                         f"{budget}")
+    stages, used = [], 0
     for t in range(1, 64):
-        st = _stage(t, Delta, theta, lam, H, b, Lstar)
+        st = _stage(t, meta, b)
         if used + st.T_t > budget:
             break
         stages.append(st)
@@ -407,7 +412,7 @@ def make_budget_plan(Delta: float, budget: int, theta: float, lam: float,
     if not stages:
         raise ValueError(f"budget T={budget} is below the first stage's "
                          f"{st.T_t} iterations")
-    return _plan(stages, Delta, theta, lam, H, b, Lstar)
+    return _plan(stages, meta, b)
 
 
 def run_restarted(problem: Problem, plan: StagePlan, seed: int = 0
@@ -422,11 +427,10 @@ def run_restarted(problem: Problem, plan: StagePlan, seed: int = 0
     """
     recorder = TraceRecorder(problem, "restarted", plan.b,
                              plan.total_iterations, seed, plan=asdict(plan))
-    return _run_stages(problem, recorder, seed, stage_schedules(plan),
+    return _run_stages(problem, recorder, seed, _stage_schedules(plan),
                        center=np.zeros(problem.d))
 
 
-def stage_schedules(plan: StagePlan) -> list[StepSchedule]:
-    """The schedule of each stage of ``plan``, in order."""
+def _stage_schedules(plan: StagePlan) -> list[StepSchedule]:
     return [make_schedule(plan.H, plan.b, st.T_t, st.B_t, plan.Lstar)
             for st in plan.stages]

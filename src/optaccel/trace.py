@@ -113,11 +113,11 @@ class TraceRecorder:
     columns are evaluated together through ``problem.suboptimality`` and
     ``problem.exact_grad`` on stacked points and the ``rowwise`` kernels;
     row ``i`` of each is bit-identical to evaluating step ``i`` alone, so
-    the trace does not depend on where blocks end.  Copying lets each
-    step's arrays be freed within the step: at d=2048 and b=256, blocks of
-    vectors kept by reference between the 4 MB batch arrays fragmented
-    the heap, and about 1 MB of pages was returned and faulted back in at
-    every step.
+    the trace does not depend on where blocks end.  Copying into the one
+    buffer every block reuses lets each step's arrays be freed within the
+    step.  Their heap cost when kept by reference (about 1 MB of pages
+    faulted back in per step at d=2048, b=256) was measured before batches
+    became atom indices, and has not been measured since.
     """
 
     def __init__(self, problem, algorithm: str, b: int, T: int, seed: int,

@@ -231,9 +231,8 @@ def suite_rate_restart():
     """Restarted runs converge linearly; plain runs do not."""
     prob = make_growth_problem(d=6, r=3, lam=0.25, H=1.0, Delta=1.0, seed=5)
     delta = prob.meta.Delta
-    plan = optimizers.make_stage_plan(Delta=delta, eps=float(np.exp(-5) * delta),
-                                      theta=math.e, lam=0.25, H=1.0, b=8,
-                                      Lstar=0.0)
+    plan = optimizers.make_stage_plan(prob, b=8,
+                                      eps=float(np.exp(-5) * delta))
     runs = [run_restarted(prob, plan, seed=s)[1] for s in range(20)]
     med = np.median([[v for _, _, v in tr.stage_end_subopts()] for tr in runs],
                     axis=0)

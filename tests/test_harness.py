@@ -24,7 +24,7 @@ from optaccel import (harness, make_schedule, make_sign_vector_problem,
 from optaccel.cli import main as cli_main
 from optaccel.harness import (ExperimentSpec, SpecError, emit_plotdata,
                               load_spec, run_experiment, spec_hash)
-from optaccel.optimizers import sgd_step, stage_schedules
+from optaccel.optimizers import make_budget_plan, sgd_step
 from optaccel.problems import problem_from_config
 from optaccel.trace import canonical_json, trace_from_csv
 from optaccel.verify import SUITES, run_suite
@@ -937,7 +937,7 @@ class TestCli:
 
     def test_restart_plans_every_budget_at_load(self, tmp_path, capsys):
         # T=400 plans one stage; a larger budget plans more, and a late
-        # stage's target theta**-t * Delta underflows to 0
+        # stage's target e**-t * Delta underflows to 0
         problem = dict(GROWTH_PROBLEM,
                        params=dict(GROWTH_PROBLEM["params"], Delta=1e-300))
         raw = minimal_spec(tmp_path, algorithm="restarted", b_grid=[8],
@@ -1282,9 +1282,8 @@ def fuzz_example(problem, algorithm, b_grid, T_grid):
 class TestSpecFuzz:
     """A malformed spec is a ``SpecError`` and exit 2; an accepted one
     builds finite problems, makes each cell's schedule, SGD step or
-    restart plan and its stage schedules,
-    survives a canonical rewrite and ``load_spec`` and, if it is small,
-    runs without a failed cell."""
+    restart plan, survives a canonical rewrite and ``load_spec`` and, if
+    it is small, runs without a failed cell."""
 
     def check(self, path):
         try:
@@ -1305,7 +1304,7 @@ class TestSpecFuzz:
                     elif spec.algorithm == "sgd":
                         sgd_step(meta.H, spec.overrides.get("eta"))
                     else:
-                        stage_schedules(harness._restart_plan(problem, b, T))
+                        make_budget_plan(problem, b, T)
         assert spec_hash(load_spec(write_canonical(
             spec, path.with_name("canon.json")))) == spec_hash(spec)
         steps = (len(spec.problems) * len(spec.b_grid) * sum(spec.T_grid)

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -444,22 +445,28 @@ class TestStageBudget:
         assert with_noise > without
 
 
+def planned_on(Delta, lam, H, Lstar=0.0):
+    """A stand-in problem carrying only the constants a planner reads."""
+    return SimpleNamespace(meta=SimpleNamespace(Delta=Delta, lam=lam, H=H,
+                                                Lstar=Lstar))
+
+
 class TestStagePlan:
     def test_exact_power_of_theta(self):
-        plan = make_stage_plan(Delta=math.e**3, eps=1.0, theta=math.e,
-                               lam=0.5, H=1.0, b=2, Lstar=0.0)
+        plan = make_stage_plan(planned_on(Delta=math.e**3, lam=0.5, H=1.0),
+                               b=2, eps=1.0)
         assert len(plan.stages) == 3
 
     def test_first_stage_values(self):
-        delta, lam, theta = 2.0, 0.25, 2.0
-        plan = make_stage_plan(Delta=delta, eps=0.01, theta=theta, lam=lam,
-                               H=1.0, b=4, Lstar=0.0)
-        assert plan.stages[0].eps_t == pytest.approx(delta / theta)
+        delta, lam = 2.0, 0.25
+        plan = make_stage_plan(planned_on(Delta=delta, lam=lam, H=1.0), b=4,
+                               eps=0.01)
+        assert plan.stages[0].eps_t == pytest.approx(delta / math.e)
         assert plan.stages[0].B_t**2 == pytest.approx(2 * delta / lam)
 
     def test_total_budget_matches_independent_recomputation(self):
         delta, eps, theta, lam, H, b = 1.0, 1e-3, math.e, 0.1, 1.0, 8
-        plan = make_stage_plan(delta, eps, theta, lam, H, b, Lstar=0.0)
+        plan = make_stage_plan(planned_on(delta, lam, H), b, eps)
         # standalone recomputation with plain floats
         n = math.ceil(math.log(delta / eps) / math.log(theta) - 1e-9)
         total = 0
@@ -472,34 +479,59 @@ class TestStagePlan:
             total += T
         assert plan.total_iterations == total
 
+    def test_plans_from_the_problem_constants(self):
+        prob = make_growth_problem(d=6, r=3, lam=0.25, H=1.0, Delta=1.0, seed=5)
+        plan = make_stage_plan(prob, b=8, eps=0.01)
+        meta = prob.meta
+        assert (plan.theta, plan.lam, plan.Delta, plan.H, plan.b,
+                plan.Lstar) == (math.e, meta.lam, meta.Delta, meta.H, 8,
+                                meta.Lstar)
+
     def test_zero_stages_when_target_met(self):
-        plan = make_stage_plan(Delta=1.0, eps=2.0, theta=2.0, lam=0.5, H=1.0,
-                               b=1, Lstar=0.0)
+        plan = make_stage_plan(planned_on(Delta=1.0, lam=0.5, H=1.0), b=1,
+                               eps=2.0)
         assert plan.stages == ()
 
     def test_rejections(self):
         with pytest.raises(ValueError):
-            make_stage_plan(1.0, 0.1, theta=1.0, lam=0.5, H=1.0, b=1, Lstar=0.0)
-        with pytest.raises(ValueError):
-            make_stage_plan(1.0, 0.1, theta=2.0, lam=0.0, H=1.0, b=1, Lstar=0.0)
+            make_stage_plan(planned_on(Delta=1.0, lam=0.0, H=1.0), b=1,
+                            eps=0.1)
 
-    @pytest.mark.parametrize("name", ["Delta", "eps", "theta", "lam", "H",
-                                      "Lstar"])
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_batch_below_one_rejected(self, b):
+        # b = 0 would divide by zero in the error bound
+        with pytest.raises(ValueError, match="b must be >= 1"):
+            make_stage_plan(planned_on(Delta=1.0, lam=0.5, H=1.0), b=b,
+                            eps=0.1)
+
+    @pytest.mark.parametrize("name", ["Delta", "eps", "lam", "H", "Lstar"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, name, value):
-        args = dict(Delta=1.0, eps=0.1, theta=2.0, lam=0.5, H=1.0, b=1,
-                    Lstar=0.0)
-        args[name] = value
+        constants = dict(Delta=1.0, lam=0.5, H=1.0, Lstar=0.0)
+        eps = 0.1
+        if name == "eps":
+            eps = value
+        else:
+            constants[name] = value
         with pytest.raises(ValueError, match="finite"):
-            make_stage_plan(**args)
+            make_stage_plan(planned_on(**constants), b=1, eps=eps)
+
+    def test_plan_that_cannot_run_is_rejected(self):
+        # one stage of 784 steps whose schedule has gamma = 5.3e305, so the
+        # last stepsize gamma * T overflows
+        prob = planned_on(Delta=1e-10, lam=1e-310, H=1e-310)
+        with pytest.raises(ValueError, match="gamma \\* T overflows"):
+            make_stage_plan(prob, b=1, eps=0.5e-10)
+        with pytest.raises(ValueError, match="gamma \\* T overflows"):
+            make_budget_plan(prob, b=1, budget=1000)
 
 
-def reference_budget_stages(Delta, budget, theta, lam, H, b, Lstar):
+def reference_budget_stages(Delta, budget, lam, H, b, Lstar):
     """Plain loop: append stages in order while they fit, at most 63."""
     stages, used = [], 0
     for t in range(1, 64):
-        eps_t = theta**-t * Delta
-        B_sq = 2.0 * theta ** (1 - t) * Delta / lam
+        eps_t = math.e**-t * Delta
+        B_sq = 2.0 * math.e ** (1 - t) * Delta / lam
         T_t = stage_budget(eps_t, B_sq, H, b, Lstar)
         if used + T_t > budget:
             break
@@ -510,55 +542,67 @@ def reference_budget_stages(Delta, budget, theta, lam, H, b, Lstar):
 
 class TestBudgetPlan:
     @settings(max_examples=200, deadline=None)
-    @given(Delta=st.floats(1e-3, 1e3), theta=st.floats(1.01, 20.0),
-           lam=st.floats(1e-3, 10.0), H=st.floats(0.1, 10.0),
-           b=st.integers(1, 256),
+    @given(Delta=st.floats(1e-3, 1e3), lam=st.floats(1e-3, 10.0),
+           H=st.floats(0.1, 10.0), b=st.integers(1, 256),
            Lstar=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
            budget=st.integers(1, 200000), extra=st.integers(0, 200000))
-    def test_matches_reference_loop(self, Delta, theta, lam, H, b, Lstar,
-                                    budget, extra):
+    def test_matches_reference_loop(self, Delta, lam, H, b, Lstar, budget,
+                                    extra):
         counts = []
+        problem = planned_on(Delta, lam, H, Lstar)
         for total in (budget, budget + extra):
-            want = reference_budget_stages(Delta, total, theta, lam, H, b,
-                                           Lstar)
+            want = reference_budget_stages(Delta, total, lam, H, b, Lstar)
             if not want:
                 with pytest.raises(ValueError, match="below the first stage"):
-                    make_budget_plan(Delta, total, theta, lam, H, b, Lstar)
+                    make_budget_plan(problem, b, total)
                 counts.append(0)
                 continue
-            plan = make_budget_plan(Delta, total, theta, lam, H, b, Lstar)
+            plan = make_budget_plan(problem, b, total)
             assert plan.stages == want
             assert plan.total_iterations <= total
             assert (plan.theta, plan.lam, plan.Delta, plan.H, plan.b,
-                    plan.Lstar) == (theta, lam, Delta, H, b, Lstar)
+                    plan.Lstar) == (math.e, lam, Delta, H, b, Lstar)
             counts.append(len(plan.stages))
         assert counts[0] <= counts[1]
 
     def test_rejections(self):
-        for kwargs in ({"theta": 0.5}, {"lam": 0.0}, {"Delta": 0.0}):
-            full = dict(Delta=1.0, budget=1000, theta=2.0, lam=0.5, H=1.0,
-                        b=1, Lstar=0.0)
-            full.update(kwargs)
+        for kwargs in ({"lam": 0.0}, {"Delta": 0.0}):
+            constants = dict(Delta=1.0, lam=0.5, H=1.0)
+            constants.update(kwargs)
             with pytest.raises(ValueError):
-                make_budget_plan(**full)
+                make_budget_plan(planned_on(**constants), b=1, budget=1000)
 
-    @pytest.mark.parametrize("name", ["Delta", "theta", "lam", "H", "Lstar"])
+    @pytest.mark.parametrize("name", ["Delta", "lam", "H", "Lstar"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, name, value):
-        # a NaN theta planned stages with eps_t = NaN, a NaN H or Lstar 63
-        # one-step stages
-        args = dict(Delta=1.0, budget=100, theta=2.0, lam=0.05, H=1.0, b=8,
-                    Lstar=0.0)
-        args[name] = value
+        # a NaN H or Lstar planned 63 one-step stages
+        constants = dict(Delta=1.0, lam=0.05, H=1.0, Lstar=0.0)
+        constants[name] = value
         with pytest.raises(ValueError, match="finite"):
-            make_budget_plan(**args)
+            make_budget_plan(planned_on(**constants), b=8, budget=100)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, 0,
+                                        0.5, -3])
+    def test_budget_not_a_finite_number_at_least_one_rejected(self, budget):
+        # unchecked, a NaN or infinite budget plans all 63 stages (25074
+        # steps here)
+        with pytest.raises(ValueError, match="budget must be a finite "
+                                             "number >= 1"):
+            make_budget_plan(planned_on(Delta=1.0, lam=0.25, H=1.0), b=8,
+                             budget=budget)
+
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_batch_below_one_rejected(self, b):
+        # b = 0 would divide by zero in the error bound
+        with pytest.raises(ValueError, match="b must be >= 1"):
+            make_budget_plan(planned_on(Delta=1.0, lam=0.25, H=1.0), b=b,
+                             budget=1000)
 
 
 class TestRestarted:
     def test_single_stage_equals_plain_run(self):
         prob = make_growth_problem(d=6, r=3, lam=0.25, H=1.0, Delta=1.0, seed=5)
-        plan = make_stage_plan(Delta=1.0, eps=0.5, theta=math.e, lam=0.25,
-                               H=1.0, b=4, Lstar=0.0)
+        plan = make_stage_plan(prob, b=4, eps=0.5)
         assert len(plan.stages) == 1
         st = plan.stages[0]
         w_restart, t_restart = run_restarted(prob, plan, seed=3)
@@ -569,8 +613,7 @@ class TestRestarted:
 
     def test_stage_radius_invariant(self):
         prob = make_growth_problem(d=6, r=3, lam=0.25, H=1.0, Delta=1.0, seed=5)
-        plan = make_stage_plan(Delta=1.0, eps=0.01, theta=math.e, lam=0.25,
-                               H=1.0, b=8, Lstar=0.0)
+        plan = make_stage_plan(prob, b=8, eps=0.01)
         _, trace = run_restarted(prob, plan, seed=1)
         for idx, st in enumerate(plan.stages, start=1):
             mask = trace.stage == idx
@@ -578,8 +621,7 @@ class TestRestarted:
 
     def test_trace_is_contiguous_across_stages(self):
         prob = make_growth_problem(d=6, r=3, lam=0.25, H=1.0, Delta=1.0, seed=5)
-        plan = make_stage_plan(Delta=1.0, eps=0.05, theta=math.e, lam=0.25,
-                               H=1.0, b=2, Lstar=0.0)
+        plan = make_stage_plan(prob, b=2, eps=0.05)
         _, trace = run_restarted(prob, plan, seed=0)
         assert len(trace.t) == plan.total_iterations
         np.testing.assert_array_equal(trace.t,
@@ -705,14 +747,13 @@ def build(cfg, nan_from):
 def plans(draw, problem_H):
     """``make_stage_plan`` plans of 0 to 4 stages of a few steps each."""
     n = draw(st.integers(0, 4))
-    theta = draw(st.floats(1.5, 4.0))
     Delta = draw(st.floats(0.1, 10.0))
-    eps = 2.0 * Delta if n == 0 else Delta * theta**-n
+    eps = 2.0 * Delta if n == 0 else Delta * math.e**-n
     # a growth constant far above H keeps each stage's budget small
     lam = problem_H * draw(st.floats(20.0, 2000.0))
     Lstar = draw(st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 1e-6))
-    plan = make_stage_plan(Delta, eps, theta, lam, problem_H,
-                           draw(st.integers(1, 8)), Lstar)
+    plan = make_stage_plan(planned_on(Delta, lam, problem_H, Lstar),
+                           draw(st.integers(1, 8)), eps)
     assume(len(plan.stages) == n and plan.total_iterations <= 300)
     return plan
 
@@ -755,14 +796,13 @@ def block_edge_plans(draw, problem_H, block):
     cuts = draw(st.lists(st.integers(1, total - 1), min_size=n - 1,
                          max_size=n - 1, unique=True)) if n > 1 else []
     bounds = [0, *sorted(cuts), total]
-    theta = draw(st.floats(1.5, 4.0))
     Delta = draw(st.floats(0.1, 10.0))
     lam = problem_H * draw(st.floats(0.01, 1.0))
     stages = tuple(
-        Stage(eps_t=Delta * theta**-(i + 1),
-              B_t=math.sqrt(2.0 * theta**-i * Delta / lam),
+        Stage(eps_t=Delta * math.e**-(i + 1),
+              B_t=math.sqrt(2.0 * math.e**-i * Delta / lam),
               T_t=bounds[i + 1] - bounds[i]) for i in range(n))
-    return StagePlan(theta=theta, stages=stages, lam=lam, Delta=Delta,
+    return StagePlan(stages=stages, lam=lam, Delta=Delta,
                      H=problem_H, b=draw(st.integers(1, 8)),
                      Lstar=draw(st.sampled_from([0.0, 1e-6])))
 
@@ -810,8 +850,8 @@ class TestOneAcceleratedLoop:
         cfg = {"family": "growth",
                "params": {"d": 6, "r": 3, "lam": 0.25, "H": 1.0,
                           "Delta": 1.0}, "seed": 5}
-        plan = make_stage_plan(Delta=1.0, eps=0.05, theta=math.e, lam=25.0,
-                               H=1.0, b=2, Lstar=0.0)
+        plan = make_stage_plan(planned_on(Delta=1.0, lam=25.0, H=1.0), b=2,
+                               eps=0.05)
         assert len(plan.stages) == 3
         first = plan.stages[0].T_t
         for nan_from in (0, first - 1, first, first + 1):
