@@ -159,7 +159,7 @@ def _validate(raw: dict) -> ExperimentSpec:
         for b in b_grid:
             for T in T_grid:
                 try:
-                    _make_step_rule(problem, algorithm, b, T, overrides)
+                    _cell_run(problem, algorithm, b, T, overrides)
                 except (ValueError, ArithmeticError) as err:
                     raise SpecError(f"problems[{i}]: b={b}, T={T}: "
                                     f"{err}") from err
@@ -247,17 +247,8 @@ def _run_cell(cell: dict) -> dict:
     """Run one (problem, algorithm, b, T, seed) cell, write its trace CSV
     and header JSON, and return their digests with the run's outcome."""
     problem = problem_from_config(cell["problem"])
-    alg, b, T, seed = cell["algorithm"], cell["b"], cell["T"], cell["seed"]
-    if alg == "acc_mb_sgd":
-        _, trace = optimizers.run_acc_mb_sgd(problem, b, T, seed=seed)
-    elif alg == "sgd":
-        _, trace = optimizers.run_sgd(problem, b, T, seed=seed,
-                                      eta=cell["overrides"].get("eta"))
-    elif alg == "restarted":
-        _, trace = optimizers.run_restarted(
-            problem, optimizers.make_budget_plan(problem, b, T), seed=seed)
-    else:
-        raise ValueError(f"unknown algorithm {alg!r}")
+    _, trace = _cell_run(problem, cell["algorithm"], cell["b"], cell["T"],
+                         cell["overrides"])(cell["seed"])
 
     out, stem = Path(cell["output_dir"]), cell["stem"]
     digests = {f"{stem}.csv": _write(out / f"{stem}.csv", trace_to_csv(trace)),
@@ -267,17 +258,23 @@ def _run_cell(cell: dict) -> dict:
             "aborted": trace.aborted, "rows": len(trace.t)}
 
 
-def _make_step_rule(problem, algorithm, b, T, overrides):
-    """Make what a cell's run steps by, raising as the run would: its
-    schedule, its SGD step, or its restart plan, which makes each stage's
-    schedule."""
+def _cell_run(problem, algorithm, b, T, overrides):
+    """Make a cell's schedule, SGD step or restart plan, raising as its run
+    would, and return the run as a function of the seed; it looks up
+    ``optimizers.run_*`` when called, so a wrapper installed there sees it."""
     meta = problem.meta
     if algorithm == "acc_mb_sgd":
         optimizers.make_schedule(meta.H, b, T, meta.B, meta.Lstar)
-    elif algorithm == "sgd":
-        optimizers.sgd_step(meta.H, overrides.get("eta"))
-    else:
-        optimizers.make_budget_plan(problem, b, T)
+        return lambda seed: optimizers.run_acc_mb_sgd(problem, b, T, seed=seed)
+    if algorithm == "sgd":
+        eta = overrides.get("eta")
+        optimizers.sgd_step(meta.H, eta)
+        return lambda seed: optimizers.run_sgd(problem, b, T, seed=seed,
+                                               eta=eta)
+    if algorithm == "restarted":
+        plan = optimizers.make_budget_plan(problem, b, T)
+        return lambda seed: optimizers.run_restarted(problem, plan, seed=seed)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def _cells_of(spec: ExperimentSpec):

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +51,13 @@ __all__ = [
 _C_DET = 108.0
 _C_MB = 144.0
 _C_NOISE = 27.0
+
+
+def _is_count(n) -> bool:
+    # a fractional batch size or horizon would set the stepsize while a
+    # truncated one is recorded and run
+    return isinstance(n, numbers.Integral) and n >= 1
+
 
 class NonFiniteGradientError(RuntimeError):
     """A minibatch gradient came back with NaN or infinite entries."""
@@ -93,8 +102,8 @@ def make_schedule(H: float, b: int, T: int, B: float,
     if not (0 < H < math.inf and 0 < B < math.inf):
         raise ValueError(f"H and B must be finite and positive, got H={H}, "
                          f"B={B}")
-    if T < 1 or b < 1:
-        raise ValueError(f"T and b must be >= 1, got T={T}, b={b}")
+    if not (_is_count(T) and _is_count(b)):
+        raise ValueError(f"T and b must be integers >= 1, got T={T}, b={b}")
     if not 0 <= lstar < math.inf:
         raise ValueError(f"lstar must be finite and >= 0, got {lstar}")
     noise_sq = 2.0 * H * lstar
@@ -118,7 +127,7 @@ def make_schedule(H: float, b: int, T: int, B: float,
 def project_ball(w: np.ndarray, B: float) -> np.ndarray:
     """Euclidean projection of a 1-D float array onto the origin-centered
     ball of radius ``B``; a point inside the ball is returned as is."""
-    if B <= 0:
+    if not B > 0:  # a NaN radius too
         raise ValueError(f"radius must be positive, got {B}")
     # what ``np.linalg.norm`` computes for a 1-D float array, without its
     # dispatch
@@ -230,9 +239,9 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
     at step ``t`` is the mean of the most recent ``ceil(t / 2)`` projected
     iterates, and the final tail average is returned.
     """
-    if T < 1 or b < 1 or not (eta is None or eta > 0):
-        raise ValueError(f"need T >= 1, b >= 1 and eta > 0, got T={T}, "
-                         f"b={b}, eta={eta}")
+    if not (_is_count(T) and _is_count(b) and (eta is None or eta > 0)):
+        raise ValueError(f"need T >= 1, b >= 1 and eta > 0, T and b "
+                         f"integers, got T={T}, b={b}, eta={eta}")
     meta = problem.meta
     B = meta.B
     # a problem built directly, not from a config, may carry any radius
@@ -269,7 +278,8 @@ def sgd_step(H: float, eta: float | None = None) -> float:
     step = 1.0 / (2.0 * H)
     if eta is not None:
         step = min(step, float(eta))
-    if not 0 < step < math.inf:
+    # ``min`` ignores a NaN eta, so eta is tested on its own
+    if not (0 < step < math.inf and (eta is None or eta > 0)):
         raise ValueError(f"the SGD step min(1 / (2 H), eta) must be finite "
                          f"and positive, got {step} (H={H}, eta={eta})")
     return step
@@ -294,10 +304,16 @@ def stage_budget(eps: float, B_sq: float, H: float, b: int,
 
     The bound is strictly decreasing in ``T`` and tends to zero, so the
     doubling-then-bisection search always terminates.  A horizon past
-    ``2**63`` steps is an ``OverflowError``.
+    ``2**63`` steps is an ``OverflowError``, and a NaN or out-of-range
+    input a ``ValueError``.
     """
-    if eps <= 0 or B_sq <= 0:
-        raise ValueError("eps and B_sq must be positive")
+    # each test is false for NaN, which would end the search at no horizon
+    if not (eps > 0 and 0 < B_sq < math.inf):
+        raise ValueError(f"eps and B_sq must be positive, B_sq finite, got "
+                         f"eps={eps}, B_sq={B_sq}")
+    if not (0 < H < math.inf and 0 <= Lstar < math.inf and _is_count(b)):
+        raise ValueError(f"need a finite H > 0, a finite Lstar >= 0 and an "
+                         f"integer b >= 1, got H={H}, Lstar={Lstar}, b={b}")
     hi = 1
     while accel_error_bound(hi, H, B_sq, b, Lstar) > eps:
         hi *= 2
@@ -322,6 +338,7 @@ class StagePlan:
     a ball of squared radius ``2 theta**(1-t) Delta / lam`` around the
     previous stage's output, with just enough iterations for the error
     bound to meet the target.  The shrink factor ``theta`` is always ``e``.
+    The stages' schedules are made once into ``schedules``, not a field.
     """
 
     theta: float = field(default=math.e, init=False)
@@ -335,6 +352,11 @@ class StagePlan:
     @property
     def total_iterations(self) -> int:
         return sum(s.T_t for s in self.stages)
+
+    @cached_property
+    def schedules(self) -> tuple[StepSchedule, ...]:
+        return tuple(make_schedule(self.H, self.b, st.T_t, st.B_t, self.Lstar)
+                     for st in self.stages)
 
 
 def _plan_constants(problem: Problem, b: int):
@@ -350,8 +372,8 @@ def _plan_constants(problem: Problem, b: int):
     if not 0 < meta.lam < math.inf:
         raise ValueError(f"growth constant must be finite and positive, "
                          f"got {meta.lam}")
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got b={b}")
+    if not _is_count(b):
+        raise ValueError(f"b must be >= 1 and an integer, got b={b}")
     return meta
 
 
@@ -366,8 +388,7 @@ def _plan(stages, meta, b) -> StagePlan:
     plan = StagePlan(stages=tuple(stages), lam=float(meta.lam),
                      Delta=float(meta.Delta), H=float(meta.H), b=int(b),
                      Lstar=float(meta.Lstar))
-    # a stage whose schedule cannot be made fails here, not mid-run
-    _stage_schedules(plan)
+    plan.schedules  # a stage whose schedule cannot be made fails here
     return plan
 
 
@@ -378,7 +399,7 @@ def make_stage_plan(problem: Problem, b: int, eps: float) -> StagePlan:
     constants, and each stage shrinks the target by ``theta = e``.
     Returns an empty plan when ``eps >= Delta`` (nothing to do).  The
     logarithm is evaluated with a 1e-9 tolerance so exact powers of ``e``
-    do not round up.  Every stage's schedule is made before the plan is
+    do not round up.  The plan's ``schedules`` are made before it is
     returned, so ``run_restarted`` can run it.
     """
     meta = _plan_constants(problem, b)
@@ -395,13 +416,13 @@ def make_budget_plan(problem: Problem, b: int, budget: int) -> StagePlan:
 
     Constants, stages and the schedule check are ``make_stage_plan``'s.
     Stages are taken in order, at most 63 of them, up to the first one
-    that would overrun the budget, a finite number >= 1.  At least one
-    stage must fit.
+    that would overrun the budget, an integer >= 1.  At least one stage
+    must fit.
     """
     meta = _plan_constants(problem, b)
-    if not 1 <= budget < math.inf:
-        raise ValueError(f"budget must be a finite number >= 1, got "
-                         f"{budget}")
+    if not _is_count(budget):
+        raise ValueError(f"budget must be a finite number >= 1 and an "
+                         f"integer, got {budget}")
     stages, used = [], 0
     for t in range(1, 64):
         st = _stage(t, meta, b)
@@ -420,17 +441,12 @@ def run_restarted(problem: Problem, plan: StagePlan, seed: int = 0
     """Run the accelerated method stage by stage, re-centering each time.
 
     Every stage restarts the accelerated method from scratch in coordinates
-    shifted to the previous stage's output, with the stage's own radius and
-    horizon, and the noise parameter ``2 H Lstar`` of the plan.  The
-    returned trace is the concatenation over stages with a stage-index
+    shifted to the previous stage's output, under its schedule in
+    ``plan.schedules`` (the stage's radius and horizon, and ``2 H Lstar``).
+    The returned trace is the concatenation over stages with a stage-index
     column; its norm columns measure distance from the active stage center.
     """
     recorder = TraceRecorder(problem, "restarted", plan.b,
                              plan.total_iterations, seed, plan=asdict(plan))
-    return _run_stages(problem, recorder, seed, _stage_schedules(plan),
+    return _run_stages(problem, recorder, seed, plan.schedules,
                        center=np.zeros(problem.d))
-
-
-def _stage_schedules(plan: StagePlan) -> list[StepSchedule]:
-    return [make_schedule(plan.H, plan.b, st.T_t, st.B_t, plan.Lstar)
-            for st in plan.stages]

@@ -232,6 +232,45 @@ class TestRunExperiment:
         (failure,) = run_experiment(spec)["failures"]
         assert failure["error"] == "ValueError: unknown algorithm 'adam'"
 
+    @pytest.mark.parametrize("algorithm", sorted(harness._ALGORITHMS))
+    def test_cell_run_covers_every_algorithm(self, algorithm, monkeypatch):
+        # the run looks up its optimizers.run_* when it is called, so a
+        # wrapper installed after the step rule was made still sees it
+        run = harness._cell_run(problem_from_config(GROWTH_PROBLEM),
+                                algorithm, 8, 2048, {})
+        name, calls = f"run_{algorithm}", []
+        real = getattr(optimizers, name)
+        monkeypatch.setattr(optimizers, name,
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        _, trace = run(3)
+        assert calls == [1]
+        assert (trace.header["algorithm"], trace.header["b"],
+                trace.header["seed"]) == (algorithm, 8, 3)
+        assert not trace.aborted
+
+    def test_restart_plan_schedules_made_once_per_plan(self, tmp_path,
+                                                       monkeypatch):
+        # loading plans each b once, and so does its run; the run reuses
+        # its plan's schedules, where it used to make them all again
+        counts = {"make_schedule": 0, "stage_budget": 0}
+        for name in counts:
+            real = getattr(optimizers, name)
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(optimizers, name, counted)
+        problem = {"family": "growth",
+                   "params": {"d": 64, "r": 8, "lam": 0.05, "H": 1.0,
+                              "Delta": 1.0},
+                   "seed": 5}
+        spec = load_spec(write_spec(tmp_path, minimal_spec(
+            tmp_path, algorithm="restarted", problems=[problem],
+            b_grid=[8, 32], T_grid=[8192])))
+        assert counts == {"make_schedule": 19, "stage_budget": 21}
+        assert run_experiment(spec)["failures"] == []
+        assert counts == {"make_schedule": 38, "stage_budget": 42}
+
     def test_abort_at_first_step_reported_as_aborted_cell(self, tmp_path,
                                                           monkeypatch):
         stub = make_sign_vector_problem(n=2, H=1.0, B=1.0,

@@ -4,7 +4,7 @@ import copy
 import math
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -146,6 +146,19 @@ class TestSchedule:
         with pytest.raises(ValueError, match="gamma \\* T overflows"):
             make_schedule(H=1e-310, b=1, T=4, B=1.0, lstar=0.0)
 
+    @pytest.mark.parametrize("bad", [{"b": 2.5}, {"T": 8.5}, {"b": 2.0}])
+    def test_b_or_T_not_an_integer_rejected(self, bad):
+        # unchecked, b=2.5 gave the b=2.5 stepsize to a schedule recording
+        # b=2, and T=8.5 the T=8.5 stepsize to an 8-step run; a float is
+        # rejected whatever its value, as spec loading rejects it
+        with pytest.raises(ValueError, match="T and b must be integers"):
+            make_schedule(**{"H": 1.0, "b": 2, "T": 8, "B": 1.0,
+                             "lstar": 0.0, **bad})
+
+    def test_numpy_integers_accepted(self):
+        assert make_schedule(1.0, np.int64(2), np.int32(8), 1.0, 0.0) == \
+            make_schedule(1.0, 2, 8, 1.0, 0.0)
+
 
 class TestProjectBall:
     def test_scaling(self):
@@ -160,9 +173,11 @@ class TestProjectBall:
         np.testing.assert_array_equal(project_ball(np.zeros(3), 5.0),
                                       np.zeros(3))
 
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            project_ball(np.ones(2), 0.0)
+    # a NaN radius, unchecked, gave a NaN vector
+    @pytest.mark.parametrize("B", [0.0, math.nan])
+    def test_rejects_nonpositive_radius(self, B):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            project_ball(np.array([3.0, 4.0]), B)
 
     @settings(max_examples=300, deadline=None)
     @given(hnp.arrays(np.float64, st.integers(1, 64),
@@ -373,6 +388,26 @@ class TestSgd:
         # an eta below the overflowing bound gives a finite step
         assert optaccel.optimizers.sgd_step(1e-310, 0.5) == 0.5
 
+    def test_nan_eta_rejected(self):
+        # ``min(0.5, nan)`` is 0.5, so a NaN eta gave the step 1 / (2 H)
+        with pytest.raises(ValueError, match="SGD step .* must be finite"):
+            optaccel.optimizers.sgd_step(1.0, math.nan)
+
+    @pytest.mark.parametrize("run", ["run_sgd", "run_acc_mb_sgd"])
+    @pytest.mark.parametrize("bad", [{"b": 2.5}, {"T": 8.5}])
+    def test_fractional_b_or_T_rejected_before_the_recorder(
+            self, run, bad, monkeypatch):
+        # unchecked, run_sgd failed mid-run with a TypeError, and
+        # run_acc_mb_sgd wrote a header its stepsize did not match
+        def no_recorder(*args, **kwargs):
+            raise AssertionError("a recorder was built")
+
+        monkeypatch.setattr(optaccel.optimizers, "TraceRecorder", no_recorder)
+        prob = make_interpolation_least_squares(d=8, n_atoms=4, H=1.0, B=1.0,
+                                                seed=3)
+        with pytest.raises(ValueError, match="integers"):
+            getattr(optaccel.optimizers, run)(prob, **{"b": 2, "T": 8, **bad})
+
     def test_tail_average_keeps_a_quarter_of_the_partial_sums(self):
         # a later tail start reads only the sums from the current one up to
         # T // 2, so at most about T / 4 d-vectors are kept, not T + 1
@@ -428,6 +463,18 @@ class TestStageBudget:
     def test_non_positive_target_or_radius_rejected(self, eps, B_sq):
         with pytest.raises(ValueError, match="eps and B_sq must be positive"):
             stage_budget(eps, B_sq, H=1.0, b=1, Lstar=0.0)
+
+    @pytest.mark.parametrize("bad", [
+        {"eps": math.nan}, {"B_sq": math.nan}, {"B_sq": math.inf},
+        {"H": math.nan}, {"H": math.inf}, {"Lstar": math.nan},
+        {"Lstar": math.inf}, {"b": 0}, {"b": 2.5}])
+    def test_non_finite_or_fractional_input_rejected(self, bad):
+        # unchecked, a NaN gave an IndexError, an infinite H or Lstar an
+        # OverflowError, b=0 a ZeroDivisionError, and b=2.5 a budget for
+        # a batch no run draws
+        with pytest.raises(ValueError):
+            stage_budget(**{"eps": 0.1, "B_sq": 1.0, "H": 1.0, "b": 1,
+                            "Lstar": 0.0, **bad})
 
     def test_horizon_past_2_to_the_63_overflows(self):
         # the search indexes a range of horizons; this one needs about 1.5e21
@@ -496,6 +543,16 @@ class TestStagePlan:
         with pytest.raises(ValueError):
             make_stage_plan(planned_on(Delta=1.0, lam=0.0, H=1.0), b=1,
                             eps=0.1)
+
+    def test_fractional_batch_rejected(self):
+        # unchecked, each stage was sized for b=2.5 (1255 steps for the
+        # first) and run at b=2, which needs 1568
+        prob = make_growth_problem(d=6, r=3, lam=0.25, H=1.0, Delta=1.0,
+                                   seed=5)
+        with pytest.raises(ValueError, match="b must be >= 1 and an integer"):
+            make_stage_plan(prob, b=2.5, eps=0.01)
+        with pytest.raises(ValueError, match="b must be >= 1 and an integer"):
+            make_budget_plan(prob, b=2.5, budget=10000)
 
     @pytest.mark.parametrize("b", [0, -1])
     def test_batch_below_one_rejected(self, b):
@@ -582,7 +639,7 @@ class TestBudgetPlan:
             make_budget_plan(planned_on(**constants), b=8, budget=100)
 
     @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, 0,
-                                        0.5, -3])
+                                        0.5, -3, 1000.5])
     def test_budget_not_a_finite_number_at_least_one_rejected(self, budget):
         # unchecked, a NaN or infinite budget plans all 63 stages (25074
         # steps here)
@@ -597,6 +654,41 @@ class TestBudgetPlan:
         with pytest.raises(ValueError, match="b must be >= 1"):
             make_budget_plan(planned_on(Delta=1.0, lam=0.25, H=1.0), b=b,
                              budget=1000)
+
+
+class TestPlanSchedules:
+    @settings(max_examples=100, deadline=None)
+    @given(Delta=st.floats(1e-3, 1e3), lam=st.floats(1e-3, 10.0),
+           H=st.floats(0.1, 10.0), b=st.integers(1, 256),
+           Lstar=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+           ratio=st.floats(1e-4, 2.0), budget=st.integers(1, 200000))
+    def test_made_once_per_plan_and_kept_out_of_its_fields(
+            self, Delta, lam, H, b, Lstar, ratio, budget):
+        problem = planned_on(Delta, lam, H, Lstar)
+        plans = [make_stage_plan(problem, b, ratio * Delta)]
+        try:
+            plans.append(make_budget_plan(problem, b, budget))
+        except ValueError:  # the first stage overruns the budget
+            pass
+        for plan in plans:
+            assert plan.schedules == tuple(
+                make_schedule(H, b, stage.T_t, stage.B_t, Lstar)
+                for stage in plan.stages)
+            assert plan.schedules is plan.schedules
+            assert "schedules" not in asdict(plan)
+
+    def test_run_makes_no_schedule(self, monkeypatch):
+        prob = make_growth_problem(d=6, r=3, lam=0.25, H=1.0, Delta=1.0, seed=5)
+        plan = make_stage_plan(prob, b=8, eps=0.05)
+        want = run_restarted(prob, plan, seed=2)[1]
+
+        def no_schedule(*args):
+            raise AssertionError("a schedule was made")
+
+        monkeypatch.setattr(optaccel.optimizers, "make_schedule", no_schedule)
+        got = run_restarted(prob, plan, seed=2)[1]
+        assert trace_to_csv(got) == trace_to_csv(want)
+        assert got.header == want.header
 
 
 class TestRestarted:
