@@ -5,7 +5,7 @@ part of the rate is visible, and a realizable regression where the batch
 size decides whether the averaged-noise term or the accelerated term
 dominates.  Run:
 
-    python demos/02_accelerated_rates.py        (about a minute)
+    python demos/02_accelerated_rates.py        (a few seconds)
 """
 
 import numpy as np

@@ -55,8 +55,10 @@ _C_NOISE = 27.0
 
 def _is_count(n) -> bool:
     # a fractional batch size or horizon would set the stepsize while a
-    # truncated one is recorded and run
-    return isinstance(n, numbers.Integral) and n >= 1
+    # truncated one is recorded and run; ``True`` is an Integral too, but
+    # spec loading rejects it as a count, and so does the library
+    return (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+            and n >= 1)
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -405,8 +407,11 @@ def make_stage_plan(problem: Problem, b: int, eps: float) -> StagePlan:
     meta = _plan_constants(problem, b)
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    n_stages = (0 if eps >= meta.Delta
-                else math.ceil(math.log(meta.Delta / eps) - 1e-9))
+    ratio = meta.Delta / eps
+    if not math.isfinite(ratio):
+        raise ValueError(f"Delta / eps must be finite, got Delta="
+                         f"{meta.Delta}, eps={eps}")
+    n_stages = 0 if eps >= meta.Delta else math.ceil(math.log(ratio) - 1e-9)
     return _plan([_stage(t, meta, b) for t in range(1, n_stages + 1)],
                  meta, b)
 

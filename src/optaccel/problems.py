@@ -496,8 +496,9 @@ def make_interpolation_least_squares(d: int, n_atoms: int, H: float, B: float,
     """
     if n_atoms < 1 or d < n_atoms:
         raise ValueError(f"need d >= n_atoms >= 1, got d={d}, n_atoms={n_atoms}")
-    if H <= 0 or B <= 0:
-        raise ValueError("H and B must be positive")
+    if not (0 < H < math.inf and 0 < B < math.inf):  # false for NaN too
+        raise ValueError(f"H and B must be positive and finite, got H={H}, "
+                         f"B={B}")
     gen = np.random.default_rng(np.random.SeedSequence([seed, 0x1A7E]))
     raw = gen.standard_normal((n_atoms, d))
     atoms = np.sqrt(H) * raw / np.linalg.norm(raw, axis=1, keepdims=True)
@@ -540,8 +541,9 @@ def make_sign_vector_problem(n: int, H: float, B: float, sigma_signs,
     if not all(_is_int(s) and s in (-1, 1) for s in sigma_signs):
         raise ValueError(f"sigma_signs entries must be the integers +1 or "
                          f"-1, got {list(sigma_signs)!r}")
-    if H <= 0 or B <= 0:
-        raise ValueError("H and B must be positive")
+    if not (0 < H < math.inf and 0 < B < math.inf):  # false for NaN too
+        raise ValueError(f"H and B must be positive and finite, got H={H}, "
+                         f"B={B}")
     dim = 2 * n
     atoms = np.sqrt(H) * np.eye(dim)
     wstar = (B / np.sqrt(dim)) * signs
@@ -567,8 +569,9 @@ def make_gaussian_spike_problem(H: float, B: float, p: float, s: float,
     """
     if not (0 < p <= 1):
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    if H <= 0 or B <= 0 or s < 0:
-        raise ValueError("H and B must be positive and s non-negative")
+    if not (0 < H < math.inf and 0 < B < math.inf and 0 <= s < math.inf):
+        raise ValueError(f"H and B must be positive and s non-negative, all "
+                         f"finite, got H={H}, B={B}, s={s}")
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     atoms = np.array([[0.0], [np.sqrt(H)]])
@@ -600,8 +603,8 @@ def make_growth_problem(d: int, r: int, lam: float, H: float, Delta: float,
     """
     if not (1 <= r < d):
         raise ValueError(f"need 1 <= r < d, got r={r}, d={d}")
-    if not (0 < lam <= H):
-        raise ValueError(f"need 0 < lam <= H, got lam={lam}, H={H}")
+    if not 0 < lam <= H < math.inf:
+        raise ValueError(f"need 0 < lam <= H < inf, got lam={lam}, H={H}")
     if not (np.isfinite(Delta) and Delta > 0):
         raise ValueError(f"need finite Delta > 0, got Delta={Delta}")
     if r * lam > H * (1 + 1e-12):
@@ -639,8 +642,10 @@ def make_noiseless_quadratic(d: int, H: float, B: float, seed: int,
     baseline where only the deterministic part of a method's rate is
     visible.
     """
-    if d < 1 or H <= 0 or B <= 0 or spread < 1:
-        raise ValueError("need d >= 1, H > 0, B > 0, spread >= 1")
+    if not (d >= 1 and 0 < H < math.inf and 0 < B < math.inf
+            and 1 <= spread < math.inf):
+        raise ValueError(f"need d >= 1 and finite H > 0, B > 0, spread >= 1, "
+                         f"got d={d}, H={H}, B={B}, spread={spread}")
     gen = np.random.default_rng(np.random.SeedSequence([seed, 0x4A3D]))
     q, _ = np.linalg.qr(gen.standard_normal((d, d)))
     evals = np.geomspace(H / spread, H, d) if d > 1 else np.array([H])

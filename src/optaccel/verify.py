@@ -19,7 +19,7 @@ import numpy as np
 from . import optimizers
 from .analysis import (_line_fit, certify_assumptions,
                        check_projection_lemma, critical_batch, fit_rate,
-                       time_to_eps, variance_at)
+                       variance_at)
 from .optimizers import accel_error_bound, run_acc_mb_sgd, run_restarted, run_sgd
 from .problems import (make_gaussian_spike_problem, make_growth_problem,
                        make_interpolation_least_squares,
@@ -174,9 +174,11 @@ def suite_speedup():
     prob = _interp_problem()
     eps = _SPEEDUP_EPS
     threshold = math.sqrt(prob.meta.H * prob.meta.B**2 / eps)
-    table = time_to_eps({(b, T): _finals(prob, b, T, 20)
-                         for b, Ts in _SPEEDUP_GRIDS.items() for T in Ts},
-                        eps)
+    # each b's horizons run in ascending order only until the first whose
+    # median meets eps: no check reads a longer one
+    table = {b: next((T for T in Ts
+                      if np.median(_finals(prob, b, T, 20)) <= eps), None)
+             for b, Ts in _SPEEDUP_GRIDS.items()}
     checks = []
 
     reached = [T for T in table.values() if T is not None]
@@ -215,8 +217,7 @@ def suite_speedup():
             med = np.median([run_sgd(prob, b=b, T=2048, seed=s,
                                      eta=eta)[1].subopt for s in range(20)],
                             axis=0)
-            t_hit = time_to_eps({(b, t): [m] for t, m in enumerate(med, 1)},
-                                eps)[b]
+            t_hit = next((t for t, m in enumerate(med, 1) if m <= eps), None)
             if t_hit is not None and (best is None or t_hit < best):
                 best = t_hit
         sgd_tte[b] = best

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from optaccel import (
     variance_at,
 )
 import optaccel.analysis
+import optaccel.verify
 from optaccel.analysis import _ball_points, certify_assumptions
 from optaccel.verify import _check
 from oracles import (dot_exact_loss, gradient_variance,
@@ -246,6 +248,36 @@ class TestCriticalBatch:
     def test_needs_enough_rows(self):
         with pytest.raises(ValueError):
             critical_batch({1: 8, 2: 4})
+
+
+class TestSpeedupSuite:
+    # each batch size's first horizon whose median final meets eps
+    HITS = {1: 8192, 2: 4096, 4: 2048, 8: 1024, 16: 512, 32: 256, 64: 128,
+            128: 64, 256: 64}
+
+    def test_runs_each_grid_only_through_its_first_hit(self, monkeypatch):
+        verify = optaccel.verify
+        eps = verify._SPEEDUP_EPS
+        calls = []
+
+        def finals(prob, b, T, n_seeds):
+            calls.append((b, T))
+            return [eps / 2 if T >= self.HITS[b] else 1.0] * n_seeds
+
+        def sgd(prob, b, T, seed, eta):
+            # the same curve for every b: 1 / t meets eps at t = 1000
+            return None, SimpleNamespace(subopt=1.0 / np.arange(1, T + 1))
+
+        monkeypatch.setattr(verify, "_finals", finals)
+        monkeypatch.setattr(verify, "run_sgd", sgd)
+        checks = {c["name"]: c for c in verify.suite_speedup()}
+        assert calls == [(b, T) for b, Ts in verify._SPEEDUP_GRIDS.items()
+                         for T in Ts if T <= self.HITS[b]]
+        assert len(calls) == 34
+        assert checks["table_monotone"]["detail"] == \
+            f"rows={tuple(self.HITS.items())}"
+        assert checks["sgd_no_speedup_spread"]["detail"] == \
+            "T_to_eps={1: 1000, 4: 1000, 16: 1000}"
 
 
 class TestProjectionLemma:

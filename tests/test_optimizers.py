@@ -146,11 +146,12 @@ class TestSchedule:
         with pytest.raises(ValueError, match="gamma \\* T overflows"):
             make_schedule(H=1e-310, b=1, T=4, B=1.0, lstar=0.0)
 
-    @pytest.mark.parametrize("bad", [{"b": 2.5}, {"T": 8.5}, {"b": 2.0}])
+    @pytest.mark.parametrize("bad", [{"b": 2.5}, {"T": 8.5}, {"b": 2.0},
+                                     {"b": True}, {"T": True}])
     def test_b_or_T_not_an_integer_rejected(self, bad):
         # unchecked, b=2.5 gave the b=2.5 stepsize to a schedule recording
-        # b=2, and T=8.5 the T=8.5 stepsize to an 8-step run; a float is
-        # rejected whatever its value, as spec loading rejects it
+        # b=2, and T=8.5 the T=8.5 stepsize to an 8-step run; a float or a
+        # bool is rejected whatever its value, as spec loading rejects it
         with pytest.raises(ValueError, match="T and b must be integers"):
             make_schedule(**{"H": 1.0, "b": 2, "T": 8, "B": 1.0,
                              "lstar": 0.0, **bad})
@@ -393,6 +394,14 @@ class TestSgd:
         with pytest.raises(ValueError, match="SGD step .* must be finite"):
             optaccel.optimizers.sgd_step(1.0, math.nan)
 
+    @pytest.mark.parametrize("bad", [{"b": True}, {"T": True}])
+    def test_bool_b_or_T_rejected(self, bad):
+        # unchecked, True ran as 1 and wrote a header with b: 1 or T: 1
+        prob = make_interpolation_least_squares(d=8, n_atoms=4, H=1.0, B=1.0,
+                                                seed=3)
+        with pytest.raises(ValueError, match="integers"):
+            run_sgd(prob, **{"b": 2, "T": 8, **bad})
+
     @pytest.mark.parametrize("run", ["run_sgd", "run_acc_mb_sgd"])
     @pytest.mark.parametrize("bad", [{"b": 2.5}, {"T": 8.5}])
     def test_fractional_b_or_T_rejected_before_the_recorder(
@@ -481,6 +490,11 @@ class TestStageBudget:
         with pytest.raises(OverflowError):
             stage_budget(1e-6, 1e3, H=1e3, b=1, Lstar=1.0)
 
+    def test_bool_batch_rejected(self):
+        # unchecked, True sized the budget for b=1
+        with pytest.raises(ValueError, match="integer b >= 1"):
+            stage_budget(0.1, 1.0, H=1.0, b=True, Lstar=0.0)
+
     def test_non_increasing_in_eps(self):
         budgets = [stage_budget(eps, 1.0, 1.0, 4, 0.01)
                    for eps in (0.01, 0.02, 0.04, 0.08, 0.16)]
@@ -560,6 +574,20 @@ class TestStagePlan:
         with pytest.raises(ValueError, match="b must be >= 1"):
             make_stage_plan(planned_on(Delta=1.0, lam=0.5, H=1.0), b=b,
                             eps=0.1)
+
+    def test_bool_batch_rejected(self):
+        # unchecked, True planned and ran every stage at b=1
+        with pytest.raises(ValueError, match="b must be >= 1 and an integer"):
+            make_stage_plan(planned_on(Delta=1.0, lam=0.5, H=1.0), b=True,
+                            eps=0.1)
+
+    def test_target_ratio_that_overflows_rejected(self):
+        # Delta / eps is inf here, which failed with an OverflowError from
+        # math.ceil; eps = 1e-305 still plans, with 703 stages
+        prob = make_growth_problem(d=6, r=3, lam=0.1, H=1.0, Delta=1.0,
+                                   seed=0)
+        with pytest.raises(ValueError, match="Delta / eps must be finite"):
+            make_stage_plan(prob, b=8, eps=1e-310)
 
     @pytest.mark.parametrize("name", ["Delta", "eps", "lam", "H", "Lstar"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -654,6 +682,16 @@ class TestBudgetPlan:
         with pytest.raises(ValueError, match="b must be >= 1"):
             make_budget_plan(planned_on(Delta=1.0, lam=0.25, H=1.0), b=b,
                              budget=1000)
+
+    @pytest.mark.parametrize("bad,match", [
+        ({"b": True}, "b must be >= 1 and an integer"),
+        ({"budget": True}, "budget must be a finite number >= 1")])
+    def test_bool_batch_or_budget_rejected(self, bad, match):
+        # unchecked, True planned at b=1, or for a budget of 1, which no
+        # first stage fits
+        with pytest.raises(ValueError, match=match):
+            make_budget_plan(planned_on(Delta=1.0, lam=0.25, H=1.0),
+                             **{"b": 8, "budget": 1000, **bad})
 
 
 class TestPlanSchedules:

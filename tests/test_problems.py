@@ -215,6 +215,53 @@ class TestGrowthProblem:
                                 seed=0)
 
 
+NAN, INF = float("nan"), float("inf")
+MAKER_ARGS = {
+    make_interpolation_least_squares: dict(d=8, n_atoms=4, H=1.0, B=1.0,
+                                           seed=0),
+    make_sign_vector_problem: dict(n=2, H=1.0, B=1.0,
+                                   sigma_signs=[1, -1, 1, -1]),
+    make_gaussian_spike_problem: dict(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
+                                      seed=0),
+    make_growth_problem: dict(d=6, r=3, lam=0.1, H=1.0, Delta=1.0, seed=0),
+    make_noiseless_quadratic: dict(d=4, H=1.0, B=1.0, seed=0, spread=10.0),
+}
+
+
+class TestMakersRejectNonFinite:
+    # specs never reach a maker with these, since loading rejects a
+    # non-finite parameter first; called directly, each of them built a
+    # problem with NaN or infinite certified constants, or failed with an
+    # unrelated error or a RuntimeWarning
+    CASES = [
+        (make_gaussian_spike_problem, "H", NAN, "H and B must be positive"),
+        (make_gaussian_spike_problem, "B", INF, "H and B must be positive"),
+        (make_gaussian_spike_problem, "s", INF, "H and B must be positive"),
+        (make_gaussian_spike_problem, "s", NAN, "H and B must be positive"),
+        (make_sign_vector_problem, "H", NAN, "H and B must be positive"),
+        (make_sign_vector_problem, "H", INF, "H and B must be positive"),
+        (make_sign_vector_problem, "B", INF, "H and B must be positive"),
+        (make_noiseless_quadratic, "spread", NAN, "spread"),
+        (make_noiseless_quadratic, "spread", INF, "spread"),
+        (make_interpolation_least_squares, "B", INF,
+         "H and B must be positive"),
+        (make_interpolation_least_squares, "H", NAN,
+         "H and B must be positive"),
+        (make_interpolation_least_squares, "H", INF,
+         "H and B must be positive"),
+        (make_growth_problem, "H", INF, "lam <= H"),
+    ]
+
+    @pytest.mark.parametrize("maker,name,value,match", CASES, ids=[
+        f"{maker.__name__}-{name}={value}" for maker, name, value, _ in CASES])
+    def test_rejected_before_anything_is_computed(self, maker, name, value,
+                                                  match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                maker(**{**MAKER_ARGS[maker], name: value})
+
+
 @st.composite
 def finite_designs(draw):
     """A random finite design with n_atoms <= d, plus a query point.
