@@ -298,6 +298,14 @@ class DiscreteLeastSquares(Problem):
         # with every label std 0 the normals need not be drawn, and the
         # next position's re-seat discards their rest
         self._noise_free = not self.label_stds.any()
+        # the atoms in C order, as a gathered batch is (so their gemv is
+        # ``dgemv_t`` too), padded to whole 4-row groups for
+        # ``_atom_residuals``; a padding row repeats an atom, so it raises no
+        # floating-point error the atoms do not
+        n = len(self.atoms)
+        self._atoms4 = (
+            self.atoms if n % 4 == 0 and self.atoms.flags.c_contiguous
+            else self.atoms.take(np.arange(n + -n % 4) % n, axis=0))
 
     @functools.cached_property
     def second_moment(self):
@@ -342,7 +350,9 @@ class DiscreteLeastSquares(Problem):
         one sum over the sample axis, which NumPy adds row by row for
         ``d > 1`` (and pairwise for a ``(b, 1)`` array, so that one is
         never split).  A larger batch goes through ``_grad_sum_by_blocks``,
-        which gives the same bits without a ``b x d`` array.
+        which gives the same bits without a ``b x d`` array; when the
+        atoms' products fit one block, it sums them in atom space, from one
+        gemv over the atoms and gathered per-atom products.
         """
         idx, y = batch
         b, d = len(idx), self.d
@@ -357,21 +367,44 @@ class DiscreteLeastSquares(Problem):
         """Sum of the per-sample gradients, gathered block by block into
         one buffer, bit for bit the sum over the whole gathered batch.
 
-        A block holds the largest power of two of rows, at least 4, that
-        fits ``_GRAD_BLOCK_ELEMENTS``, so each block starts on OpenBLAS
-        ``dgemv_t``'s 4-row grouping and its residuals round as in one
-        gemv over the batch.  A last block of one row joins the block
-        before it: NumPy computes a 1-row product as a dot, which rounds
-        otherwise.  The running sum goes into row 0 of the next block
-        before that block is summed, so the rows are added in batch order
-        (``acc + x`` and ``x + acc`` are the same float).  The bits match
-        at one BLAS thread: OpenBLAS may split a gemv over threads at a row
-        off the 4-row grouping, the whole batch's gemv included.
+        The running sum goes into row 0 of the next block before that block
+        is summed, so the rows are added in batch order, each as ``acc +
+        x``: NumPy's sum adds in that order, and the first operand's NaN is
+        the one a sum of two NaNs keeps.  A block holds one of two kinds of
+        rows:
+
+        - *Atom space*, when the padded atoms' ``n4 x d`` products fit
+          ``_GRAD_BLOCK_ELEMENTS`` (so ``n4 < b``): the residuals come
+          from ``_atom_residuals`` before the loop, with each atom's own
+          residual ``R = atoms @ w - label_means``.  A block whose every
+          residual has its atom's ``R`` bits (compared as ``int64``, so
+          signed zeros and NaN payloads count) gathers rows of the products
+          ``P = atoms * R[:, None]``, which are its rows' products bit for
+          bit; any other block gathers atoms and multiplies them by ``r``.
+          A block is any ``_GRAD_BLOCK_ELEMENTS // d`` rows.
+        - Otherwise each block gathers atoms and takes its residuals from
+          its own gemv.  A block then holds the largest power of two of
+          rows, at least 4, that fits ``_GRAD_BLOCK_ELEMENTS``, so it
+          starts on OpenBLAS ``dgemv_t``'s 4-row grouping and its residuals
+          round as in one gemv over the batch.  A last block of one row
+          joins the block before it: NumPy computes a 1-row product as a
+          dot, which rounds otherwise.
+
+        The bits match at one BLAS thread: OpenBLAS may split a gemv over
+        threads at a row off the 4-row grouping, the whole batch's gemv
+        included.
         """
         b, d = len(idx), self.d
-        rows = 1 << max(2, (_GRAD_BLOCK_ELEMENTS // d).bit_length() - 1)
+        if self._atoms4.size <= _GRAD_BLOCK_ELEMENTS:
+            r, R = self._atom_residuals(w, idx, y)
+            products = self.atoms * R[:, None]
+            same = r.view(np.int64) == R.take(idx).view(np.int64)
+            rows = _GRAD_BLOCK_ELEMENTS // d
+        else:
+            r = None
+            rows = 1 << max(2, (_GRAD_BLOCK_ELEMENTS // d).bit_length() - 1)
         edges = [*range(0, b, rows), b]
-        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        if r is None and len(edges) > 2 and edges[-1] - edges[-2] == 1:
             del edges[-2]
         spans = list(zip(edges, edges[1:]))
         buf = np.empty((max(hi - lo for lo, hi in spans), d))
@@ -380,13 +413,36 @@ class DiscreteLeastSquares(Problem):
             blk = buf[:hi - lo]
             # into ``out``, mode "raise" would copy through a temporary;
             # every drawn index is in range, so "clip" changes none
-            self.atoms.take(idx[lo:hi], axis=0, out=blk, mode="clip")
-            r = blk @ w - y[lo:hi]
-            np.multiply(blk, r[:, None], out=blk)
+            if r is not None and same[lo:hi].all():
+                products.take(idx[lo:hi], axis=0, out=blk, mode="clip")
+            else:
+                self.atoms.take(idx[lo:hi], axis=0, out=blk, mode="clip")
+                rb = blk @ w - y[lo:hi] if r is None else r[lo:hi]
+                np.multiply(blk, rb[:, None], out=blk)
             if acc is not None:
-                blk[0] += acc
+                np.add(acc, blk[0], out=blk[0])
             acc = np.add.reduce(blk, axis=0)
         return acc
+
+    def _atom_residuals(self, w, idx, y):
+        """The residuals ``r = atoms[idx] @ w - y`` of a batch of at least 4
+        samples, bit for bit one gemv's over the gathered batch, and each
+        atom's residual ``R = atoms @ w - label_means``, from one gemv over
+        the atoms padded to whole 4-row groups.
+
+        OpenBLAS ``dgemv_t`` rounds a row of a whole 4-row group the same
+        wherever the group sits, so the batch rows in whole groups take
+        their atom's product.  The last ``b % 4`` rows are its tail, which
+        rounds otherwise; they come from a gemv over the gathered last
+        ``4 + b % 4`` rows, which ends on the same tail.
+        """
+        b, t = len(idx), len(idx) % 4
+        aw = self._atoms4 @ w
+        r = aw.take(idx) - y
+        if t:
+            last = self.atoms.take(idx[b - 4 - t:], axis=0)
+            r[b - t:] = (last @ w)[4:] - y[b - t:]
+        return r, aw[:len(self.atoms)] - self.label_means
 
     # -- closed forms -------------------------------------------------------
 
@@ -679,7 +735,12 @@ def minibatch_gradient(problem: Problem, w, batch):
     so identical batches always produce bit-identical gradients.  A finite
     design gathers the batch's features itself, a large batch block by
     block, so the call allocates no ``b x d`` array and leaves the batch
-    as it was (see ``DiscreteLeastSquares.batch_grad_mean``).
+    as it was.  A large batch over few atoms is summed in atom space: one
+    gemv over the atoms, padded to whole 4-row groups, gives the residuals
+    (a gemv over the last ``4 + b % 4`` gathered rows gives the tail's),
+    and its blocks gather per-atom products instead of multiplying, with
+    the bits of the whole-batch sum (see
+    ``DiscreteLeastSquares.batch_grad_mean``).
     """
     return problem.batch_grad_mean(np.asarray(w, dtype=float), batch)
 
@@ -753,12 +814,17 @@ def _build(config: dict) -> Problem:
         raise ValueError(f"{family}: seed must be an integer, "
                          f"got {params['seed']!r}")
     # finite parameters can still overflow what is built from them; the
-    # check below rejects such a problem, so the overflow is no warning
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        problem = _FAMILIES[family](**params)
-    meta = problem.meta
-    if not np.isfinite([meta.Lstar, meta.sigma_star_sq, meta.lam, meta.Delta,
-                        *_ball_bounds(problem)]).all():
+    # check below rejects such a problem, so the overflow is no warning.  A
+    # maker's Python float power raises ``OverflowError`` instead (the
+    # makers keep libm's ``B**2``, whose bits their constants carry)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            problem = _FAMILIES[family](**params)
+    except OverflowError:
+        problem = None
+    if problem is None or not np.isfinite(
+            [problem.meta.Lstar, problem.meta.sigma_star_sq, problem.meta.lam,
+             problem.meta.Delta, *_ball_bounds(problem)]).all():
         raise ValueError(f"{family}: parameters overflow a float: certified "
                          f"constants and ball bounds must be finite")
     return problem

@@ -934,7 +934,14 @@ class TestCli:
         # the label noise sqrt(H) s z of an informative sample overflows
         # the squared gradient, while p H s**2 stays finite
         ("gaussian_spike",
-         {"H": 1e150, "B": 1e-100, "p": 0.01, "s": 3e79, "sign": 1})])
+         {"H": 1e150, "B": 1e-100, "p": 0.01, "s": 3e79, "sign": 1}),
+        # B**2 (or s**2) of a Python float raises OverflowError in the maker
+        ("sign_vector",
+         {"n": 2, "H": 1.0, "B": 1e200, "sigma_signs": [1, -1, 1, 1]}),
+        ("gaussian_spike",
+         {"H": 1.0, "B": 1e200, "p": 0.5, "s": 1.0, "sign": 1}),
+        ("gaussian_spike",
+         {"H": 1.0, "B": 1.0, "p": 0.5, "s": 1e200, "sign": 1})])
     def test_overflowing_family_params_are_config_error(
             self, tmp_path, capsys, family, params):
         # finite parameters whose problem has an infinite Delta or B, found

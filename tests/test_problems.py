@@ -28,7 +28,7 @@ from optaccel import (
     run_sgd,
     sample_batch,
 )
-from optaccel import problems
+from optaccel import optimizers, problems
 from optaccel.analysis import variance_at
 from optaccel.problems import _mix_key, _philox_uniforms
 from optaccel.trace import canonical_json, trace_to_csv
@@ -791,6 +791,19 @@ for d, b in [(2048, 33), (2048, 64), (2048, 65), (2048, 255), (2048, 256),
     want = np.add.reduce(x * (x @ w - y)[:, None], axis=0) / b
     got = prob.batch_grad_mean(w, (idx, y))
     assert got.tobytes() == want.tobytes(), (d, b)
+# sampled noise-free batches, whose blocks take the atom-space products; 13
+# atoms are padded to 16 for their gemv
+for n_atoms in (16, 13):
+    for b in (256, 257, 258, 259):
+        prob = make_interpolation_least_squares(d=2048, n_atoms=n_atoms,
+                                                H=1.0, B=4.0, seed=b)
+        idx, y = prob.next_batch(prob.stream(b), b)
+        assert y.tobytes() == prob.label_means[idx].tobytes()
+        w = np.random.default_rng(b).standard_normal(2048)
+        x = prob.atoms[idx]
+        want = np.add.reduce(x * (x @ w - y)[:, None], axis=0) / b
+        got = prob.batch_grad_mean(w, (idx, y))
+        assert got.tobytes() == want.tobytes(), (n_atoms, b)
 print("ok")
 """
 
@@ -845,18 +858,20 @@ class TestMinibatchGradient:
         assert out.stdout == "ok\n"
 
     def test_allocates_no_batch_sized_array(self):
-        # a draw and its gradient: a b x d feature array alone is 4 MB
-        prob = make_interpolation_least_squares(d=2048, n_atoms=16, H=1.0,
-                                                B=4.0, seed=334)
-        b = 256
-        w, stream = np.full(prob.d, 1e-3), prob.stream(0)
-        tracemalloc.start()
-        try:
-            minibatch_gradient(prob, w, sample_batch(prob, b, stream))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < b * prob.d * 8 / 4
+        # a draw and its gradient: a b x d feature array alone is 4 MB; 13
+        # atoms are padded when the problem is built, not at each step
+        for n_atoms in (16, 13):
+            prob = make_interpolation_least_squares(d=2048, n_atoms=n_atoms,
+                                                    H=1.0, B=4.0, seed=334)
+            b = 256
+            w, stream = np.full(prob.d, 1e-3), prob.stream(0)
+            tracemalloc.start()
+            try:
+                minibatch_gradient(prob, w, sample_batch(prob, b, stream))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < b * prob.d * 8 / 4, n_atoms
 
     def test_one_sample_at_d1_gives_the_sign_of_matmul_zero(self):
         # the zero atom at w < 0: matmul makes the residual 0.0 (``dot`` -0.0)
@@ -874,6 +889,105 @@ class TestMinibatchGradient:
         batch = (np.array([0, 1]), np.array([0.0, 0.0]))
         g = minibatch_gradient(prob, np.array([1.0]), batch)
         assert g[0] == pytest.approx(0.5)
+
+
+def spy_atom_residuals(mp):
+    """Record each call of ``DiscreteLeastSquares._atom_residuals``."""
+    calls, residuals = [], DiscreteLeastSquares._atom_residuals
+    mp.setattr(DiscreteLeastSquares, "_atom_residuals",
+               lambda self, *a: calls.append(len(a[1])) or residuals(self, *a))
+    return calls
+
+
+class TestAtomSpaceSum:
+    """The blocked gradient sum from one gemv over the atoms and gathered
+    per-atom products, against the whole-batch reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sign_vector=st.booleans(), n_atoms=st.integers(1, 12),
+           extra_d=st.integers(0, 12), atom_space=st.booleans(),
+           scale=st.integers(1, 3), blocks=st.integers(1, 4),
+           tail=st.integers(0, 3),
+           kind=st.sampled_from(["sampled", "mixed", "nonfinite"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_reference(self, sign_vector, n_atoms, extra_d,
+                                        atom_space, scale, blocks, tail,
+                                        kind, seed):
+        gen = np.random.default_rng(seed)
+        if sign_vector:
+            # axis atoms: most products are signed zeros
+            n = -(-n_atoms // 2)
+            prob = make_sign_vector_problem(
+                n=n, H=1.0, B=2.0, sigma_signs=[int(s) for s in
+                                                gen.choice([-1, 1], 2 * n)])
+        else:
+            prob = make_interpolation_least_squares(
+                d=max(2, n_atoms + extra_d), n_atoms=n_atoms, H=1.0, B=2.0,
+                seed=seed)
+        n, d = len(prob.atoms), prob.d
+        n4 = n + -n % 4
+        # the padded atoms' products fit the budget, or they just do not
+        budget = scale * n4 * d if atom_space else n4 * d - 1
+        rows = (budget // d if atom_space else block_rows(d, budget))
+        # past ``blocks`` blocks, ending on a tail of ``tail`` rows
+        b = 4 * (rows * blocks // 4 + 1) + tail
+        assert b * d > budget and b % 4 == tail
+        if kind == "mixed":
+            # labels equal to the label means on some rows and not others,
+            # so some blocks take the products and others multiply
+            idx = gen.integers(0, n, b)
+            y = prob.label_means[idx]
+            off = gen.random(b) < gen.choice([0.02, 0.2])
+            y[off] = gen.standard_normal(off.sum())
+            batch = (idx, y)
+        else:
+            batch = sample_batch(prob, b, prob.stream(seed))
+        w = gen.standard_normal(d) * 10.0 ** gen.uniform(-3, 3)
+        if kind == "nonfinite":
+            spots = gen.integers(0, d, gen.integers(1, 3, endpoint=True))
+            w[spots] = gen.choice([np.inf, -np.inf, np.nan], len(spots))
+        before = [a.tobytes() for a in batch]
+        # a gemv of an infinite entry against a zero is NaN with a warning,
+        # in the reference as in the blocks
+        with np.errstate(all="ignore"):
+            want = reference_batch_grad_mean(prob, w, batch)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(problems, "_GRAD_BLOCK_ELEMENTS", budget)
+                calls = spy_atom_residuals(mp)
+                got = minibatch_gradient(prob, w, batch)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert calls == ([b] if atom_space else [])
+        assert [a.tobytes() for a in batch] == before
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_atoms=st.integers(1, 8), bad=st.sampled_from([np.inf, -np.inf,
+                                                            np.nan]),
+           step=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_nonfinite_query_aborts_the_run(self, n_atoms, bad, step, seed):
+        prob = make_interpolation_least_squares(d=8, n_atoms=n_atoms, H=1.0,
+                                                B=2.0, seed=seed)
+        calls = []
+
+        def poisoned(problem, w, batch):
+            # the query of step ``step`` gets one non-finite entry
+            if len(calls) == step:
+                w = w.copy()
+                w[seed % 8] = bad
+            calls.append(step)
+            return minibatch_gradient(problem, w, batch)
+
+        with pytest.MonkeyPatch.context() as mp:
+            # at most 8 padded atoms of 8 entries fit; batches of 37 are
+            # blocked
+            mp.setattr(problems, "_GRAD_BLOCK_ELEMENTS", 128)
+            mp.setattr(optimizers, "minibatch_gradient", poisoned)
+            residuals = spy_atom_residuals(mp)
+            with np.errstate(all="ignore"):
+                _, trace = run_acc_mb_sgd(prob, b=37, T=8, seed=seed)
+        assert residuals == [37] * (step + 1)
+        assert trace.aborted and len(trace.t) == step
+        assert trace.header["abort_reason"] == \
+            f"non-finite gradient at step t={step}"
 
 
 class TestConfigRoundTrip:
