@@ -109,7 +109,7 @@ def _validate(raw: dict) -> ExperimentSpec:
         grid = raw[name]
         if not isinstance(grid, list) or not grid:
             raise SpecError(f"{name}: empty grid")
-        if any(not _is_int(v) or v < 1 for v in grid):
+        if not all(map(optimizers._is_count, grid)):
             raise SpecError(f"{name}: entries must be positive integers")
         # a schedule and an error bound compute with floats, which hold
         # every integer up to 2**53 exactly
@@ -123,7 +123,7 @@ def _validate(raw: dict) -> ExperimentSpec:
     T_grid = int_grid("T_grid")
 
     n_seeds = raw.get("n_seeds", 1)
-    if not _is_int(n_seeds) or n_seeds < 1:
+    if not optimizers._is_count(n_seeds):
         raise SpecError(f"n_seeds: must be a positive integer, got {n_seeds}")
     base_seed = raw.get("base_seed", 0)
     if not _is_int(base_seed):
@@ -174,7 +174,7 @@ def _validate(raw: dict) -> ExperimentSpec:
 
 
 def _check_workers(workers):
-    if not _is_int(workers) or workers < 1:
+    if not optimizers._is_count(workers):
         raise SpecError(f"workers: must be a positive integer, got {workers}")
     return workers
 

@@ -1132,6 +1132,29 @@ class TestCli:
         with pytest.raises(SpecError, match="workers"):
             run_experiment(load_spec(path), workers=int(workers))
 
+    @pytest.mark.parametrize("key,value,error", [
+        ("b_grid", [2.0], "b_grid: entries must be positive integers"),
+        ("T_grid", [16, 0], "T_grid: entries must be positive integers"),
+        ("n_seeds", 2.0, "n_seeds: must be a positive integer, got 2.0"),
+        ("n_seeds", -3, "n_seeds: must be a positive integer, got -3"),
+        ("workers", 2.0, "workers: must be a positive integer, got 2.0"),
+        ("workers", 0, "workers: must be a positive integer, got 0")])
+    def test_counts_in_the_spec_are_positive_json_integers(
+            self, tmp_path, capsys, key, value, error):
+        path = write_spec(tmp_path, minimal_spec(tmp_path, **{key: value}))
+        assert cli_main(["run", str(path)]) == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_numpy_integer_workers_is_a_count(self, tmp_path):
+        # the library's counts accept any Integral but bool, and so does
+        # the harness
+        spec = load_spec(write_spec(tmp_path, minimal_spec(
+            tmp_path, b_grid=[1, 2])))
+        serial = run_experiment(spec)
+        assert run_experiment(spec, workers=np.int64(2))["content_hash"] == \
+            serial["content_hash"]
+
     @pytest.mark.parametrize("problem,error", [
         (dict(SIGN_PROBLEM, seed=2.7), "seed must be an integer"),
         (dict(SIGN_PROBLEM, seed=True), "seed must be an integer"),

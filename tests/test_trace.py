@@ -1,11 +1,15 @@
 """Trace CSV rendering and parsing."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optaccel import make_growth_problem
+from optaccel import trace as trace_module
 from optaccel.trace import (RunTrace, TraceRecorder, trace_from_csv,
                             trace_to_csv)
 
@@ -41,21 +45,56 @@ def traces(draw):
                     grad_noise_sq=cols[3], stage=np.array(stage, dtype=int))
 
 
+def assert_matches_reference_and_round_trips(trace):
+    text = trace_to_csv(trace)
+    assert text.encode() == reference_csv(trace).encode()
+    back = trace_from_csv(text)
+    for name in ("t", "norm_w", "norm_wag", "subopt", "grad_noise_sq",
+                 "stage"):
+        got, want = getattr(back, name), getattr(trace, name)
+        assert got.dtype.kind == want.dtype.kind
+        # the text keeps every bit but a NaN's sign and payload
+        if want.dtype.kind == "f":
+            want = np.where(np.isnan(want), np.nan, want)
+        assert got.tobytes() == want.tobytes(), name
+
+
 class TestTraceCsv:
     @settings(max_examples=300, deadline=None)
     @given(traces())
     def test_bytes_match_reference_and_round_trip(self, trace):
-        text = trace_to_csv(trace)
-        assert text.encode() == reference_csv(trace).encode()
-        back = trace_from_csv(text)
-        for name in ("t", "norm_w", "norm_wag", "subopt", "grad_noise_sq",
-                     "stage"):
-            got, want = getattr(back, name), getattr(trace, name)
-            assert got.dtype.kind == want.dtype.kind
-            # the text keeps every bit but a NaN's sign and payload
-            if want.dtype.kind == "f":
-                want = np.where(np.isnan(want), np.nan, want)
-            assert got.tobytes() == want.tobytes(), name
+        # blocks of 1 and 3 rows put block ends inside a drawn trace;
+        # hypothesis refuses function-scoped fixtures such as monkeypatch
+        for block_rows in (trace_module._CSV_BLOCK_ROWS, 1, 3):
+            with mock.patch.object(trace_module, "_CSV_BLOCK_ROWS",
+                                   block_rows):
+                assert_matches_reference_and_round_trips(trace)
+
+    @pytest.mark.parametrize("n", [511, 512, 513, 1025])
+    def test_rows_around_block_ends(self, n):
+        # every column cycles through the special values, each from its
+        # own offset, and the stage through a few labels
+        i = np.arange(n)
+        special = np.array(SPECIAL)
+        trace = RunTrace({}, 3 * i + 1,
+                         *(special[(i + k) % len(SPECIAL)] for k in range(4)),
+                         i % 5)
+        assert_matches_reference_and_round_trips(trace)
+
+    def test_heap_peak_stays_near_twice_the_text(self):
+        # whole-trace lists of Python numbers and row strings peaked at
+        # about 3.6 times the text; one block at a time leaves about 2
+        n = 8192
+        gen = np.random.default_rng(0)
+        trace = RunTrace({}, np.arange(1, n + 1),
+                         *gen.standard_normal((4, n)), np.arange(n) // 700)
+        tracemalloc.start()
+        try:
+            text = trace_to_csv(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
 
     def test_empty_trace(self):
         empty = RunTrace(header={}, t=np.zeros(0, dtype=int),
