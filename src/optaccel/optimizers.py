@@ -244,12 +244,8 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
     if not (_is_count(T) and _is_count(b) and (eta is None or eta > 0)):
         raise ValueError(f"need T >= 1, b >= 1 and eta > 0, T and b "
                          f"integers, got T={T}, b={b}, eta={eta}")
-    meta = problem.meta
-    B = meta.B
-    # a problem built directly, not from a config, may carry any radius
-    if not 0 < B < math.inf:
-        raise ValueError(f"the radius B must be finite and positive, got {B}")
-    step = sgd_step(meta.H, eta)
+    B = problem.meta.B
+    step = sgd_step(problem.meta.H, eta)
     recorder = TraceRecorder(problem, "sgd", b, T, seed, eta=step, B=B)
     stream = problem.stream(seed)
     w = np.zeros(problem.d)
@@ -362,18 +358,10 @@ class StagePlan:
 
 
 def _plan_constants(problem: Problem, b: int):
+    # ``ProblemMeta`` holds each constant finite; a plan needs lam > 0
     meta = problem.meta
-    # each test is false for NaN, so a NaN constant is rejected too; a NaN
-    # error bound would meet every target in one step
-    if not (0 < meta.H < math.inf and 0 <= meta.Lstar < math.inf):
-        raise ValueError(f"H must be finite and positive and Lstar finite "
-                         f"and >= 0, got H={meta.H}, Lstar={meta.Lstar}")
-    if not 0 < meta.Delta < math.inf:
-        raise ValueError(f"Delta must be finite and positive, got "
-                         f"{meta.Delta}")
-    if not 0 < meta.lam < math.inf:
-        raise ValueError(f"growth constant must be finite and positive, "
-                         f"got {meta.lam}")
+    if not meta.lam > 0:
+        raise ValueError(f"growth constant must be positive, got {meta.lam}")
     if not _is_count(b):
         raise ValueError(f"b must be >= 1 and an integer, got b={b}")
     return meta

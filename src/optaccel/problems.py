@@ -61,6 +61,10 @@ class ProblemMeta:
         Initial suboptimality bound ``L(0) - Lstar``.
     wstar : ndarray
         A minimizer, known in closed form.
+
+    Construction, ``dataclasses.replace`` too, raises ``OverflowError`` on
+    a ``+inf`` constant and ``ValueError`` on a NaN or negative one or a
+    zero ``H`` or ``B``.
     """
 
     H: float
@@ -70,6 +74,15 @@ class ProblemMeta:
     lam: float
     Delta: float
     wstar: np.ndarray
+
+    def __post_init__(self):
+        for name in ("H", "B", "Lstar", "sigma_star_sq", "lam", "Delta"):
+            value, positive = getattr(self, name), name in ("H", "B")
+            # each test is false for NaN
+            if not (0 < value < math.inf or value == 0 and not positive):
+                raise (OverflowError if value == math.inf else ValueError)(
+                    f"certified constant {name} must be finite and "
+                    f"{'positive' if positive else '>= 0'}, got {value}")
 
 
 def _mix_key(*parts: int) -> np.ndarray:
@@ -813,18 +826,16 @@ def _build(config: dict) -> Problem:
     if not _is_int(params["seed"]):
         raise ValueError(f"{family}: seed must be an integer, "
                          f"got {params['seed']!r}")
-    # finite parameters can still overflow what is built from them; the
-    # check below rejects such a problem, so the overflow is no warning.  A
-    # maker's Python float power raises ``OverflowError`` instead (the
-    # makers keep libm's ``B**2``, whose bits their constants carry)
+    # finite parameters can still overflow what is built from them, so the
+    # overflow is no warning: ``ProblemMeta`` raises ``OverflowError`` on an
+    # infinite constant, as a maker's Python float ``B**2`` does (its libm
+    # bits are the constants'); the check below rejects infinite bounds
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             problem = _FAMILIES[family](**params)
     except OverflowError:
         problem = None
-    if problem is None or not np.isfinite(
-            [problem.meta.Lstar, problem.meta.sigma_star_sq, problem.meta.lam,
-             problem.meta.Delta, *_ball_bounds(problem)]).all():
+    if problem is None or not np.isfinite(_ball_bounds(problem)).all():
         raise ValueError(f"{family}: parameters overflow a float: certified "
                          f"constants and ball bounds must be finite")
     return problem

@@ -359,20 +359,16 @@ class TestSgd:
             run_sgd(make_interpolation_least_squares(
                 d=8, n_atoms=4, H=1.0, B=1.0, seed=3), **args)
 
-    @pytest.mark.parametrize("B", [math.nan, math.inf, 0.0, -1.0])
-    def test_bad_radius_rejected_before_the_recorder(self, B, monkeypatch):
-        # unchecked, NaN would abort at t=1 with a NaN radius in the
-        # header, inf would run unprojected, and 0 or -1 would fail only
-        # in the first projection
-        def no_recorder(*args, **kwargs):
-            raise AssertionError("a recorder was built")
-
-        monkeypatch.setattr(optaccel.optimizers, "TraceRecorder", no_recorder)
-        bad = DeterministicQuadratic(np.array([[1.0]]),
-                                     replace(one_dim_quadratic().meta, B=B),
-                                     0, {})
-        with pytest.raises(ValueError, match="radius B must be finite"):
-            run_sgd(bad, 1, 50)
+    @pytest.mark.parametrize("B,error", [
+        (math.nan, ValueError), (math.inf, OverflowError), (0.0, ValueError),
+        (-1.0, ValueError)])
+    def test_bad_radius_rejected_before_the_recorder(self, B, error):
+        # no problem carries such a radius for ``run_sgd`` to read: unchecked,
+        # NaN would abort at t=1 with a NaN radius in the header, inf would
+        # run unprojected, and 0 or -1 would fail only in the first projection
+        with pytest.raises(error, match="certified constant B must be "
+                                        "finite and positive"):
+            replace(one_dim_quadratic().meta, B=B)
 
     def test_infinite_step_rejected_before_the_recorder(self, monkeypatch):
         # 1 / (2 H) overflows: unchecked, the header's eta was Infinity and
@@ -507,9 +503,11 @@ class TestStageBudget:
 
 
 def planned_on(Delta, lam, H, Lstar=0.0):
-    """A stand-in problem carrying only the constants a planner reads."""
-    return SimpleNamespace(meta=SimpleNamespace(Delta=Delta, lam=lam, H=H,
-                                                Lstar=Lstar))
+    """A stand-in problem whose ``meta`` carries the constants a planner
+    reads; it reads none of the others."""
+    return SimpleNamespace(meta=ProblemMeta(
+        H=H, B=1.0, Lstar=Lstar, sigma_star_sq=0.0, lam=lam, Delta=Delta,
+        wstar=np.zeros(1)))
 
 
 class TestStagePlan:
@@ -552,6 +550,10 @@ class TestStagePlan:
         plan = make_stage_plan(planned_on(Delta=1.0, lam=0.5, H=1.0), b=1,
                                eps=2.0)
         assert plan.stages == ()
+        # the origin of a problem with Delta = 0 already meets every target
+        plan = make_stage_plan(planned_on(Delta=0.0, lam=0.5, H=1.0), b=1,
+                               eps=1e-300)
+        assert plan.stages == ()
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -592,14 +594,20 @@ class TestStagePlan:
     @pytest.mark.parametrize("name", ["Delta", "eps", "lam", "H", "Lstar"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, name, value):
-        constants = dict(Delta=1.0, lam=0.5, H=1.0, Lstar=0.0)
-        eps = 0.1
+        # a NaN error bound would meet every target in one step: the
+        # planner rejects such an eps, and no problem carries such a
+        # constant for it to read
         if name == "eps":
-            eps = value
-        else:
-            constants[name] = value
-        with pytest.raises(ValueError, match="finite"):
-            make_stage_plan(planned_on(**constants), b=1, eps=eps)
+            with pytest.raises(ValueError, match="eps must be finite"):
+                make_stage_plan(planned_on(Delta=1.0, lam=0.5, H=1.0), b=1,
+                                eps=value)
+            return
+        constants = dict(Delta=1.0, lam=0.5, H=1.0, Lstar=0.0)
+        constants[name] = value
+        with pytest.raises(OverflowError if value == math.inf
+                           else ValueError,
+                           match=f"constant {name} must be finite"):
+            planned_on(**constants)
 
     def test_plan_that_cannot_run_is_rejected(self):
         # one stage of 784 steps whose schedule has gamma = 5.3e305, so the
@@ -651,20 +659,25 @@ class TestBudgetPlan:
         assert counts[0] <= counts[1]
 
     def test_rejections(self):
-        for kwargs in ({"lam": 0.0}, {"Delta": 0.0}):
+        # with Delta = 0 the first stage's target is 0, which no horizon meets
+        for kwargs, match in (({"lam": 0.0}, "growth constant"),
+                              ({"Delta": 0.0}, "eps and B_sq must be")):
             constants = dict(Delta=1.0, lam=0.5, H=1.0)
             constants.update(kwargs)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=match):
                 make_budget_plan(planned_on(**constants), b=1, budget=1000)
 
     @pytest.mark.parametrize("name", ["Delta", "lam", "H", "Lstar"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, name, value):
-        # a NaN H or Lstar planned 63 one-step stages
+        # a NaN H or Lstar planned 63 one-step stages; now no problem
+        # carries one for a planner to read
         constants = dict(Delta=1.0, lam=0.05, H=1.0, Lstar=0.0)
         constants[name] = value
-        with pytest.raises(ValueError, match="finite"):
-            make_budget_plan(planned_on(**constants), b=8, budget=100)
+        with pytest.raises(OverflowError if value == math.inf
+                           else ValueError,
+                           match=f"constant {name} must be finite"):
+            planned_on(**constants)
 
     @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, 0,
                                         0.5, -3, 1000.5])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,57 @@ class TestMakersRejectNonFinite:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=match):
                 maker(**{**MAKER_ARGS[maker], name: value})
+
+
+CONSTANTS = ("H", "B", "Lstar", "sigma_star_sq", "lam", "Delta")
+
+
+@st.composite
+def valid_constants(draw):
+    """Finite constants ``ProblemMeta`` accepts: ``H`` and ``B`` positive,
+    the rest positive or zero."""
+    positive = st.floats(5e-324, 1.7e308)
+    return {name: draw(positive if name in ("H", "B")
+                       else positive | st.sampled_from([0.0, -0.0]))
+            for name in CONSTANTS}
+
+
+class TestProblemMetaChecksConstants:
+    """Every rate, stepsize and plan reads ``meta``, so ``ProblemMeta``
+    rejects a constant none of them can use, whoever builds it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(constants=valid_constants(), name=st.sampled_from(CONSTANTS),
+           bad=st.sampled_from([NAN, INF, -INF, -5e-324, -1.0, -1.7e308])
+           | st.floats(max_value=-5e-324, allow_infinity=False)
+           | st.just(0.0))
+    def test_rejects_what_no_bound_can_use(self, constants, name, bad):
+        assume(bad != 0 or name in ("H", "B"))
+        meta = ProblemMeta(**constants, wstar=np.zeros(1))
+        error = OverflowError if bad == INF else ValueError
+        match = f"certified constant {name} must be finite"
+        with pytest.raises(error, match=match):
+            ProblemMeta(**{**constants, name: bad}, wstar=np.zeros(1))
+        with pytest.raises(error, match=match):
+            replace(meta, **{name: bad})
+
+    @pytest.mark.parametrize("name", ["Lstar", "sigma_star_sq", "lam",
+                                      "Delta"])
+    def test_zero_is_a_constant(self, name):
+        # lam = 0 means no growth certificate; the others can be exactly 0
+        constants = dict(H=1.0, B=1.0, Lstar=0.5, sigma_star_sq=0.5,
+                         lam=0.5, Delta=0.5)
+        zero = ProblemMeta(**{**constants, name: 0.0}, wstar=np.zeros(1))
+        meta = ProblemMeta(**constants, wstar=np.zeros(1))
+        assert getattr(zero, name) == getattr(
+            replace(meta, **{name: 0.0}), name) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=family_configs())
+    def test_every_family_config_builds(self, cfg):
+        meta = problem_from_config(cfg).meta
+        assert all(0 <= getattr(meta, name) < INF for name in CONSTANTS)
+        assert meta.H > 0 and meta.B > 0
 
 
 @st.composite
