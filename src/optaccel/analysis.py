@@ -14,7 +14,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .problems import Problem
-from .rowwise import gemv, rowdot
 
 __all__ = [
     "RateFit",
@@ -165,9 +164,9 @@ def check_projection_lemma(instance, probes):
     w_next = project_ball(w_t - gamma_t * g, B)
     lhs = gamma_t * float(g @ (w_next - w_md))
     to_md, to_t, to_next = P - w_md, P - w_t, P - w_next
-    rhs = (gamma_t * rowdot(np.tile(g, (len(P), 1)), to_md)
-           + 0.5 * rowdot(to_t, to_t)
-           - 0.5 * rowdot(to_next, to_next)
+    rhs = (gamma_t * np.vecdot(g, to_md)
+           + 0.5 * np.vecdot(to_t, to_t)
+           - 0.5 * np.vecdot(to_next, to_next)
            - 0.5 * float((w_next - w_t) @ (w_next - w_t)))
     return _worst(lhs - rhs), w_next
 
@@ -205,16 +204,16 @@ def certify_assumptions(problem: Problem, n_probes: int = 1000,
     gw, gu = problem.grad(ws, batch), problem.grad(us, batch)
     dwu = ws - us
     scale = np.maximum(np.maximum(1.0, abs(lw)), abs(lu))
-    slope, dd = rowdot(gu, dwu), rowdot(dwu, dwu)
+    slope, dd = np.vecdot(gu, dwu), np.vecdot(dwu, dwu)
     dg = gw - gu
-    gnorm, dnorm = np.sqrt(rowdot(dg, dg)), np.sqrt(dd)
+    gnorm, dnorm = np.sqrt(np.vecdot(dg, dg)), np.sqrt(dd)
     lip_scale = np.maximum(1.0, meta.H * dnorm)
 
     growth_violation = 0.0
     if meta.lam > 0:
         proj = problem.solution_projector()
         probe_w = _ball_points(gen, 2 * meta.B, (n_probes, problem.d))
-        dist_sq = np.sum(gemv(proj, probe_w - meta.wstar) ** 2, axis=1)
+        dist_sq = np.sum(np.matvec(proj, probe_w - meta.wstar) ** 2, axis=1)
         gap = (problem.exact_loss(probe_w) - meta.Lstar
                - 0.5 * meta.lam * dist_sq)
         growth_violation = _worst(-gap)

@@ -20,7 +20,7 @@ import json
 import os
 import time
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,6 @@ __all__ = [
 
 # algorithm -> the overrides it reads
 _ALGORITHMS = {"acc_mb_sgd": (), "sgd": ("eta",), "restarted": ()}
-_SPEC_KEYS = ("problems", "algorithm", "b_grid", "T_grid", "n_seeds",
-              "base_seed", "eps_targets", "output_dir", "overrides",
-              "workers")
 _FMT = ".17g"
 
 
@@ -74,7 +71,7 @@ class ExperimentSpec:
 
 
 def _validate(raw: dict) -> ExperimentSpec:
-    unknown = set(raw) - set(_SPEC_KEYS)
+    unknown = set(raw) - {f.name for f in fields(ExperimentSpec)}
     if unknown:
         raise SpecError(f"unknown spec keys: {sorted(unknown)}")
     missing = {"problems", "algorithm", "b_grid", "T_grid",

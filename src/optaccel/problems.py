@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rowwise import gemv, rowdot, vecmat
 from .trace import canonical_json
 
 __all__ = [
@@ -204,12 +203,6 @@ class SampleStream:
         return block[3][t - block[2]]
 
 
-def _stack(w):
-    """``w`` as a ``(k, d)`` float stack, and whether it was one point."""
-    w = np.asarray(w, dtype=float)
-    return (w[None, :], True) if w.ndim == 1 else (w, False)
-
-
 class Problem:
     """Base stochastic objective: sampling plus per-sample loss/gradient.
 
@@ -236,8 +229,9 @@ class Problem:
     ``grad(W, batch)`` take a ``(k, d)`` stack paired row by row with a
     batch of ``k`` samples (row ``i`` is sample ``i`` at ``W[i]``).  A stack
     gives ``(k,)`` values or ``(k, d)`` gradients whose row ``i`` equals the
-    one-row call bit for bit (see ``rowwise``); one point gives a float or
-    a ``(d,)`` gradient.
+    one-point call bit for bit, since NumPy's ``matvec``, ``vecmat`` and
+    ``vecdot`` make one BLAS call per row; one point gives an
+    ``np.float64`` or a ``(d,)`` gradient.
 
     ``loss``, ``grad`` and ``batch_grad_mean`` gather the features of a
     batch themselves and write no batch; nothing else writes one either,
@@ -347,12 +341,12 @@ class DiscreteLeastSquares(Problem):
         x = self.atoms.take(idx, axis=0)
         # libm ``pow``, as a Python float squares; NumPy's ``** 2`` differs
         # from it in the last bit for about 1 residual in 1,000
-        return 0.5 * np.float_power(rowdot(x, W) - y, 2)
+        return 0.5 * np.float_power(np.vecdot(x, W) - y, 2)
 
     def grad(self, W, batch):
         idx, y = batch
         x = self.atoms.take(idx, axis=0)
-        return x * (rowdot(x, W) - y)[:, None]
+        return x * (np.vecdot(x, W) - y)[:, None]
 
     def batch_grad_mean(self, w, batch):
         """Mean per-sample gradient ``atoms[idx[i]] * r[i]`` over the batch
@@ -460,10 +454,8 @@ class DiscreteLeastSquares(Problem):
     # -- closed forms -------------------------------------------------------
 
     def exact_loss(self, w):
-        X, one = _stack(w)
-        r = gemv(self._F, X) - self._Fy
-        loss = rowdot(0.5 * r, r) + self._noise_floor
-        return float(loss[0]) if one else loss
+        r = np.matvec(self._F, w) - self._Fy
+        return np.vecdot(0.5 * r, r) + self._noise_floor
 
     def suboptimality(self, w):
         """Exact ``L(w) - Lstar``, evaluated without cancellation.
@@ -474,17 +466,13 @@ class DiscreteLeastSquares(Problem):
         far below the rounding floor of ``exact_loss``.  See ``Problem``
         for stacked points.
         """
-        X, one = _stack(w)
-        u = gemv(self._F, X - self.meta.wstar)
-        gap = 0.5 * rowdot(u, u)
-        return float(gap[0]) if one else gap
+        u = np.matvec(self._F, w - self.meta.wstar)
+        return 0.5 * np.vecdot(u, u)
 
     def exact_grad(self, w):
-        X, one = _stack(w)
         # F'(F w - Fy) = F'F (w - wstar) at the stationary wstar; the centred
         # form keeps its relative accuracy as w approaches the minimizer
-        g = vecmat(gemv(self._F, X - self.meta.wstar), self._F)
-        return g[0] if one else g
+        return np.vecmat(np.matvec(self._F, w - self.meta.wstar), self._F)
 
 
 class DeterministicQuadratic(Problem):
@@ -523,15 +511,11 @@ class DeterministicQuadratic(Problem):
         return self.suboptimality(w)  # the minimum loss is 0
 
     def suboptimality(self, w):
-        X, one = _stack(w)
-        v = X - self.meta.wstar
-        gap = rowdot(vecmat(0.5 * v, self.A), v)
-        return float(gap[0]) if one else gap
+        v = w - self.meta.wstar
+        return np.vecdot(np.vecmat(0.5 * v, self.A), v)
 
     def exact_grad(self, w):
-        X, one = _stack(w)
-        g = gemv(self.A, X - self.meta.wstar)
-        return g[0] if one else g
+        return np.matvec(self.A, w - self.meta.wstar)
 
 
 # ---------------------------------------------------------------------------
@@ -829,11 +813,13 @@ def _build(config: dict) -> Problem:
     # finite parameters can still overflow what is built from them, so the
     # overflow is no warning: ``ProblemMeta`` raises ``OverflowError`` on an
     # infinite constant, as a maker's Python float ``B**2`` does (its libm
-    # bits are the constants'); the check below rejects infinite bounds
+    # bits are the constants'); an ``inf - inf`` in an array operation,
+    # which would make a NaN constant, raises ``FloatingPointError``; the
+    # check below rejects infinite bounds
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="raise", divide="ignore"):
             problem = _FAMILIES[family](**params)
-    except OverflowError:
+    except (OverflowError, FloatingPointError):
         problem = None
     if problem is None or not np.isfinite(_ball_bounds(problem)).all():
         raise ValueError(f"{family}: parameters overflow a float: certified "

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rowwise import rowdot
-
 __all__ = ["RunTrace", "trace_to_csv", "trace_from_csv", "csv_records",
            "canonical_json", "config_hash"]
 
@@ -111,9 +109,9 @@ class TraceRecorder:
     the pending rows fill a block of ``block_rows`` rows (see
     ``_BLOCK_ELEMENTS``), at ``start_stage`` and in ``build``, the block's
     columns are evaluated together through ``problem.suboptimality`` and
-    ``problem.exact_grad`` on stacked points and the ``rowwise`` kernels;
-    row ``i`` of each is bit-identical to evaluating step ``i`` alone, so
-    the trace does not depend on where blocks end.  Copying into the one
+    ``problem.exact_grad`` on stacked points and ``np.vecdot``; row ``i``
+    of each is bit-identical to evaluating step ``i`` alone, so the trace
+    does not depend on where blocks end.  Copying into the one
     buffer every block reuses lets each step's arrays be freed within the
     step.  Their heap cost when kept by reference (about 1 MB of pages
     faulted back in per step at d=2048, b=256) was measured before batches
@@ -163,10 +161,14 @@ class TraceRecorder:
         self._n = 0
         # elementwise, so each row equals the step's own ``center + w_avg``
         P = W_avg if self._center is None else self._center + W_avg
+        # NumPy's ``matvec``, ``vecmat`` and ``vecdot`` make one BLAS call
+        # per row, the call the one-point form makes, so each row rounds as
+        # its step alone would; a gemm-shaped ``X @ M.T``, ``einsum`` or
+        # ``(X * Y).sum(-1)`` reduces in another order and may not be used
         deviation = G - self.problem.exact_grad(Q)
         self._blocks.append((
-            np.sqrt(rowdot(W, W)), np.sqrt(rowdot(W_avg, W_avg)),
-            self.problem.suboptimality(P), rowdot(deviation, deviation),
+            np.sqrt(np.vecdot(W, W)), np.sqrt(np.vecdot(W_avg, W_avg)),
+            self.problem.suboptimality(P), np.vecdot(deviation, deviation),
             np.full(len(W), self._stage)))
 
     def build(self) -> RunTrace:

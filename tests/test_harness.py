@@ -941,7 +941,9 @@ class TestCli:
         ("gaussian_spike",
          {"H": 1.0, "B": 1e200, "p": 0.5, "s": 1.0, "sign": 1}),
         ("gaussian_spike",
-         {"H": 1.0, "B": 1.0, "p": 0.5, "s": 1e200, "sign": 1})])
+         {"H": 1.0, "B": 1.0, "p": 0.5, "s": 1e200, "sign": 1}),
+        # Delta = 0.5 wstar' A wstar meets inf - inf inside the matmul
+        ("noiseless_quadratic", {"d": 3, "H": 1e300, "B": 1e200})])
     def test_overflowing_family_params_are_config_error(
             self, tmp_path, capsys, family, params):
         # finite parameters whose problem has an infinite Delta or B, found
