@@ -104,6 +104,40 @@ def fit_rate(grid: Sequence[tuple[float, float]]) -> RateFit:
                      np.log([v for _, v in pts]))
 
 
+# The two order statistics below take an ascending float array and give
+# the bits of NumPy's ``median`` and of its ``quantile``'s default
+# (``linear``) method, for any input without -0.0.  They exist because
+# both NumPy calls import ``numpy.ma`` (about 1.3 MB of a run's peak
+# memory) to check for masks no array here has.  Python float arithmetic
+# is the same IEEE arithmetic and warns of no overflow.
+
+
+def _sorted_median(vals) -> float:
+    """NumPy's ``median`` of an ascending array: NaN when it ends in NaN
+    (NaN for no values), else the middle value or the mean of the two."""
+    n = len(vals)
+    if n == 0:
+        return math.nan
+    if math.isnan(vals[-1]):
+        return float(vals[-1])
+    if n % 2:
+        return float(vals[n // 2])
+    return (float(vals[n // 2 - 1]) + float(vals[n // 2])) / 2
+
+
+def _sorted_quantile(vals, q: float) -> float:
+    """NumPy's ``quantile(vals, q)`` of a non-empty ascending array: the
+    value at position ``n*q + (1 - q) - 1``, interpolated as NumPy's
+    ``_lerp`` does, from whichever end of the gap is nearer."""
+    n = len(vals)
+    if math.isnan(vals[-1]):
+        return float(vals[-1])
+    pos = n * q + (1 - q) - 1
+    lo = math.floor(pos)
+    a, b, t = float(vals[lo]), float(vals[min(lo + 1, n - 1)]), pos - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def time_to_eps(finals: Mapping[tuple[int, int], Sequence[float]],
                 eps: float) -> dict[int, Optional[int]]:
     """Reduce per-(b, T) final suboptimalities to a speedup table.
@@ -111,11 +145,14 @@ def time_to_eps(finals: Mapping[tuple[int, int], Sequence[float]],
     ``finals[(b, T)]`` holds the final suboptimality of each seed's run.
     The table maps each ``b``, in ascending order, to the smallest ``T`` in
     the grid whose median is at most ``eps`` (None when no grid horizon
-    reached it).
+    reached it).  The median is NumPy's ``median``, bit for bit: the middle
+    sorted value, or the mean of the two middle ones, and NaN when any
+    value is NaN, so such a horizon never reaches ``eps``.
     """
     by_b: dict[int, list[tuple[int, float]]] = {}
     for (b, T), vals in finals.items():
-        by_b.setdefault(int(b), []).append((int(T), float(np.median(vals))))
+        med = _sorted_median(np.sort(np.asarray(vals, dtype=float)))
+        by_b.setdefault(int(b), []).append((int(T), med))
     return {b: next((T for T, med in sorted(by_b[b]) if med <= eps), None)
             for b in sorted(by_b)}
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import optimizers
-from .analysis import time_to_eps
+from .analysis import _sorted_median, _sorted_quantile, time_to_eps
 from .problems import _is_finite, _is_int, problem_from_config
 from .trace import (canonical_json, config_hash, csv_records, sha256_text,
                     trace_from_csv, trace_to_csv)
@@ -404,8 +404,8 @@ def _summary_csv(spec, finals):
              "q25_subopt,q75_subopt,min_subopt,max_subopt"]
     for (phash, b, T), vals in sorted(finals.items()):
         vals = np.sort(vals)
-        stats = (np.median(vals), np.quantile(vals, 0.25),
-                 np.quantile(vals, 0.75), vals[0], vals[-1])
+        stats = (_sorted_median(vals), _sorted_quantile(vals, 0.25),
+                 _sorted_quantile(vals, 0.75), vals[0], vals[-1])
         lines.append(",".join([phash, family[phash], spec.algorithm, str(b),
                                str(T), str(len(vals))]
                               + [format(float(v), _FMT) for v in stats]))

@@ -82,8 +82,8 @@ class RunTrace:
     def stage_end_subopts(self) -> list[tuple[int, int, float]]:
         """(stage, cumulative t, suboptimality) at each stage boundary."""
         out = []
-        stages = np.unique(self.stage)
-        for s in stages:
+        # not NumPy's ``unique``, which imports ``numpy.ma``
+        for s in sorted(set(self.stage.tolist())):
             idx = np.flatnonzero(self.stage == s)[-1]
             out.append((int(s), int(self.t[idx]), float(self.subopt[idx])))
         return out

@@ -26,7 +26,8 @@ from optaccel import (
 )
 import optaccel.analysis
 import optaccel.verify
-from optaccel.analysis import _ball_points, certify_assumptions
+from optaccel.analysis import (_ball_points, _sorted_median,
+                               _sorted_quantile, certify_assumptions)
 from optaccel.verify import _check
 from oracles import (dot_exact_loss, gradient_variance,
                      reference_certify_assumptions,
@@ -207,6 +208,12 @@ class TestTimeToEps:
         table = time_to_eps({(1, 8): [0.9], (1, 16): [0.8]}, eps=0.1)
         assert table == {1: None}
 
+    def test_unsorted_even_counts_and_a_nan_final(self):
+        finals = {(1, 8): [0.3, 0.1], (1, 16): [0.2, 0.05, 0.01, 0.1],
+                  (2, 8): [0.01, math.nan]}
+        assert time_to_eps(finals, 0.125) == {1: 16, 2: None}
+        assert time_to_eps(finals, 0.2) == {1: 8, 2: None}
+
     def test_deterministic(self):
         finals = {(1, 8): [0.3, 0.1], (2, 8): [0.05, 0.2]}
         assert time_to_eps(finals, 0.15) == time_to_eps(finals, 0.15)
@@ -227,6 +234,39 @@ class TestTimeToEps:
         assert rows[4] is not None and rows[16] is not None
         assert rows[4] > thr and rows[16] > thr
         assert rows[16] <= 0.6 * rows[4]
+
+
+# non-negative finals: +0.0, subnormals, values near the largest float,
+# +inf and NaN.  No -0.0: with both zeros present, which zero NumPy's
+# partition leaves in the middle differs from the sorted order, and no
+# final is -0.0 (a suboptimality is half a squared norm)
+SORTED_STAT_VALUES = (st.sampled_from([0.0, 5e-324, 2.2250738585072009e-308,
+                                       1.0, 1.7976931348623157e308, 1.7e308,
+                                       math.inf, math.nan])
+                      | st.floats(min_value=0.0, allow_nan=False))
+
+
+def as_bytes(x):
+    return np.float64(x).tobytes()
+
+
+class TestSortedOrderStatistics:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(SORTED_STAT_VALUES, min_size=1, max_size=60),
+           st.data())
+    def test_bits_match_numpy(self, pool, data):
+        # drawing from a pool repeats its values, which makes ties
+        vals = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                           max_size=60)))
+        ascending = np.sort(vals)
+        # NumPy warns of the overflow and the inf - inf the helpers share
+        with np.errstate(all="ignore"):
+            want = [np.median(vals)] + [np.quantile(vals, q)
+                                        for q in (0.25, 0.5, 0.75)]
+        got = [_sorted_median(ascending)] + [_sorted_quantile(ascending, q)
+                                             for q in (0.25, 0.5, 0.75)]
+        assert list(map(as_bytes, got)) == list(map(as_bytes, want)), \
+            f"numpy {np.__version__}: {got} != {want} for {vals.tolist()}"
 
 
 class TestCriticalBatch:

@@ -591,6 +591,25 @@ print(code, [m for m in ("concurrent.futures.process", "multiprocessing")
 """
 
 
+# a sweep with quartiles and a speedup table, then each plotdata kind
+FRESH_SWEEP = """
+import json, sys
+from pathlib import Path
+from optaccel.cli import main
+spec, out = sys.argv[1], Path(sys.argv[2])
+codes = [main(["run", spec])]
+names = json.loads((out / "manifest.json").read_text())["artifacts"]
+traces = [str(out / n) for n in sorted(names) if n.endswith(".csv")
+          and n not in ("summary.csv", "speedup.csv")]
+for kind, inputs in (("rate_curve", [str(out / "summary.csv")]),
+                     ("speedup_curve", [str(out / "speedup.csv")]),
+                     ("stage_decay", traces)):
+    codes.append(main(["plotdata", kind, *inputs,
+                       "--out", str(out.parent / (kind + ".csv"))]))
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
 class TestFreshInterpreter:
     # pytest's own process has ``multiprocessing`` loaded already
 
@@ -616,6 +635,25 @@ class TestFreshInterpreter:
         path = write_spec(tmp_path, minimal_spec(tmp_path, b_grid=[1, 2]))
         assert self.run_fresh(str(path)) == "0 []"
         assert (tmp_path / "out" / "manifest.json").exists()
+
+    def test_sweep_and_plotdata_never_import_numpy_ma(self, tmp_path):
+        # the summary's quartiles and the speedup table's medians, as
+        # ``np.median`` and ``np.quantile`` give them, without their
+        # masked-array checks
+        raw = minimal_spec(tmp_path, algorithm="restarted", b_grid=[8, 16],
+                           T_grid=[1300, 2000], n_seeds=3,
+                           eps_targets=[0.05])
+        raw["problems"] = [GROWTH_PROBLEM]
+        path = write_spec(tmp_path, raw)
+        src = Path(harness.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-c", FRESH_SWEEP, str(path),
+             str(tmp_path / "out")], capture_output=True, text=True,
+            timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+        decay = (tmp_path / "stage_decay.csv").read_text().splitlines()
+        assert len(decay) > 1 + 12  # several stages in each of 12 traces
 
     def test_first_parallel_run_writes_the_serial_artifacts(self, tmp_path):
         path = write_spec(tmp_path, minimal_spec(tmp_path, b_grid=[1, 2, 3, 4],

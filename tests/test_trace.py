@@ -105,6 +105,27 @@ class TestTraceCsv:
         assert len(trace_from_csv(trace_to_csv(empty)).t) == 0
 
 
+def as_stage_ends(rows):
+    """Stage-end rows with each suboptimality as its bytes, so that NaN
+    rows compare equal."""
+    return [(s, t, np.float64(v).tobytes()) for s, t, v in rows]
+
+
+class TestStageEndSubopts:
+    @settings(max_examples=100, deadline=None)
+    @given(traces())
+    def test_matches_np_unique_order_also_read_back(self, trace):
+        # drawn stage columns are not monotone, as a hand-made CSV's may be
+        want = []
+        for s in np.unique(trace.stage):
+            i = np.flatnonzero(trace.stage == s)[-1]
+            want.append((int(s), int(trace.t[i]), float(trace.subopt[i])))
+        assert as_stage_ends(trace.stage_end_subopts()) == as_stage_ends(want)
+        back = trace_from_csv(trace_to_csv(trace))
+        assert [(s, t) for s, t, _ in back.stage_end_subopts()] == \
+            [(s, t) for s, t, _ in want]
+
+
 class TestTraceRecorder:
     @pytest.mark.parametrize("d,rows", [
         (2, 4096), (9, 910), (32, 256), (64, 128), (512, 16), (513, 15),
