@@ -123,8 +123,9 @@ def _validate(raw: dict) -> ExperimentSpec:
     if not optimizers._is_count(n_seeds):
         raise SpecError(f"n_seeds: must be a positive integer, got {n_seeds}")
     base_seed = raw.get("base_seed", 0)
-    if not _is_int(base_seed):
-        raise SpecError("base_seed: must be an integer")
+    if not _is_int(base_seed) or base_seed < 0:
+        raise SpecError(f"base_seed: must be an integer >= 0, "
+                        f"got {base_seed!r}")
 
     eps_targets = raw.get("eps_targets", [])
     if not isinstance(eps_targets, list) or any(

@@ -85,8 +85,9 @@ class ProblemMeta:
 
 
 def _mix_key(*parts: int) -> np.ndarray:
-    """Derive a 128-bit Philox key from integer seed material."""
-    ss = np.random.SeedSequence([int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
+    """Derive a 128-bit Philox key from non-negative integer seed material
+    of any size; a negative part is ``SeedSequence``'s ``ValueError``."""
+    ss = np.random.SeedSequence([int(p) for p in parts])
     return ss.generate_state(2, np.uint64)
 
 
@@ -357,9 +358,7 @@ class DiscreteLeastSquares(Problem):
         one sum over the sample axis, which NumPy adds row by row for
         ``d > 1`` (and pairwise for a ``(b, 1)`` array, so that one is
         never split).  A larger batch goes through ``_grad_sum_by_blocks``,
-        which gives the same bits without a ``b x d`` array; when the
-        atoms' products fit one block, it sums them in atom space, from one
-        gemv over the atoms and gathered per-atom products.
+        which gives the same bits without a ``b x d`` array.
         """
         idx, y = batch
         b, d = len(idx), self.d
@@ -377,79 +376,69 @@ class DiscreteLeastSquares(Problem):
         The running sum goes into row 0 of the next block before that block
         is summed, so the rows are added in batch order, each as ``acc +
         x``: NumPy's sum adds in that order, and the first operand's NaN is
-        the one a sum of two NaNs keeps.  A block holds one of two kinds of
-        rows:
+        the one a sum of two NaNs keeps.  A block holds the largest power of
+        two of rows, at least 4, that fits ``_GRAD_BLOCK_ELEMENTS``, so it
+        starts on OpenBLAS ``dgemv_t``'s 4-row grouping; a last block of one
+        row joins the block before it, since NumPy computes a 1-row product
+        as a dot, which rounds otherwise.
 
-        - *Atom space*, when the padded atoms' ``n4 x d`` products fit
-          ``_GRAD_BLOCK_ELEMENTS`` (so ``n4 < b``): the residuals come
-          from ``_atom_residuals`` before the loop, with each atom's own
-          residual ``R = atoms @ w - label_means``.  A block whose every
-          residual has its atom's ``R`` bits (compared as ``int64``, so
-          signed zeros and NaN payloads count) gathers rows of the products
-          ``P = atoms * R[:, None]``, which are its rows' products bit for
-          bit; any other block gathers atoms and multiplies them by ``r``.
-          A block is any ``_GRAD_BLOCK_ELEMENTS // d`` rows.
-        - Otherwise each block gathers atoms and takes its residuals from
-          its own gemv.  A block then holds the largest power of two of
-          rows, at least 4, that fits ``_GRAD_BLOCK_ELEMENTS``, so it
-          starts on OpenBLAS ``dgemv_t``'s 4-row grouping and its residuals
-          round as in one gemv over the batch.  A last block of one row
-          joins the block before it: NumPy computes a 1-row product as a
-          dot, which rounds otherwise.
+        When the padded atoms' ``n4 x d`` products fit
+        ``_GRAD_BLOCK_ELEMENTS`` (so ``n4 < b``), a block whose every row
+        may take its atom's product (see ``_atom_residuals``) gathers rows
+        of ``P = atoms * R[:, None]``, which are its rows' products bit for
+        bit.  Any other block gathers its atoms, takes its residuals from
+        its own gemv, which rounds them as one gemv over the batch does,
+        and multiplies them in.
 
         The bits match at one BLAS thread: OpenBLAS may split a gemv over
         threads at a row off the 4-row grouping, the whole batch's gemv
         included.
         """
         b, d = len(idx), self.d
-        if self._atoms4.size <= _GRAD_BLOCK_ELEMENTS:
-            r, R = self._atom_residuals(w, idx, y)
-            products = self.atoms * R[:, None]
-            same = r.view(np.int64) == R.take(idx).view(np.int64)
-            rows = _GRAD_BLOCK_ELEMENTS // d
-        else:
-            r = None
-            rows = 1 << max(2, (_GRAD_BLOCK_ELEMENTS // d).bit_length() - 1)
+        rows = 1 << max(2, (_GRAD_BLOCK_ELEMENTS // d).bit_length() - 1)
         edges = [*range(0, b, rows), b]
-        if r is None and len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
             del edges[-2]
         spans = list(zip(edges, edges[1:]))
+        ok = np.zeros(b, bool)  # which rows may take their atom's product
+        if self._atoms4.size <= _GRAD_BLOCK_ELEMENTS:
+            ok, R = self._atom_residuals(w, idx, y)
+            products = self.atoms * R[:, None]
         buf = np.empty((max(hi - lo for lo, hi in spans), d))
         acc = None
         for lo, hi in spans:
             blk = buf[:hi - lo]
             # into ``out``, mode "raise" would copy through a temporary;
             # every drawn index is in range, so "clip" changes none
-            if r is not None and same[lo:hi].all():
+            if ok[lo:hi].all():
                 products.take(idx[lo:hi], axis=0, out=blk, mode="clip")
             else:
                 self.atoms.take(idx[lo:hi], axis=0, out=blk, mode="clip")
-                rb = blk @ w - y[lo:hi] if r is None else r[lo:hi]
-                np.multiply(blk, rb[:, None], out=blk)
+                np.multiply(blk, (blk @ w - y[lo:hi])[:, None], out=blk)
             if acc is not None:
                 np.add(acc, blk[0], out=blk[0])
             acc = np.add.reduce(blk, axis=0)
         return acc
 
     def _atom_residuals(self, w, idx, y):
-        """The residuals ``r = atoms[idx] @ w - y`` of a batch of at least 4
-        samples, bit for bit one gemv's over the gathered batch, and each
+        """Which rows of a batch may take their atom's product, and each
         atom's residual ``R = atoms @ w - label_means``, from one gemv over
         the atoms padded to whole 4-row groups.
 
         OpenBLAS ``dgemv_t`` rounds a row of a whole 4-row group the same
-        wherever the group sits, so the batch rows in whole groups take
-        their atom's product.  The last ``b % 4`` rows are its tail, which
-        rounds otherwise; they come from a gemv over the gathered last
-        ``4 + b % 4`` rows, which ends on the same tail.
+        wherever the group sits, so a batch row in a whole group has its
+        atom's ``atoms[j] @ w``.  It may take its atom's product when its
+        residual ``aw[idx] - y`` also has ``R``'s bits (compared as
+        ``int64``, so signed zeros and NaN payloads count).  The last
+        ``b % 4`` rows are the batch's tail, which rounds otherwise; they
+        never may.
         """
-        b, t = len(idx), len(idx) % 4
+        b = len(idx)
         aw = self._atoms4 @ w
-        r = aw.take(idx) - y
-        if t:
-            last = self.atoms.take(idx[b - 4 - t:], axis=0)
-            r[b - t:] = (last @ w)[4:] - y[b - t:]
-        return r, aw[:len(self.atoms)] - self.label_means
+        R = aw[:len(self.atoms)] - self.label_means
+        ok = (aw.take(idx) - y).view(np.int64) == R.take(idx).view(np.int64)
+        ok[b - b % 4:] = False
+        return ok, R
 
     # -- closed forms -------------------------------------------------------
 
@@ -732,12 +721,8 @@ def minibatch_gradient(problem: Problem, w, batch):
     so identical batches always produce bit-identical gradients.  A finite
     design gathers the batch's features itself, a large batch block by
     block, so the call allocates no ``b x d`` array and leaves the batch
-    as it was.  A large batch over few atoms is summed in atom space: one
-    gemv over the atoms, padded to whole 4-row groups, gives the residuals
-    (a gemv over the last ``4 + b % 4`` gathered rows gives the tail's),
-    and its blocks gather per-atom products instead of multiplying, with
-    the bits of the whole-batch sum (see
-    ``DiscreteLeastSquares.batch_grad_mean``).
+    as it was, with the bits of the whole-batch sum (see
+    ``DiscreteLeastSquares._grad_sum_by_blocks``).
     """
     return problem.batch_grad_mean(np.asarray(w, dtype=float), batch)
 
@@ -807,8 +792,9 @@ def _build(config: dict) -> Problem:
             raise error(f"{family}: parameter {name!r} must be a finite "
                         f"number, got {value!r}")
     params["seed"] = config.get("seed", 0)
-    if not _is_int(params["seed"]):
-        raise ValueError(f"{family}: seed must be an integer, "
+    # the seed keys every stream, which takes no negative seed
+    if not _is_int(params["seed"]) or params["seed"] < 0:
+        raise ValueError(f"{family}: seed must be an integer >= 0, "
                          f"got {params['seed']!r}")
     # finite parameters can still overflow what is built from them, so the
     # overflow is no warning: ``ProblemMeta`` raises ``OverflowError`` on an

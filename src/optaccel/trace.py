@@ -113,9 +113,9 @@ class TraceRecorder:
     of each is bit-identical to evaluating step ``i`` alone, so the trace
     does not depend on where blocks end.  Copying into the one
     buffer every block reuses lets each step's arrays be freed within the
-    step.  Their heap cost when kept by reference (about 1 MB of pages
-    faulted back in per step at d=2048, b=256) was measured before batches
-    became atom indices, and has not been measured since.
+    step: kept by reference until the block's flush, they raised a run's
+    tracemalloc peak from 1131 KB to 1292 KB at d=2048, b=256 and 16 atoms
+    (blocks of 4 rows), at T = 4 and at T = 64 alike.
     """
 
     def __init__(self, problem, algorithm: str, b: int, T: int, seed: int,

@@ -136,6 +136,17 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match=key):
             load_spec(write_spec(tmp_path, raw))
 
+    @pytest.mark.parametrize("base_seed", [-1, -2**64])
+    def test_negative_base_seed_is_config_error(self, tmp_path, capsys,
+                                                base_seed):
+        # a negative seed would key its streams as 2**64 minus it
+        path = write_spec(tmp_path, minimal_spec(tmp_path,
+                                                 base_seed=base_seed))
+        assert cli_main(["run", str(path)]) == 2
+        assert f"base_seed: must be an integer >= 0, got {base_seed}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("problem,param", [
         ({"family": "interpolation_least_squares",
           "params": {"d": True, "n_atoms": 1, "H": 1.0, "B": 1.0}}, "d"),
@@ -1207,7 +1218,8 @@ class TestCli:
          "sigma_signs entries must be the integers"),
         ({"family": "gaussian_spike",
           "params": {"H": 1.0, "B": 1.0, "p": 0.5, "s": 1.0, "sign": 0}},
-         "sign must be +1 or -1")])
+         "sign must be +1 or -1"),
+        (dict(SIGN_PROBLEM, seed=-1), "seed must be an integer >= 0")])
     def test_bad_seed_or_signs_is_config_error(self, tmp_path, capsys,
                                                problem, error):
         path = write_spec(tmp_path, minimal_spec(tmp_path,

@@ -623,6 +623,16 @@ class TestStreamAddressability:
         assert y.tobytes() == y_ref.tobytes()
         assert stream.position == t + 1
 
+    def test_seeds_do_not_alias_modulo_2_64(self):
+        # a seed below 2**64 keeps its key; a larger one gets its own, and a
+        # negative one is refused rather than read as 2**64 minus it
+        prob = make_sign_vector_problem(n=1, H=1.0, B=1.0, sigma_signs=[1, -1])
+        keys = [prob.stream(s)._key.tobytes() for s in (0, 2**64, 2**64 - 1)]
+        assert len(set(keys)) == 3
+        assert keys[0] == _mix_key(0, 0).tobytes()
+        with pytest.raises(ValueError, match="non-negative"):
+            prob.stream(-1)
+
 
 def noise_free(prob, label_means=None):
     """``prob``'s design with every label std 0 (and, if given, other
@@ -911,19 +921,20 @@ class TestMinibatchGradient:
 
     def test_allocates_no_batch_sized_array(self):
         # a draw and its gradient: a b x d feature array alone is 4 MB; 13
-        # atoms are padded when the problem is built, not at each step
+        # atoms are padded when the problem is built, not at each step.  A
+        # tail of 1 to 3 rows puts the last block on its own gemv
         for n_atoms in (16, 13):
             prob = make_interpolation_least_squares(d=2048, n_atoms=n_atoms,
                                                     H=1.0, B=4.0, seed=334)
-            b = 256
-            w, stream = np.full(prob.d, 1e-3), prob.stream(0)
-            tracemalloc.start()
-            try:
-                minibatch_gradient(prob, w, sample_batch(prob, b, stream))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < b * prob.d * 8 / 4, n_atoms
+            for b in (256, 257, 258, 259):
+                w, stream = np.full(prob.d, 1e-3), prob.stream(0)
+                tracemalloc.start()
+                try:
+                    minibatch_gradient(prob, w, sample_batch(prob, b, stream))
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < b * prob.d * 8 / 4, (n_atoms, b)
 
     def test_one_sample_at_d1_gives_the_sign_of_matmul_zero(self):
         # the zero atom at w < 0: matmul makes the residual 0.0 (``dot`` -0.0)
