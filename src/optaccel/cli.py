@@ -11,8 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import (OutputError, _write, emit_plotdata, load_spec,
-                      run_experiment)
+from .harness import (_PLOT_KINDS, OutputError, _write, emit_plotdata,
+                      load_spec, run_experiment)
 from .optimizers import make_schedule
 
 
@@ -34,8 +34,7 @@ def _build_parser():
                           help="write the JSON report to this path")
 
     p_plot = sub.add_parser("plotdata", help="emit plot-ready CSV")
-    p_plot.add_argument("kind",
-                        choices=["rate_curve", "speedup_curve", "stage_decay"])
+    p_plot.add_argument("kind", choices=_PLOT_KINDS)
     p_plot.add_argument("inputs", nargs="+",
                         help="summary/speedup/trace CSV files")
     p_plot.add_argument("--out", required=True, help="output CSV path")

@@ -440,6 +440,8 @@ _PLOT_COLUMNS = {
                    "q25_subopt": "float", "q75_subopt": "float"},
     "speedup_curve": {"eps": "float", "b": "count",
                       "T_to_eps": "count or empty"}}
+# every kind ``emit_plotdata`` makes, and so the CLI's choices
+_PLOT_KINDS = (*_PLOT_COLUMNS, "stage_decay")
 
 
 def _parse_input(path: Path, parse):
@@ -463,6 +465,9 @@ def emit_plotdata(kind: str, inputs, out_path) -> str:
     from restarted trace files).  Column meanings live in
     ``docs/plotdata.md``.
     """
+    if kind not in _PLOT_KINDS:
+        raise ValueError(f"unknown plotdata kind {kind!r}; expected one "
+                         f"of {', '.join(_PLOT_KINDS)}")
     paths = [Path(p) for p in inputs]
     if kind in _PLOT_COLUMNS:
         cols = _PLOT_COLUMNS[kind]
@@ -472,15 +477,12 @@ def emit_plotdata(kind: str, inputs, out_path) -> str:
                 p, lambda text: csv_records(text, cols))
             at = [header.index(c) for c in cols]
             rows += [",".join(r[j] for j in at) for r in records]
-    elif kind == "stage_decay":
+    else:
         rows = ["trace,stage,t_end,subopt"]
         for p in paths:
             trace = _parse_input(p, trace_from_csv)
             for stage, t_end, subopt in trace.stage_end_subopts():
                 rows.append(f"{p.name},{stage},{t_end},{format(subopt, _FMT)}")
-    else:
-        raise ValueError(f"unknown plotdata kind {kind!r}; expected "
-                         "rate_curve, speedup_curve, or stage_decay")
     text = "\n".join(rows) + "\n"
     _write(Path(out_path), text)
     return text

@@ -368,8 +368,8 @@ def _plan_constants(problem: Problem, b: int):
 
 
 def _stage(t: int, meta, b: int) -> Stage:
-    eps_t = math.e**-t * meta.Delta
-    B_sq = 2.0 * math.e ** (1 - t) * meta.Delta / meta.lam
+    eps_t = StagePlan.theta**-t * meta.Delta
+    B_sq = 2.0 * StagePlan.theta ** (1 - t) * meta.Delta / meta.lam
     return Stage(eps_t=eps_t, B_t=math.sqrt(B_sq),
                  T_t=stage_budget(eps_t, B_sq, meta.H, b, meta.Lstar))
 

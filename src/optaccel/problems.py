@@ -84,11 +84,24 @@ class ProblemMeta:
                     f"{'positive' if positive else '>= 0'}, got {value}")
 
 
-def _mix_key(*parts: int) -> np.ndarray:
-    """Derive a 128-bit Philox key from non-negative integer seed material
-    of any size; a negative part is ``SeedSequence``'s ``ValueError``."""
-    ss = np.random.SeedSequence([int(p) for p in parts])
-    return ss.generate_state(2, np.uint64)
+def _mix_key(seed: int, run_seed: int) -> np.ndarray:
+    """Derive a 128-bit Philox key from a problem seed and a run seed, each
+    a non-negative integer of any size; two different pairs never share
+    ``SeedSequence`` entropy.  A negative seed is ``SeedSequence``'s
+    ``ValueError``."""
+    entropy = [int(seed), int(run_seed)]
+    # ``SeedSequence`` joins the seeds' 32-bit words end to end, so
+    # (2**32, 5) and (0, 1 + 5 * 2**32) would both be [0, 1, 5]: a pair
+    # with a larger seed puts each seed's word count before its words,
+    # five words at least, past the four-word pool that ``SeedSequence``
+    # pads with zeros
+    if max(entropy) >= 2**32 and min(entropy) >= 0:
+        framed = []
+        for s in entropy:
+            n = max(1, -(-s.bit_length() // 32))
+            framed += [n, *((s >> 32 * i) & 0xFFFFFFFF for i in range(n))]
+        entropy = framed
+    return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
@@ -755,7 +768,8 @@ def _is_finite(value) -> bool:
 def problem_from_config(config: dict) -> Problem:
     """Rebuild a problem from its declarative (family, params, seed) record.
 
-    The last successful build is kept, keyed by the config's canonical
+    ``params`` is a JSON object of the family maker's arguments other than
+    ``seed``, which is the record's own key (default 0).  The last successful build is kept, keyed by the config's canonical
     JSON, and every call with an equal config returns it (see ``Problem``
     for what may not be written).  A config that fails its checks raises
     on every call and is never kept; one with no JSON form is a
@@ -778,24 +792,25 @@ def _build(config: dict) -> Problem:
     if family not in _FAMILIES:
         raise ValueError(f"unknown problem family {family!r}; "
                          f"known: {sorted(_FAMILIES)}")
-    params = dict(config.get("params", {}))
-    for name in _INT_PARAMS:
-        value = params.get(name, 0)
-        if not _is_int(value):
+    # the maker's arguments are ``params`` and the config's own ``seed``
+    params = config.get("params", {})
+    if not isinstance(params, dict) or "seed" in params:
+        raise ValueError(f"{family}: params must be a JSON object without "
+                         f"'seed' (the config's own key), got {params!r}")
+    for name, value in params.items():
+        if name in _INT_PARAMS and not _is_int(value):
             raise ValueError(f"{family}: parameter {name!r} must be an "
                              f"integer, got {value!r}")
-    for name in _FLOAT_PARAMS:
-        value = params.get(name, 0.0)
-        if not _is_finite(value):
+        if name in _FLOAT_PARAMS and not _is_finite(value):
             error = (ValueError if _is_int(value) or isinstance(value, float)
                      else TypeError)
             raise error(f"{family}: parameter {name!r} must be a finite "
                         f"number, got {value!r}")
-    params["seed"] = config.get("seed", 0)
+    seed = config.get("seed", 0)
     # the seed keys every stream, which takes no negative seed
-    if not _is_int(params["seed"]) or params["seed"] < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValueError(f"{family}: seed must be an integer >= 0, "
-                         f"got {params['seed']!r}")
+                         f"got {seed!r}")
     # finite parameters can still overflow what is built from them, so the
     # overflow is no warning: ``ProblemMeta`` raises ``OverflowError`` on an
     # infinite constant, as a maker's Python float ``B**2`` does (its libm
@@ -804,7 +819,7 @@ def _build(config: dict) -> Problem:
     # check below rejects infinite bounds
     try:
         with np.errstate(over="ignore", invalid="raise", divide="ignore"):
-            problem = _FAMILIES[family](**params)
+            problem = _FAMILIES[family](**params, seed=seed)
     except (OverflowError, FloatingPointError):
         problem = None
     if problem is None or not np.isfinite(_ball_bounds(problem)).all():

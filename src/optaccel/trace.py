@@ -32,7 +32,8 @@ _FIELD_KINDS = {
                        "empty or positive integers"),
     "float": (_reads_as_float, "numbers"),
 }
-# a trace CSV's columns, in order, and the kind of each
+# a trace's columns, as ``RunTrace`` fields and CSV columns, in order, and
+# the kind of each
 _TRACE_COLUMNS = {"t": "int", "norm_w": "float", "norm_wag": "float",
                   "subopt": "float", "grad_noise_sq": "float", "stage": "int"}
 _CSV_HEADER = ",".join(_TRACE_COLUMNS)
@@ -65,6 +66,10 @@ class RunTrace:
     aborted: bool = False
 
     def __post_init__(self):
+        lengths = {name: len(getattr(self, name)) for name in _TRACE_COLUMNS}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"trace columns must have equal lengths, got "
+                             f"{lengths}")
         if len(self.t) and np.any(np.diff(self.t) <= 0):
             raise ValueError("trace records must be strictly increasing in t")
         # with t increasing, its first row is its least
@@ -209,15 +214,10 @@ def trace_to_csv(trace: RunTrace) -> str:
     text's length rather than 3.6 times for whole-trace lists.  The bytes
     do not depend on the block size.
     """
-    cols = [np.asarray(c) for c in (trace.t, trace.norm_w, trace.norm_wag,
-                                    trace.subopt, trace.grad_noise_sq,
-                                    trace.stage)]
+    cols = [np.asarray(getattr(trace, name)) for name in _TRACE_COLUMNS]
     blocks = [_CSV_HEADER + "\n"]
-    # up to the longest column, so that columns of unequal length fail the
-    # strict zip wherever the shorter ones end
-    for i in range(0, max(map(len, cols)), _CSV_BLOCK_ROWS):
-        rows = zip(*(c[i:i + _CSV_BLOCK_ROWS].tolist() for c in cols),
-                   strict=True)
+    for i in range(0, len(trace.t), _CSV_BLOCK_ROWS):
+        rows = zip(*(c[i:i + _CSV_BLOCK_ROWS].tolist() for c in cols))
         blocks.append("".join([_CSV_ROW % row for row in rows]))
     return "".join(blocks)
 
@@ -259,9 +259,10 @@ def trace_from_csv(text: str) -> RunTrace:
     header, rows = csv_records(text, _TRACE_COLUMNS)
     if ",".join(header) != _CSV_HEADER:
         raise ValueError(f"not a trace CSV: the header must be {_CSV_HEADER}")
-    arr = np.array(rows, dtype=float).reshape(-1, 6)
-    return RunTrace({}, arr[:, 0].astype(int), *arr[:, 1:5].T,
-                    arr[:, 5].astype(int))
+    arr = np.array(rows, dtype=float).reshape(-1, len(_TRACE_COLUMNS))
+    return RunTrace({}, **{name: col.astype(int) if kind == "int" else col
+                           for (name, kind), col
+                           in zip(_TRACE_COLUMNS.items(), arr.T)})
 
 
 def sha256_text(text: str) -> str:

@@ -1,14 +1,6 @@
 """Session set-up shared by the test modules."""
 
-import os
-
-# The suite runs at one BLAS thread, as ``perfbench`` does (its
-# ``BLAS_ENV``): the configuration whose bits are the same on any core
-# count.  Set before anything imports NumPy; a user's own setting wins.
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-
-import warnings  # noqa: E402
+import warnings
 
 # When a property test fails, hypothesis's pytest plugin imports
 # ``hypothesis.extra._patching`` to report it, and that imports ``libcst``,

@@ -1219,7 +1219,11 @@ class TestCli:
         ({"family": "gaussian_spike",
           "params": {"H": 1.0, "B": 1.0, "p": 0.5, "s": 1.0, "sign": 0}},
          "sign must be +1 or -1"),
-        (dict(SIGN_PROBLEM, seed=-1), "seed must be an integer >= 0")])
+        (dict(SIGN_PROBLEM, seed=-1), "seed must be an integer >= 0"),
+        (dict(GROWTH_PROBLEM, params=dict(GROWTH_PROBLEM["params"], seed=7)),
+         "params must be a JSON object without 'seed'"),
+        (dict(GROWTH_PROBLEM, params=list(GROWTH_PROBLEM["params"].items())),
+         "params must be a JSON object")])
     def test_bad_seed_or_signs_is_config_error(self, tmp_path, capsys,
                                                problem, error):
         path = write_spec(tmp_path, minimal_spec(tmp_path,

@@ -1,9 +1,11 @@
 """Problem-family construction, metadata exactness, and sampling contracts."""
 
+import inspect
 import os
 import subprocess
 import sys
 import tracemalloc
+import typing
 import warnings
 from dataclasses import replace
 
@@ -624,14 +626,40 @@ class TestStreamAddressability:
         assert stream.position == t + 1
 
     def test_seeds_do_not_alias_modulo_2_64(self):
-        # a seed below 2**64 keeps its key; a larger one gets its own, and a
-        # negative one is refused rather than read as 2**64 minus it
+        # a seed of 2**64 or more is not read modulo 2**64, and a negative
+        # one is refused rather than read as 2**64 minus it
         prob = make_sign_vector_problem(n=1, H=1.0, B=1.0, sigma_signs=[1, -1])
         keys = [prob.stream(s)._key.tobytes() for s in (0, 2**64, 2**64 - 1)]
         assert len(set(keys)) == 3
         assert keys[0] == _mix_key(0, 0).tobytes()
         with pytest.raises(ValueError, match="non-negative"):
             prob.stream(-1)
+
+    def test_seed_pairs_do_not_alias_across_word_boundaries(self):
+        # ``SeedSequence`` alone reads both of the first two pairs as the
+        # words [0, 1, 5]; (2**32, 0) as a framed array must not equal a
+        # shorter pair's that ``SeedSequence`` pads with zeros
+        pairs = [(2**32, 5), (0, 1 + 5 * 2**32), (2**32, 0), (0, 2**32),
+                 (1, 0), (0, 1), (0, 0), (2**64, 0), (0, 2**64),
+                 (2**32 - 1, 2**32 - 1), (2**32 - 1, 2**32)]
+        assert len({_mix_key(*pair).tobytes() for pair in pairs}) == len(pairs)
+        with pytest.raises(ValueError, match="non-negative"):
+            _mix_key(-1, 2**32)
+        batches = []
+        for seed, run_seed in pairs[:2]:
+            prob = make_sign_vector_problem(n=2, H=1.0, B=1.0,
+                                            sigma_signs=[1, -1, 1, 1],
+                                            seed=seed)
+            batches.append(sample_batch(prob, 64, prob.stream(run_seed))[0])
+        assert batches[0].tobytes() != batches[1].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_one_word_seeds_keep_their_seed_sequence_key(self, seed,
+                                                         run_seed):
+        want = np.random.SeedSequence([seed, run_seed]).generate_state(
+            2, np.uint64)
+        assert _mix_key(seed, run_seed).tobytes() == want.tobytes()
 
 
 def noise_free(prob, label_means=None):
@@ -1078,6 +1106,17 @@ class TestConfigRoundTrip:
         x2, y2 = sample_batch(again, 8, again.stream(5))
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
+
+    def test_every_family_parameter_has_a_declared_kind(self):
+        # ``_build`` checks a parameter against JSON ``true``, ``NaN`` and
+        # ``Infinity`` only if its name is declared
+        kinds = {int: problems._INT_PARAMS, float: problems._FLOAT_PARAMS}
+        for family, maker in problems._FAMILIES.items():
+            hints = typing.get_type_hints(maker)
+            for name in inspect.signature(maker).parameters:
+                if name not in ("seed", "sigma_signs"):
+                    assert name in kinds.get(hints.get(name), ()), \
+                        f"{family}: {name}: {hints.get(name)}"
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown problem family"):

@@ -105,6 +105,13 @@ class TestTraceCsv:
         assert len(trace_from_csv(trace_to_csv(empty)).t) == 0
 
 
+class TestRunTrace:
+    def test_columns_of_unequal_length_are_rejected(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            RunTrace({}, np.arange(1, 4), *np.zeros((4, 2)),
+                     np.zeros(3, dtype=int))
+
+
 def as_stage_ends(rows):
     """Stage-end rows with each suboptimality as its bytes, so that NaN
     rows compare equal."""
