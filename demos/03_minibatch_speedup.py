@@ -1,12 +1,15 @@
-"""Minibatch parallelization speedup, and SGD's lack of one.
+"""Minibatch parallelization speedup, and its absence for capped SGD.
 
 For the accelerated method on a realizable problem, the iterations needed
 to reach a fixed error halve every time the batch size doubles, until a
 critical batch size where the deterministic part of the rate takes over.
-Plain SGD reaches the same error with the same total sample count, but
-minibatching buys it almost nothing.  Each batch size runs its horizon
-grid in ascending order and stops at the first horizon whose median final
-error meets the target.  Run:
+For tail-averaged SGD with its step capped at 1/(2H), minibatching buys
+almost nothing: its iteration count barely moves with the batch size.
+(A step that grows with the batch size, such as b / (H + (b - 1) L) with
+L the largest eigenvalue of E[x x'], does speed SGD up, to a batch of
+about H / L; this demo does not run it.)  Each batch size runs its
+horizon grid in ascending order and stops at the first horizon whose
+median final error meets the target.  Run:
 
     python demos/03_minibatch_speedup.py        (about 10 seconds)
 """
@@ -61,7 +64,8 @@ def main():
         med = np.median(subs, axis=0)
         t = next((t for t, m in enumerate(med, 1) if m <= EPS), None)
         print(f"  b={b:<3d} T_to_eps={t}")
-    print("SGD's count barely moves with b: no parallelization speedup.")
+    print("with its step capped at 1/(2H), tail-averaged SGD's count "
+          "barely moves with b: no parallelization speedup at that step.")
 
 
 if __name__ == "__main__":

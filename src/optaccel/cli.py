@@ -107,10 +107,8 @@ def main(argv=None) -> int:
     except OutputError as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, ValueError, KeyError) as err:
-        # str() of a KeyError quotes its message
-        message = err.args[0] if isinstance(err, KeyError) else err
-        print(f"error: {message}", file=sys.stderr)
+    except ValueError as err:  # every input error
+        print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # infrastructure failure
         print(f"runtime failure: {type(err).__name__}: {err}",

@@ -445,13 +445,10 @@ _PLOT_KINDS = (*_PLOT_COLUMNS, "stage_decay")
 
 
 def _parse_input(path: Path, parse):
-    """``parse`` of an input file's text.  A missing file is a
-    ``FileNotFoundError``; an unreadable or malformed one a ``ValueError``;
-    each names ``path``."""
+    """``parse`` of an input file's text.  A missing, unreadable or
+    malformed file is a ``ValueError`` that names ``path``."""
     try:
         return parse(path.read_text())
-    except FileNotFoundError as err:
-        raise FileNotFoundError(f"missing input file: {path}") from err
     except (OSError, ValueError) as err:
         raise ValueError(f"{path}: {type(err).__name__}: {err}") from err
 

@@ -241,9 +241,8 @@ def run_sgd(problem: Problem, b: int, T: int, seed: int = 0,
     at step ``t`` is the mean of the most recent ``ceil(t / 2)`` projected
     iterates, and the final tail average is returned.
     """
-    if not (_is_count(T) and _is_count(b) and (eta is None or eta > 0)):
-        raise ValueError(f"need T >= 1, b >= 1 and eta > 0, T and b "
-                         f"integers, got T={T}, b={b}, eta={eta}")
+    if not (_is_count(T) and _is_count(b)):
+        raise ValueError(f"T and b must be integers >= 1, got T={T}, b={b}")
     B = problem.meta.B
     step = sgd_step(problem.meta.H, eta)
     recorder = TraceRecorder(problem, "sgd", b, T, seed, eta=step, B=B)

@@ -12,6 +12,7 @@ noiseless case where every sample reveals the exact objective.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import math
 import sys
@@ -748,11 +749,6 @@ _FAMILIES = {
     "noiseless_quadratic": make_noiseless_quadratic,
 }
 
-# family parameters that are integers; JSON ``true`` must not pass as 1
-_INT_PARAMS = ("d", "n_atoms", "r", "n", "sign")
-# real-valued family parameters; JSON ``NaN``/``Infinity`` must not pass
-_FLOAT_PARAMS = ("H", "B", "lam", "p", "s", "Delta", "spread")
-
 
 def _is_int(value) -> bool:
     # JSON true/false decode to bool, a subclass of int
@@ -769,11 +765,13 @@ def problem_from_config(config: dict) -> Problem:
     """Rebuild a problem from its declarative (family, params, seed) record.
 
     ``params`` is a JSON object of the family maker's arguments other than
-    ``seed``, which is the record's own key (default 0).  The last successful build is kept, keyed by the config's canonical
-    JSON, and every call with an equal config returns it (see ``Problem``
-    for what may not be written).  A config that fails its checks raises
-    on every call and is never kept; one with no JSON form is a
-    ``TypeError``.
+    ``seed``, which is the record's own key (default 0).  A parameter the
+    maker annotates ``int`` must be an integer that is not JSON ``true``,
+    and one it annotates ``float`` a finite number.  The last successful
+    build is kept, keyed by the config's canonical JSON, and every call
+    with an equal config returns it (see ``Problem`` for what may not be
+    written).  A config that fails its checks raises on every call and is
+    never kept; one with no JSON form is a ``TypeError``.
     """
     return _built(canonical_json(config))
 
@@ -788,20 +786,23 @@ def _build(config: dict) -> Problem:
     unknown = set(config) - {"family", "params", "seed"}
     if unknown:
         raise ValueError(f"unknown problem config keys: {sorted(unknown)}")
-    family = config["family"]
-    if family not in _FAMILIES:
+    family = config.get("family")
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown problem family {family!r}; "
                          f"known: {sorted(_FAMILIES)}")
+    maker = _FAMILIES[family]
     # the maker's arguments are ``params`` and the config's own ``seed``
     params = config.get("params", {})
     if not isinstance(params, dict) or "seed" in params:
         raise ValueError(f"{family}: params must be a JSON object without "
                          f"'seed' (the config's own key), got {params!r}")
+    # each parameter's kind is its annotation in the maker's signature
+    kinds = inspect.get_annotations(maker, eval_str=True)
     for name, value in params.items():
-        if name in _INT_PARAMS and not _is_int(value):
+        if kinds.get(name) is int and not _is_int(value):
             raise ValueError(f"{family}: parameter {name!r} must be an "
                              f"integer, got {value!r}")
-        if name in _FLOAT_PARAMS and not _is_finite(value):
+        if kinds.get(name) is float and not _is_finite(value):
             error = (ValueError if _is_int(value) or isinstance(value, float)
                      else TypeError)
             raise error(f"{family}: parameter {name!r} must be a finite "
@@ -819,7 +820,7 @@ def _build(config: dict) -> Problem:
     # check below rejects infinite bounds
     try:
         with np.errstate(over="ignore", invalid="raise", divide="ignore"):
-            problem = _FAMILIES[family](**params, seed=seed)
+            problem = maker(**params, seed=seed)
     except (OverflowError, FloatingPointError):
         problem = None
     if problem is None or not np.isfinite(_ball_bounds(problem)).all():

@@ -51,17 +51,14 @@ def _interp_problem():
 
 def _family_fixtures():
     return [
-        ("interpolation_least_squares",
-         make_interpolation_least_squares(d=8, n_atoms=4, H=2.0, B=3.0, seed=7)),
-        ("sign_vector",
-         make_sign_vector_problem(n=4, H=1.0, B=1.0,
-                                  sigma_signs=[1, -1, 1, 1, -1, 1, -1, -1])),
-        ("gaussian_spike",
-         make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=2.0, sign=1, seed=3)),
-        ("growth",
-         make_growth_problem(d=6, r=3, lam=0.1, H=1.0, Delta=1.0, seed=11)),
-        ("noiseless_quadratic",
-         make_noiseless_quadratic(d=16, H=1.0, B=1.0, seed=42, spread=10.0)),
+        make_interpolation_least_squares(d=8, n_atoms=4, H=2.0, B=3.0,
+                                         seed=7),
+        make_sign_vector_problem(n=4, H=1.0, B=1.0,
+                                 sigma_signs=[1, -1, 1, 1, -1, 1, -1, -1]),
+        make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=2.0, sign=1,
+                                    seed=3),
+        make_growth_problem(d=6, r=3, lam=0.1, H=1.0, Delta=1.0, seed=11),
+        make_noiseless_quadratic(d=16, H=1.0, B=1.0, seed=42, spread=10.0),
     ]
 
 
@@ -71,11 +68,11 @@ def _family_fixtures():
 def suite_assumptions():
     """Per-sample convexity/smoothness and growth certificates, all families."""
     checks = []
-    for name, prob in _family_fixtures():
+    for prob in _family_fixtures():
         rep = certify_assumptions(prob, n_probes=1000, seed=0)
         for check in ("nonneg", "convexity", "smoothness", "grad_lipschitz",
                       "growth"):
-            checks.append(_check(f"{name}:{check}",
+            checks.append(_check(f"{prob.family}:{check}",
                                  getattr(rep, f"{check}_violation"),
                                  1e-10 if check == "growth" else 1e-8, "<="))
     return checks
@@ -170,7 +167,8 @@ def _finals(prob, b, T, n_seeds):
 
 
 def suite_speedup():
-    """Linear minibatch speedup for the accelerated method; none for SGD."""
+    """Linear minibatch speedup for the accelerated method; none for
+    tail-averaged SGD with its step capped at 1/(2H)."""
     prob = _interp_problem()
     eps = _SPEEDUP_EPS
     threshold = math.sqrt(prob.meta.H * prob.meta.B**2 / eps)
@@ -298,10 +296,11 @@ SUITES = {
 
 
 def run_suite(name: str) -> dict:
-    """Run one suite and build its report."""
+    """Run one suite and build its report; an unknown name is a
+    ``ValueError`` that lists the suites."""
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; "
-                       f"expected one of {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {name!r}; "
+                         f"expected one of {sorted(SUITES)}")
     t0 = time.perf_counter()
     checks = SUITES[name]()
     return {

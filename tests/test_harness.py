@@ -729,7 +729,7 @@ class TestPlotdata:
             assert float(row[3]) == pytest.approx(subopt, rel=1e-15)
 
     def test_missing_input_named(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="nope.csv"):
+        with pytest.raises(ValueError, match="nope.csv"):
             emit_plotdata("rate_curve", [tmp_path / "nope.csv"],
                           tmp_path / "x.csv")
 
@@ -857,7 +857,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown suite 'nonsense'" in err
         assert str(sorted(SUITES)) in err and len(SUITES) == 7
-        with pytest.raises(KeyError, match="unknown suite 'nope'"):
+        with pytest.raises(ValueError, match="unknown suite 'nope'"):
             run_suite("nope")
 
     def test_unknown_suite_message_is_unquoted(self, capsys):
@@ -868,6 +868,14 @@ class TestCli:
 
     def test_missing_spec_file_is_config_error(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.json")]) == 2
+
+    def test_missing_plotdata_input_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli_main(["plotdata", "rate_curve", str(tmp_path / "nope.csv"),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'nope.csv'}: FileNotFoundError: ")
+        assert not out.exists()
 
     def test_run_and_schedule(self, tmp_path, capsys):
         path = write_spec(tmp_path, minimal_spec(tmp_path))
@@ -1231,6 +1239,19 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "problems[0]" in err and error in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("problem", [
+        {"params": GROWTH_PROBLEM["params"]},
+        dict(GROWTH_PROBLEM, family=["growth"])],
+        ids=["no_family", "list_family"])
+    def test_missing_or_non_string_family_is_config_error(self, tmp_path,
+                                                          capsys, problem):
+        path = write_spec(tmp_path, minimal_spec(tmp_path,
+                                                 problems=[problem]))
+        assert cli_main(["run", str(path)]) == 2
+        assert "problems[0]: ValueError: unknown problem family" in \
+            capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [

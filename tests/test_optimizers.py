@@ -341,21 +341,24 @@ class TestSgd:
             meds.append(best)
         assert all(b < a for a, b in zip(meds, meds[1:]))
 
-    @pytest.mark.parametrize("bad", [{"b": 0}, {"T": 0}, {"T": -3},
-                                     {"eta": 0.0}, {"eta": -1.0},
-                                     {"eta": math.nan}],
-                             ids=["b0", "T0", "Tneg", "eta0", "eta_neg",
-                                  "eta_nan"])
-    def test_bad_inputs_rejected_before_the_first_step(self, bad,
+    @pytest.mark.parametrize("bad,error", [
+        ({"b": 0}, "T and b must be integers >= 1"),
+        ({"T": 0}, "T and b must be integers >= 1"),
+        ({"T": -3}, "T and b must be integers >= 1"),
+        ({"eta": 0.0}, r"the SGD step min\(1 / \(2 H\), eta\)"),
+        ({"eta": -1.0}, r"the SGD step min\(1 / \(2 H\), eta\)"),
+        ({"eta": math.nan}, r"the SGD step min\(1 / \(2 H\), eta\)")],
+        ids=["b0", "T0", "Tneg", "eta0", "eta_neg", "eta_nan"])
+    def test_bad_inputs_rejected_before_the_first_step(self, bad, error,
                                                        monkeypatch):
         # a negative eta would run gradient ascent, and T=0 would give an
-        # empty trace with a NaN final value
+        # empty trace with a NaN final value; ``sgd_step`` checks eta
         def no_step(*args):
             raise AssertionError("a step was taken")
 
         monkeypatch.setattr(optaccel.optimizers, "_checked_gradient", no_step)
         args = {"b": 1, "T": 50, "eta": None, **bad}
-        with pytest.raises(ValueError, match="need T >= 1, b >= 1 and eta"):
+        with pytest.raises(ValueError, match=error):
             run_sgd(make_interpolation_least_squares(
                 d=8, n_atoms=4, H=1.0, B=1.0, seed=3), **args)
 

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import typing
 import warnings
 from dataclasses import replace
 
@@ -1109,14 +1108,34 @@ class TestConfigRoundTrip:
 
     def test_every_family_parameter_has_a_declared_kind(self):
         # ``_build`` checks a parameter against JSON ``true``, ``NaN`` and
-        # ``Infinity`` only if its name is declared
-        kinds = {int: problems._INT_PARAMS, float: problems._FLOAT_PARAMS}
+        # ``Infinity`` only if the maker annotates it ``int`` or ``float``
         for family, maker in problems._FAMILIES.items():
-            hints = typing.get_type_hints(maker)
+            kinds = inspect.get_annotations(maker, eval_str=True)
             for name in inspect.signature(maker).parameters:
                 if name not in ("seed", "sigma_signs"):
-                    assert name in kinds.get(hints.get(name), ()), \
-                        f"{family}: {name}: {hints.get(name)}"
+                    assert kinds.get(name) in (int, float), \
+                        f"{family}: {name}: {kinds.get(name)}"
+
+    @pytest.mark.parametrize("params,error", [
+        ({"alpha": float("nan"), "d": 2},
+         "parameter 'alpha' must be a finite number"),
+        ({"alpha": 1.0, "d": True}, "parameter 'd' must be an integer")],
+        ids=["alpha_nan", "d_true"])
+    def test_a_new_family_takes_its_kinds_from_its_maker(self, monkeypatch,
+                                                          params, error):
+        # ``alpha`` and ``d`` are checked by their annotations alone
+        calls = []
+
+        def make_test_family(alpha: float, d: int, seed: int):
+            calls.append(alpha)
+            return make_noiseless_quadratic(d=d, H=alpha, B=1.0, seed=seed)
+
+        monkeypatch.setitem(problems._FAMILIES, "test_family",
+                            make_test_family)
+        with pytest.raises(ValueError, match=error):
+            problem_from_config({"family": "test_family", "params": params,
+                                 "seed": 0})
+        assert calls == []
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown problem family"):
@@ -1124,6 +1143,16 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="unknown problem config keys"):
             problem_from_config({"family": "sign_vector", "params": {},
                                  "seed": 0, "extra": 1})
+
+    @pytest.mark.parametrize("config", [
+        {"params": {"d": 4, "H": 1.0, "B": 1.0}},
+        {"family": ["noiseless_quadratic"],
+         "params": {"d": 4, "H": 1.0, "B": 1.0}}],
+        ids=["missing", "list"])
+    def test_family_must_be_a_known_name(self, config):
+        # neither an absent family nor a list is a name to look up
+        with pytest.raises(ValueError, match="unknown problem family"):
+            problem_from_config(config)
 
 
 SPIKE = {"family": "gaussian_spike",
