@@ -104,17 +104,18 @@ def fit_rate(grid: Sequence[tuple[float, float]]) -> RateFit:
                      np.log([v for _, v in pts]))
 
 
-# The two order statistics below take an ascending float array and give
-# the bits of NumPy's ``median`` and of its ``quantile``'s default
-# (``linear``) method, for any input without -0.0.  They exist because
+# The two order statistics below give the bits of NumPy's ``median`` of
+# any float sequence and of its ``quantile``'s default (``linear``) method
+# on an ascending array, for any input without -0.0.  They exist because
 # both NumPy calls import ``numpy.ma`` (about 1.3 MB of a run's peak
 # memory) to check for masks no array here has.  Python float arithmetic
 # is the same IEEE arithmetic and warns of no overflow.
 
 
-def _sorted_median(vals) -> float:
-    """NumPy's ``median`` of an ascending array: NaN when it ends in NaN
-    (NaN for no values), else the middle value or the mean of the two."""
+def _median(values) -> float:
+    """NumPy's ``median``: NaN when any value is NaN (NaN for no values),
+    else the middle sorted value or the mean of the two."""
+    vals = np.sort(np.asarray(values, dtype=float))
     n = len(vals)
     if n == 0:
         return math.nan
@@ -145,14 +146,12 @@ def time_to_eps(finals: Mapping[tuple[int, int], Sequence[float]],
     ``finals[(b, T)]`` holds the final suboptimality of each seed's run.
     The table maps each ``b``, in ascending order, to the smallest ``T`` in
     the grid whose median is at most ``eps`` (None when no grid horizon
-    reached it).  The median is NumPy's ``median``, bit for bit: the middle
-    sorted value, or the mean of the two middle ones, and NaN when any
-    value is NaN, so such a horizon never reaches ``eps``.
+    reached it).  The median is ``_median``, NumPy's bit for bit, which is
+    NaN when any value is NaN, so such a horizon never reaches ``eps``.
     """
     by_b: dict[int, list[tuple[int, float]]] = {}
     for (b, T), vals in finals.items():
-        med = _sorted_median(np.sort(np.asarray(vals, dtype=float)))
-        by_b.setdefault(int(b), []).append((int(T), med))
+        by_b.setdefault(int(b), []).append((int(T), _median(vals)))
     return {b: next((T for T, med in sorted(by_b[b]) if med <= eps), None)
             for b in sorted(by_b)}
 

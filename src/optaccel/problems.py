@@ -783,6 +783,9 @@ def _built(key: str) -> Problem:
 
 
 def _build(config: dict) -> Problem:
+    if not isinstance(config, dict):
+        raise ValueError(f"a problem config must be a JSON object, "
+                         f"got {config!r}")
     unknown = set(config) - {"family", "params", "seed"}
     if unknown:
         raise ValueError(f"unknown problem config keys: {sorted(unknown)}")

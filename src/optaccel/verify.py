@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import optimizers
-from .analysis import (_line_fit, certify_assumptions,
+from .analysis import (_line_fit, _median, certify_assumptions,
                        check_projection_lemma, critical_batch, fit_rate,
                        variance_at)
 from .optimizers import accel_error_bound, run_acc_mb_sgd, run_restarted, run_sgd
@@ -137,7 +137,7 @@ def suite_rate_convex():
 
     prob = _interp_problem()
     for b, slope_max in ((1, -0.9), (64, -1.7)):
-        fit = fit_rate([(T, float(np.median(_finals(prob, b, T, 20))))
+        fit = fit_rate([(T, _median(_finals(prob, b, T, 20)))
                         for T in (64, 128, 256, 512, 1024, 2048, 4096)])
         checks.append(_check(f"interpolation:b={b}:slope", fit.slope,
                              slope_max, "<=",
@@ -175,7 +175,7 @@ def suite_speedup():
     # each b's horizons run in ascending order only until the first whose
     # median meets eps: no check reads a longer one
     table = {b: next((T for T in Ts
-                      if np.median(_finals(prob, b, T, 20)) <= eps), None)
+                      if _median(_finals(prob, b, T, 20)) <= eps), None)
              for b, Ts in _SPEEDUP_GRIDS.items()}
     checks = []
 
@@ -212,10 +212,10 @@ def suite_speedup():
     for b in (1, 4, 16):
         best = None
         for eta in (1 / (2 * H), 1 / (4 * H), 1 / (8 * H)):
-            med = np.median([run_sgd(prob, b=b, T=2048, seed=s,
-                                     eta=eta)[1].subopt for s in range(20)],
-                            axis=0)
-            t_hit = next((t for t, m in enumerate(med, 1) if m <= eps), None)
+            curves = [run_sgd(prob, b=b, T=2048, seed=s, eta=eta)[1].subopt
+                      for s in range(20)]
+            cols = enumerate(zip(*curves, strict=True), 1)
+            t_hit = next((t for t, col in cols if _median(col) <= eps), None)
             if t_hit is not None and (best is None or t_hit < best):
                 best = t_hit
         sgd_tte[b] = best
@@ -233,8 +233,8 @@ def suite_rate_restart():
     plan = optimizers.make_stage_plan(prob, b=8,
                                       eps=float(np.exp(-5) * delta))
     runs = [run_restarted(prob, plan, seed=s)[1] for s in range(20)]
-    med = np.median([[v for _, _, v in tr.stage_end_subopts()] for tr in runs],
-                    axis=0)
+    ends = [[v for _, _, v in tr.stage_end_subopts()] for tr in runs]
+    med = [_median(stage) for stage in zip(*ends, strict=True)]
     checks = [_check(f"stage_{t_idx}_subopt", m,
                      2.0 * math.exp(-t_idx) * delta, "<=")
               for t_idx, m in enumerate(med, start=1)]
@@ -246,10 +246,10 @@ def suite_rate_restart():
     # plain accelerated run on the same total budget, probed at octave
     # checkpoints: a power law should explain it better than a line
     T_total = plan.total_iterations
-    med_tr = np.median([run_acc_mb_sgd(prob, b=8, T=T_total, seed=s)[1].subopt
-                        for s in range(20)], axis=0)
+    curves = [run_acc_mb_sgd(prob, b=8, T=T_total, seed=s)[1].subopt
+              for s in range(20)]
     cps = np.array(sorted(T_total // 2**k for k in range(5)), dtype=int)
-    vals = np.array([med_tr[c - 1] for c in cps])
+    vals = np.array([_median([sub[c - 1] for sub in curves]) for c in cps])
     r2_loglog = _line_fit(np.log(cps.astype(float)), np.log(vals)).r_squared
     r2_loglin = _line_fit(cps.astype(float), np.log(vals)).r_squared
     checks.append(_check("plain_power_law_vs_linear",
@@ -272,13 +272,13 @@ def suite_sigma_star():
 
     f64 = _finals(prob, 64, T, 40)
     bound = accel_error_bound(T, meta.H, meta.B**2, 64, Lstar=meta.Lstar)
-    checks.append(_check("b=64:median_within_bound", float(np.median(f64)),
+    checks.append(_check("b=64:median_within_bound", _median(f64),
                          3.0 * bound, "<=",
                          detail=f"bound={bound:.4g}"))
 
     f1 = _finals(prob, 1, T, 40)
     floor = sigma * meta.B / (10.0 * math.sqrt(T))
-    checks.append(_check("b=1:no_acceleration_floor", float(np.median(f1)),
+    checks.append(_check("b=1:no_acceleration_floor", _median(f1),
                          floor, ">=",
                          detail="median must stay above sigma*B/(10 sqrt(T))"))
     return checks

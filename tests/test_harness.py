@@ -621,6 +621,15 @@ print(codes, "numpy.ma" in sys.modules)
 """
 
 
+# two suites whose medians cover curves and plain lists of finals
+FRESH_VERIFY = """
+import sys
+from optaccel.cli import main
+codes = [main(["verify", name]) for name in ("rate_restart", "sigma_star")]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
 class TestFreshInterpreter:
     # pytest's own process has ``multiprocessing`` loaded already
 
@@ -665,6 +674,16 @@ class TestFreshInterpreter:
         assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
         decay = (tmp_path / "stage_decay.csv").read_text().splitlines()
         assert len(decay) > 1 + 12  # several stages in each of 12 traces
+
+    def test_verify_never_imports_numpy_ma(self):
+        # the per-stage and per-checkpoint medians of ``rate_restart`` and
+        # the 1-D medians of ``sigma_star`` are ``analysis._median``'s
+        src = Path(harness.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-c", FRESH_VERIFY], capture_output=True,
+            text=True, timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[0, 0] False"
 
     def test_first_parallel_run_writes_the_serial_artifacts(self, tmp_path):
         path = write_spec(tmp_path, minimal_spec(tmp_path, b_grid=[1, 2, 3, 4],
@@ -1252,6 +1271,14 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 2
         assert "problems[0]: ValueError: unknown problem family" in \
             capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_object_problem_config_is_config_error(self, tmp_path, capsys):
+        path = write_spec(tmp_path, minimal_spec(tmp_path,
+                                                 problems=["growth"]))
+        assert cli_main(["run", str(path)]) == 2
+        assert "problems[0]: ValueError: a problem config must be a JSON " \
+            "object" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [

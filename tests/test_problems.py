@@ -1154,6 +1154,15 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="unknown problem family"):
             problem_from_config(config)
 
+    @pytest.mark.parametrize("config", [
+        "growth", [["family", "growth"]], 5, None],
+        ids=["string", "pairs", "number", "null"])
+    def test_config_must_be_an_object(self, config):
+        # not read as a set of keys, nor iterated, before the check
+        with pytest.raises(ValueError, match="a problem config must be a "
+                                             "JSON object, got "):
+            problem_from_config(config)
+
 
 SPIKE = {"family": "gaussian_spike",
          "params": {"H": 1.0, "B": 1.0, "p": 0.5, "s": 0.0, "sign": 1},
