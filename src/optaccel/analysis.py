@@ -58,7 +58,7 @@ def variance_at(problem: Problem, w, n_samples: int, seed: int = 0):
         raise ValueError("need at least 2 samples")
     w = np.asarray(w, dtype=float)
     batch = problem.next_batch(problem.stream(seed), n_samples)
-    grads = problem.grad(np.tile(w, (n_samples, 1)), batch)
+    _, grads = problem.loss_and_grad(np.tile(w, (n_samples, 1)), batch)
     sq = ((grads - problem.exact_grad(w)) ** 2).sum(axis=1)
     est = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(n_samples))
@@ -236,8 +236,8 @@ def certify_assumptions(problem: Problem, n_probes: int = 1000,
     points = _ball_points(gen, 2 * meta.B, (2 * n_probes, problem.d))
     # probe i pairs sample i with the points ws[i] and us[i]
     ws, us = points[:n_probes], points[n_probes:]
-    lw, lu = problem.loss(ws, batch), problem.loss(us, batch)
-    gw, gu = problem.grad(ws, batch), problem.grad(us, batch)
+    lw, gw = problem.loss_and_grad(ws, batch)
+    lu, gu = problem.loss_and_grad(us, batch)
     dwu = ws - us
     scale = np.maximum(np.maximum(1.0, abs(lw)), abs(lu))
     slope, dd = np.vecdot(gu, dwu), np.vecdot(dwu, dwu)

@@ -116,9 +116,9 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # spread a block's 200 or so NumPy calls thin, few enough that each of its
 # arrays stays at 32 KiB
 _BLOCK_WORDS = 4096
-# ``next_indices`` draws batches of at least this many samples from the
-# position's generator instead: NumPy's C Philox then costs less than the
-# counter path's array rounds, and both give the same bits
+# a noise-free design draws batches of at least this many samples from the
+# position's generator, not ``next_indices``: NumPy's C Philox then costs
+# less than the counter path's array rounds, and both give the same bits
 _GENERATOR_MIN_B = 64
 # ``batch_grad_mean`` gathers a larger batch in blocks of at most this many
 # float64 elements (512 KB), so no step allocates a ``b x d`` array
@@ -174,9 +174,10 @@ class SampleStream:
     ``Philox(key=key, counter=[0, 0, t, 0])`` afresh, just cheaper.
 
     Since batch ``t`` is a function of ``t``, ``next_indices`` computes the
-    uniforms of a block of positions in one call below ``_GENERATOR_MIN_B``
-    samples, bit-identical to what their generators draw; ``_BLOCK_WORDS``
-    bounds how far ahead, never what is drawn.
+    uniforms of a block of positions in one call, bit-identical to what
+    their generators draw; ``_BLOCK_WORDS`` bounds how far ahead, never
+    what is drawn.  Whether a draw re-seats the generator or takes a
+    block is the problem's ``next_batch``'s choice.
     """
 
     def __init__(self, seed: int, run_seed: int):
@@ -199,11 +200,8 @@ class SampleStream:
 
     def next_indices(self, cdf: np.ndarray, b: int) -> np.ndarray:
         """``cdf.searchsorted(next_generator().random(b), side="right")``;
-        advances the stream.  Below ``_GENERATOR_MIN_B`` it serves the same
-        bits from a block of positions computed in one Philox call."""
-        if b >= _GENERATOR_MIN_B:
-            return cdf.searchsorted(self.next_generator().random(b),
-                                    side="right")
+        advances the stream.  It serves these bits from a block of positions
+        computed in one Philox call, without re-seating the generator."""
         t = self.position
         block = self._block
         if (block is None or block[0] is not cdf or block[1] != b
@@ -225,7 +223,7 @@ class Problem:
     problems share.  Subclasses call it and provide the design moments
     ``second_moment`` (``E[x x']``, or the Hessian) and ``cross`` (the
     normal equations' right-hand side), and the methods ``next_batch``,
-    ``loss``, ``grad``, ``batch_grad_mean``, ``exact_loss``, ``exact_grad``
+    ``loss_and_grad``, ``batch_grad_mean``, ``exact_loss``, ``exact_grad``
     and ``suboptimality``.  ``problem_from_config`` returns one build to
     every caller of an equal config, so nothing writes a built problem,
     apart from the cached ``second_moment``.
@@ -235,20 +233,21 @@ class Problem:
     by one position, so a batch is a function of the stream's key and its
     position alone.  A finite design's batch is ``(idx, y)``: the drawn
     atom indices and their labels, sample ``i`` being
-    ``(atoms[idx[i]], y[i])``.  A design without label noise takes its
-    indices from ``stream.next_indices``, which chooses how to compute
-    them.
+    ``(atoms[idx[i]], y[i])``.  ``next_batch`` alone picks the engine: a
+    design without label noise takes a batch of fewer than
+    ``_GENERATOR_MIN_B`` samples from ``stream.next_indices``, and every
+    other draw re-seats ``stream.next_generator``.
 
     ``exact_loss``, ``suboptimality`` and ``exact_grad`` take one ``(d,)``
-    point or a ``(k, d)`` stack of points; ``loss(W, batch)`` and
-    ``grad(W, batch)`` take a ``(k, d)`` stack paired row by row with a
-    batch of ``k`` samples (row ``i`` is sample ``i`` at ``W[i]``).  A stack
-    gives ``(k,)`` values or ``(k, d)`` gradients whose row ``i`` equals the
-    one-point call bit for bit, since NumPy's ``matvec``, ``vecmat`` and
-    ``vecdot`` make one BLAS call per row; one point gives an
+    point or a ``(k, d)`` stack of points; ``loss_and_grad(W, batch)``
+    takes a ``(k, d)`` stack paired row by row with a batch of ``k``
+    samples (row ``i`` is sample ``i`` at ``W[i]``) and returns their
+    ``(k,)`` losses and ``(k, d)`` gradients.  A stack's row ``i`` equals
+    the one-point call bit for bit, since NumPy's ``matvec``, ``vecmat``
+    and ``vecdot`` make one BLAS call per row; one point gives an
     ``np.float64`` or a ``(d,)`` gradient.
 
-    ``loss``, ``grad`` and ``batch_grad_mean`` gather the features of a
+    ``loss_and_grad`` and ``batch_grad_mean`` gather the features of a
     batch themselves and write no batch; nothing else writes one either,
     since its indices may be a read-only view of the stream's block.
     """
@@ -337,31 +336,29 @@ class DiscreteLeastSquares(Problem):
     # -- sampling ---------------------------------------------------------
 
     def next_batch(self, stream, b):
-        if self._noise_free:
+        if self._noise_free and b < _GENERATOR_MIN_B:
             idx = stream.next_indices(self._cdf, b)
             return idx, self.label_means[idx]
         gen = stream.next_generator()
         idx = self._cdf.searchsorted(gen.random(b), side="right")
+        y = self.label_means[idx]
+        if self._noise_free:
+            return idx, y
         # draw the noise unconditionally so the stream layout does not
         # depend on which atoms were selected
-        y = self.label_means[idx]
         return idx, y + self.label_stds[idx] * gen.standard_normal(b)
 
     # -- per-sample quantities ---------------------------------------------
 
-    def loss(self, W, batch):
+    def loss_and_grad(self, W, batch):
         idx, y = batch
         # ``take`` gathers the rows ``atoms[idx]`` does, in half the time
         # at small b and d
         x = self.atoms.take(idx, axis=0)
+        r = np.vecdot(x, W) - y
         # libm ``pow``, as a Python float squares; NumPy's ``** 2`` differs
         # from it in the last bit for about 1 residual in 1,000
-        return 0.5 * np.float_power(np.vecdot(x, W) - y, 2)
-
-    def grad(self, W, batch):
-        idx, y = batch
-        x = self.atoms.take(idx, axis=0)
-        return x * (np.vecdot(x, W) - y)[:, None]
+        return 0.5 * np.float_power(r, 2), x * r[:, None]
 
     def batch_grad_mean(self, w, batch):
         """Mean per-sample gradient ``atoms[idx[i]] * r[i]`` over the batch
@@ -501,11 +498,8 @@ class DeterministicQuadratic(Problem):
         stream.position += 1
         return np.zeros((b, 0)), np.zeros(b)
 
-    def loss(self, W, batch):
-        return self.exact_loss(W)
-
-    def grad(self, W, batch):
-        return self.exact_grad(W)
+    def loss_and_grad(self, W, batch):
+        return self.exact_loss(W), self.exact_grad(W)
 
     def batch_grad_mean(self, w, batch):
         return self.exact_grad(w)

@@ -37,18 +37,19 @@ from strategies import family_configs
 
 
 def finite_difference_check(problem, n_probes=100, seed=0, h=1e-6):
-    """Worst relative error of central differences against ``grad``, over
-    sampled ``z`` and points ``w`` in the ball of radius ``2 B``."""
+    """Worst relative error of central differences of ``loss_and_grad``'s
+    losses against its gradients, over sampled ``z`` and points ``w`` in
+    the ball of radius ``2 B``."""
     gen = np.random.default_rng(np.random.SeedSequence([seed, 0xFD1F]))
     idx, y = problem.next_batch(problem.stream(seed ^ 0x90D), n_probes)
     points = _ball_points(gen, 2 * problem.meta.B, (n_probes, problem.d))
     worst = 0.0
     for i, w in enumerate(points):
         z = (idx[i:i + 1], y[i:i + 1])  # one-sample batches
-        g = problem.grad(w[None], z)[0]
+        g = problem.loss_and_grad(w[None], z)[1][0]
         for k, e in enumerate(h * np.eye(problem.d)):
-            fd = (problem.loss((w + e)[None], z)[0]
-                  - problem.loss((w - e)[None], z)[0]) / (2 * h)
+            fd = (problem.loss_and_grad((w + e)[None], z)[0][0]
+                  - problem.loss_and_grad((w - e)[None], z)[0][0]) / (2 * h)
             worst = max(worst, abs(fd - g[k]) / max(1.0, abs(g[k])))
     return worst
 
@@ -433,10 +434,9 @@ class TestArrayFormsMatchReferences:
         W = _ball_points(gen, 10.0 ** gen.uniform(-3, 2), (n, prob.d))
         idx, y = prob.next_batch(prob.stream(seed), n)
         rows = list(zip(W, zip(idx, y)))
-        assert same_bits(prob.loss(W, (idx, y)),
-                         [sample_loss(prob, w, z) for w, z in rows])
-        assert same_bits(prob.grad(W, (idx, y)),
-                         [sample_grad(prob, w, z) for w, z in rows])
+        losses, grads = prob.loss_and_grad(W, (idx, y))
+        assert same_bits(losses, [sample_loss(prob, w, z) for w, z in rows])
+        assert same_bits(grads, [sample_grad(prob, w, z) for w, z in rows])
         assert same_bits(prob.exact_loss(W),
                          [dot_exact_loss(prob, w) for w in W])
 

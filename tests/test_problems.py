@@ -736,20 +736,36 @@ class TestCounterPath:
     @pytest.mark.parametrize("b", [1, problems._GENERATOR_MIN_B - 1,
                                    problems._GENERATOR_MIN_B, 300])
     def test_next_indices_picks_its_engine_by_batch_size(self, b):
-        cdf = np.array([0.125, 0.5, 0.75, 1.0])
-        stream, ref = SampleStream(3, 5), SampleStream(3, 5)
+        # the engine of a noise-free design's draw is ``next_batch``'s pick
+        prob = noise_free(make_sign_vector_problem(
+            n=2, H=1.0, B=1.0, sigma_signs=[1, -1, 1, 1], seed=3))
+        stream, ref = prob.stream(5), prob.stream(5)
         calls, draw = [], stream.next_generator
         stream.next_generator = lambda: calls.append(1) or draw()
         for t in range(1, 4):
-            want = cdf.searchsorted(ref.next_generator().random(b),
-                                    side="right")
-            assert stream.next_indices(cdf, b).tobytes() == want.tobytes()
+            want = prob._cdf.searchsorted(ref.next_generator().random(b),
+                                          side="right")
+            idx, y = prob.next_batch(stream, b)
+            assert idx.tobytes() == want.tobytes()
+            assert y.tobytes() == prob.label_means[want].tobytes()
             assert stream.position == t
         # below the threshold no generator is re-seated; from it, one per
         # draw and no block is kept
         by_generator = b >= problems._GENERATOR_MIN_B
         assert len(calls) == (3 if by_generator else 0)
         assert (stream._block is None) == by_generator
+
+    @pytest.mark.parametrize("b", [problems._GENERATOR_MIN_B, 300])
+    def test_next_indices_serves_counter_blocks_at_any_batch_size(self, b):
+        cdf = np.array([0.125, 0.5, 0.75, 1.0])
+        stream, ref = SampleStream(3, 5), SampleStream(3, 5)
+        no_generator(stream)
+        for t in range(1, 4):
+            want = cdf.searchsorted(ref.next_generator().random(b),
+                                    side="right")
+            assert stream.next_indices(cdf, b).tobytes() == want.tobytes()
+            assert stream.position == t
+            assert stream._block is not None and stream._block[1] == b
 
     @staticmethod
     def draws_match_the_generator(cfg, b, run_seed, steps):
@@ -906,7 +922,8 @@ class TestMinibatchGradient:
         w = np.array([0.3, -0.2, 0.5, 0.1])
         g = minibatch_gradient(prob, w, (idx, y))
         np.testing.assert_allclose(
-            g, prob.grad(w[None], (idx[:1], y[:1]))[0], rtol=1e-15)
+            g, prob.loss_and_grad(w[None], (idx[:1], y[:1]))[1][0],
+            rtol=1e-15)
 
     @settings(max_examples=300, deadline=None)
     @given(cfg=family_configs(), budget=st.sampled_from([8, 16, 64, 256]),
