@@ -649,7 +649,9 @@ def make_growth_problem(d: int, r: int, lam: float, H: float, Delta: float,
     initial suboptimality is exactly ``Delta``.
 
     Feasibility requires ``r * lam <= H``: the design trace is at most the
-    per-sample smoothness constant.
+    per-sample smoothness constant.  The check allows a few ulps over
+    ``H``, since ``r * (H / r)`` may round above it; more would let the
+    largest atom's ``||x||**2 = r * lam`` exceed the certified ``H``.
     """
     if not (1 <= r < d):
         raise ValueError(f"need 1 <= r < d, got r={r}, d={d}")
@@ -657,7 +659,7 @@ def make_growth_problem(d: int, r: int, lam: float, H: float, Delta: float,
         raise ValueError(f"need 0 < lam <= H < inf, got lam={lam}, H={H}")
     if not (np.isfinite(Delta) and Delta > 0):
         raise ValueError(f"need finite Delta > 0, got Delta={Delta}")
-    if r * lam > H * (1 + 1e-12):
+    if r * lam > H * (1 + 4 * sys.float_info.epsilon):
         raise ValueError(
             f"infeasible: r*lam = {r * lam} exceeds H = {H}; the design "
             "trace E||x||^2 <= H caps the sum of the r eigenvalues")

@@ -1,12 +1,13 @@
 """Reference oracles that the tests compare the library against."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from optaccel import (DeterministicQuadratic, config_hash, minibatch_gradient,
-                      project_ball, sample_batch)
+from optaccel import (DeterministicQuadratic, DiscreteLeastSquares,
+                      certify_assumptions, config_hash, exact_min,
+                      minibatch_gradient, project_ball, sample_batch)
 from optaccel.analysis import AssumptionReport, _ball_points
 from optaccel.optimizers import NonFiniteGradientError
 from optaccel.trace import RunTrace
@@ -26,6 +27,59 @@ def gradient_variance(problem, w) -> float:
     second = p @ (np.einsum("ja,ja->j", a, a) * (r**2 + problem.label_stds**2))
     mean = (p * r) @ a
     return float(second - mean @ mean)
+
+
+# over 30000 configs drawn by ``strategies.family_configs`` the worst error
+# of a contract equality was 2.6e-15 of its scale (an interpolation lam)
+CONTRACT_RTOL = 1e-14
+
+
+def assert_family_contract(problem):
+    """Assert ``problem.meta`` against the problem's own closed forms, each
+    equality to ``CONTRACT_RTOL`` of the scale of its rounding error.
+
+    ``Lstar`` is the loss at ``wstar`` and at ``exact_min``'s point;
+    ``M wstar = cross`` for ``M = second_moment``; ``Delta = L(0) - Lstar``,
+    also as ``suboptimality(0)`` (to ``H B**2 / 2``: ``F wstar`` may
+    cancel); ``B = ||wstar||``; ``H`` bounds ``lam_max(M)`` and every
+    ``||x||**2``; ``lam`` is ``M``'s smallest eigenvalue above ``1e-10
+    lam_max``; ``sigma_star_sq`` is ``gradient_variance`` at ``wstar`` (0
+    for the quadratic) and at most ``2 H Lstar`` (Lemma 3); and
+    ``certify_assumptions`` keeps verify's bounds.
+    """
+    meta, rtol, name = problem.meta, CONTRACT_RTOL, problem.family
+    M, cross, w = problem.second_moment, problem.cross, meta.wstar
+    L0, zero = meta.Lstar + meta.Delta, np.zeros(problem.d)
+
+    def close(what, got, want, scale):
+        assert abs(got - want) <= rtol * scale, f"{name}: {what}: {got!r}"
+
+    close("Lstar", problem.exact_loss(w), meta.Lstar, L0)
+    close("Lstar", exact_min(problem)[1], meta.Lstar, L0)
+    # uncentred: ``exact_grad`` is centred at wstar, so 0 there by design
+    assert np.all(np.abs(M @ w - cross) <= rtol * (
+        np.abs(M) @ np.abs(w) + np.abs(cross))), f"{name}: M wstar"
+    close("Delta", problem.suboptimality(zero), meta.Delta,
+          meta.H * meta.B**2 / 2)
+    close("Delta", problem.exact_loss(zero) - meta.Lstar, meta.Delta, L0)
+    close("B", np.linalg.norm(w), meta.B, meta.B)
+    evals = np.linalg.eigvalsh(M)
+    assert evals.max() <= meta.H * (1 + rtol), f"{name}: H < lam_max"
+    close("lam", meta.lam, evals[evals > 1e-10 * evals.max()].min(),
+          evals.max())
+    sigma_sq = 0.0
+    if isinstance(problem, DiscreteLeastSquares):
+        assert np.einsum("ja,ja->j", problem.atoms, problem.atoms).max() \
+            <= meta.H * (1 + rtol), f"{name}: H < ||x||**2"
+        sigma_sq = gradient_variance(problem, w)
+    # a gradient residual at wstar is rounding, and so is its square
+    close("sigma_star_sq", sigma_sq, meta.sigma_star_sq,
+          meta.sigma_star_sq + rtol * 2 * meta.H * L0)
+    assert meta.sigma_star_sq <= 2 * meta.H * meta.Lstar * (1 + rtol), \
+        f"{name}: sigma_star_sq > 2 H Lstar"
+    rep = certify_assumptions(problem, n_probes=300, seed=1)
+    *per_sample, growth = astuple(rep)
+    assert max(per_sample) <= 1e-8 and growth <= 1e-10, rep
 
 
 # -- the sampler before every draw went through ``next_batch`` --------------

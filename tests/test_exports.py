@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import optaccel
+from optaccel import problems
 
 MODULES = sorted(p.stem for p in Path(optaccel.__file__).parent.glob("*.py")
                  if p.stem != "__init__")
@@ -45,3 +46,10 @@ def test_package_reexport_resolves(module, name):
     source = importlib.import_module(f"optaccel.{module}")
     assert name in source.__all__, f"{name} is not in {module}.__all__"
     assert getattr(optaccel, name) is getattr(source, name)
+
+
+@pytest.mark.parametrize("family", sorted(problems._FAMILIES))
+def test_every_family_maker_is_exported(family):
+    maker = problems._FAMILIES[family]
+    assert maker.__name__ in problems.__all__
+    assert getattr(optaccel, maker.__name__) is maker

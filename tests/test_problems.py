@@ -31,12 +31,13 @@ from optaccel import (
     sample_batch,
 )
 from optaccel import optimizers, problems
-from optaccel.analysis import variance_at
 from optaccel.problems import _mix_key, _philox_uniforms
 from optaccel.trace import canonical_json, trace_to_csv
-from oracles import (dot_exact_grad, dot_suboptimality, generator_batch,
-                     generator_next_batch, gradient_variance)
-from strategies import family_configs
+from oracles import (assert_family_contract, dot_exact_grad,
+                     dot_suboptimality, generator_batch, generator_next_batch,
+                     gradient_variance)
+from strategies import (FAMILY_EXAMPLES, FAMILY_PARAMS, family_config,
+                        family_configs)
 
 
 class TestInterpolationLeastSquares:
@@ -95,16 +96,6 @@ class TestInterpolationLeastSquares:
 class TestSignVector:
     signs = [1, -1, 1, 1, -1, 1, -1, -1]
 
-    def test_closed_form_metadata(self):
-        prob = make_sign_vector_problem(n=4, H=1.0, B=1.0,
-                                        sigma_signs=self.signs)
-        # L(0) - L* = H B^2 / (4 n) = 1/16
-        assert prob.meta.Delta == pytest.approx(0.0625)
-        assert prob.exact_loss(np.zeros(8)) == pytest.approx(0.0625)
-        assert prob.meta.lam == pytest.approx(1.0 / 8.0)
-        assert np.linalg.norm(prob.meta.wstar) == pytest.approx(1.0)
-        assert prob.exact_loss(prob.meta.wstar) == pytest.approx(0.0, abs=1e-15)
-
     def test_sampled_features_have_norm_sq_H(self):
         prob = make_sign_vector_problem(n=4, H=2.0, B=1.0,
                                         sigma_signs=self.signs)
@@ -129,26 +120,12 @@ class TestSignVector:
 
 
 class TestGaussianSpike:
-    def test_minimum_value(self):
-        prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=2.0, sign=1,
-                                           seed=0)
-        assert prob.meta.Lstar == pytest.approx(1.0)  # p s^2 / 2
-        assert prob.exact_loss(prob.meta.wstar) == pytest.approx(1.0)
-
     def test_degenerate_noise(self):
         prob = make_gaussian_spike_problem(H=1.0, B=2.0, p=0.3, s=0.0, sign=-1,
                                            seed=0)
         assert prob.meta.Lstar == 0.0
         assert gradient_variance(prob, prob.meta.wstar) == pytest.approx(
             0.0, abs=1e-14)
-
-    def test_monte_carlo_gradient_second_moment(self):
-        # analytic E||grad l(w*; z)||^2 = p H s^2; verified by Monte Carlo
-        prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
-                                           seed=5)
-        est, se = variance_at(prob, prob.meta.wstar, 100000, seed=3)
-        assert 0.9 * 0.5 <= est <= 1.1 * 0.5
-        assert gradient_variance(prob, prob.meta.wstar) == pytest.approx(0.5)
 
     def test_rejects_bad_probability(self):
         for p in (0.0, -0.1, 1.5):
@@ -179,25 +156,11 @@ class TestGrowthProblem:
         prob = make_growth_problem(d=6, r=3, lam=0.1, H=1.0, Delta=1.0, seed=11)
         evals, evecs = np.linalg.eigh(prob.second_moment)
         keep = evals > 1e-12
-        lam_min = evals[keep].min()
-        assert lam_min == pytest.approx(0.1, rel=1e-12)
         u = evecs[:, np.flatnonzero(keep)[np.argmin(evals[keep])]]
         for t in (0.5, 2.0):
             w = prob.meta.wstar + t * u
             gap = prob.exact_loss(w) - 0.0
             assert gap == pytest.approx(0.5 * 0.1 * t**2, rel=1e-10)
-
-    def test_delta_planted_exactly(self):
-        prob = make_growth_problem(d=10, r=4, lam=0.05, H=1.0, Delta=2.5,
-                                   seed=3)
-        assert prob.exact_loss(np.zeros(10)) == pytest.approx(2.5, rel=1e-12)
-
-    def test_eigenvalues_within_range(self):
-        prob = make_growth_problem(d=6, r=3, lam=0.1, H=1.0, Delta=1.0, seed=11)
-        evals = np.linalg.eigvalsh(prob.second_moment)
-        nz = evals[evals > 1e-12]
-        assert len(nz) == 3
-        assert nz.min() >= 0.1 - 1e-12 and nz.max() <= 1.0 + 1e-12
 
     def test_rejects_infeasible(self):
         with pytest.raises(ValueError):
@@ -207,7 +170,11 @@ class TestGrowthProblem:
         with pytest.raises(ValueError):
             # trace bound: r * lam must not exceed H
             make_growth_problem(d=8, r=4, lam=0.9, H=1.0, Delta=1.0, seed=0)
-
+        with pytest.raises(ValueError, match="infeasible"):  # r lam > H
+            make_growth_problem(d=4, r=2, lam=0.5 * (1 + 5e-13), H=1.0,
+                                Delta=1.0, seed=0)
+        # 3 * (7.29 / 3) rounds above 7.29, and lam = H / r is feasible
+        make_growth_problem(d=4, r=3, lam=7.29 / 3, H=7.29, Delta=1.0, seed=0)
 
     @pytest.mark.parametrize("delta", [-1.0, 0.0, float("nan"),
                                        float("inf")])
@@ -218,16 +185,8 @@ class TestGrowthProblem:
 
 
 NAN, INF = float("nan"), float("inf")
-MAKER_ARGS = {
-    make_interpolation_least_squares: dict(d=8, n_atoms=4, H=1.0, B=1.0,
-                                           seed=0),
-    make_sign_vector_problem: dict(n=2, H=1.0, B=1.0,
-                                   sigma_signs=[1, -1, 1, -1]),
-    make_gaussian_spike_problem: dict(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
-                                      seed=0),
-    make_growth_problem: dict(d=6, r=3, lam=0.1, H=1.0, Delta=1.0, seed=0),
-    make_noiseless_quadratic: dict(d=4, H=1.0, B=1.0, seed=0, spread=10.0),
-}
+MAKER_ARGS = {problems._FAMILIES[f]: dict(cfg["params"], seed=cfg["seed"])
+              for f, cfg in FAMILY_EXAMPLES.items()}
 
 
 class TestMakersRejectNonFinite:
@@ -307,12 +266,62 @@ class TestProblemMetaChecksConstants:
         assert getattr(zero, name) == getattr(
             replace(meta, **{name: 0.0}), name) == 0.0
 
-    @settings(max_examples=100, deadline=None)
+
+def make_noisy_basis(d: int, H: float, B: float, s: float,
+                     seed: int) -> DiscreteLeastSquares:
+    """A test-only family: ``x = sqrt(H) e_i``, ``y = <x, wstar> + s z``."""
+    atoms, wstar = np.sqrt(H) * np.eye(d), np.full(d, B / np.sqrt(d))
+    meta = ProblemMeta(H=H, B=B, Lstar=s**2 / 2, sigma_star_sq=H * s**2,
+                       lam=H / d, Delta=H * B**2 / (2 * d), wstar=wstar)
+    return DiscreteLeastSquares("noisy_basis", atoms, np.full(d, 1 / d),
+                                atoms @ wstar, np.full(d, s), meta, seed,
+                                {"d": d, "H": H, "B": B, "s": s})
+
+
+class TestFamilyContract:
+    """Every family keeps ``oracles.assert_family_contract``, so a new one
+    needs only its entries in ``_FAMILIES`` and both ``strategies`` dicts."""
+
+    def test_the_strategy_dicts_list_every_family(self):
+        assert sorted(FAMILY_PARAMS) == sorted(FAMILY_EXAMPLES) \
+            == sorted(problems._FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_EXAMPLES))
+    def test_example(self, family):
+        assert_family_contract(problem_from_config(FAMILY_EXAMPLES[family]))
+
+    @settings(max_examples=250, deadline=None)
     @given(cfg=family_configs())
-    def test_every_family_config_builds(self, cfg):
-        meta = problem_from_config(cfg).meta
-        assert all(0 <= getattr(meta, name) < INF for name in CONSTANTS)
-        assert meta.H > 0 and meta.B > 0
+    def test_drawn_configs(self, cfg):
+        assert_family_contract(problem_from_config(cfg))
+
+    def add_and_check(self, monkeypatch, family, maker):
+        """Add ``family`` where new families go; run the tests above on it."""
+        monkeypatch.setitem(problems._FAMILIES, family, maker)
+        with pytest.raises(AssertionError):  # not yet in the dicts
+            self.test_the_strategy_dicts_list_every_family()
+        monkeypatch.setitem(FAMILY_PARAMS, family, st.fixed_dictionaries({
+            "d": st.integers(1, 6), "H": st.floats(0.1, 10.0),
+            "B": st.floats(0.1, 10.0), "s": st.floats(0.0, 2.0)}))
+        monkeypatch.setitem(FAMILY_EXAMPLES, family, {
+            "family": family, "params": {"d": 3, "H": 2.0, "B": 1.0, "s": 0.5},
+            "seed": 0})
+        self.test_the_strategy_dicts_list_every_family()
+        self.test_example(family)
+        settings(max_examples=50, deadline=None, database=None)(given(
+            cfg=family_config(family))(
+                self.test_drawn_configs.hypothesis.inner_test))(self)
+
+    def test_a_correct_family_passes(self, monkeypatch):
+        self.add_and_check(monkeypatch, "noisy_basis", make_noisy_basis)
+
+    def test_a_family_whose_delta_is_one_percent_off_fails(self, monkeypatch):
+        def make_off_delta(d: int, H: float, B: float, s: float, seed: int):
+            prob = make_noisy_basis(d, H, B, s, seed)
+            prob.meta = replace(prob.meta, Delta=1.01 * prob.meta.Delta)
+            return prob
+        with pytest.raises(AssertionError, match="noisy_basis: Delta"):
+            self.add_and_check(monkeypatch, "off_delta", make_off_delta)
 
 
 @st.composite
@@ -375,19 +384,6 @@ class TestFactorClosedForms:
         v = w - wstar
         assert_within_rounding(prob.suboptimality(w), 0.5 * v @ M @ v,
                                0.5 * np.abs(v) @ absM @ np.abs(v))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 16).flatmap(
-        lambda d: st.tuples(st.just(d), st.integers(1, d))),
-        st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
-    def test_interpolation_lam_matches_dense_spectrum(self, shape, H, seed):
-        d, n_atoms = shape
-        prob = make_interpolation_least_squares(d=d, n_atoms=n_atoms, H=H,
-                                                B=1.0, seed=seed)
-        evals = np.linalg.eigvalsh(prob.atoms.T @ prob.atoms / n_atoms)
-        lam = evals[evals > 1e-10 * evals.max()].min()
-        # eigvalsh is accurate to a multiple of the largest eigenvalue
-        assert_within_rounding(prob.meta.lam, lam, evals.max())
 
 
 class TestStackedClosedForms:
@@ -494,36 +490,16 @@ def knot_at(u):
 @st.composite
 def sampled_designs(draw):
     """A finite-design problem, a batch address ``(run_seed, t)`` and size
-    ``b``: one of the four built-in families, a random design with
+    ``b``: a finite design of a family, a random design with
     zero-probability atoms, or a design with a CDF knot on one of the
     batch's uniform draws."""
     seed = draw(st.integers(0, 2**32 - 1))
     run_seed, t = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**40))
     b = draw(st.integers(1, 64))
-    kind = draw(st.sampled_from(["interpolation_least_squares", "sign_vector",
-                                 "gaussian_spike", "growth", "zeros", "knot"]))
-    H = draw(st.floats(0.1, 10.0))
-    if kind == "interpolation_least_squares":
-        d = draw(st.integers(1, 8))
-        params = {"d": d, "n_atoms": draw(st.integers(1, d)), "H": H,
-                  "B": draw(st.floats(0.1, 10.0))}
-    elif kind == "sign_vector":
-        n = draw(st.integers(1, 4))
-        params = {"n": n, "H": H, "B": 1.0, "sigma_signs": draw(st.lists(
-            st.sampled_from([-1, 1]), min_size=2 * n, max_size=2 * n))}
-    elif kind == "gaussian_spike":
-        # p = 1 gives the zero-probability atom x = 0
-        params = {"H": H, "B": 1.0, "p": draw(st.sampled_from([0.25, 1.0])
-                                               | st.floats(0.01, 1.0)),
-                  "s": draw(st.floats(0.0, 2.0)), "sign": 1}
-    elif kind == "growth":
-        d = draw(st.integers(2, 8))
-        r = draw(st.integers(1, d - 1))
-        params = {"d": d, "r": r, "lam": H / r * draw(st.floats(0.1, 1.0)),
-                  "H": H, "Delta": 1.0}
-    if kind not in ("zeros", "knot"):
-        prob = problem_from_config({"family": kind, "params": params,
-                                    "seed": seed})
+    kind = draw(st.sampled_from([*FAMILY_PARAMS, "zeros", "knot"]))
+    if kind in FAMILY_PARAMS:
+        prob = problem_from_config(draw(family_config(kind)))
+        assume(isinstance(prob, DiscreteLeastSquares))
         return prob, run_seed, t, b
     if kind == "zeros":
         n_atoms = draw(st.integers(1, 8))
@@ -1098,25 +1074,11 @@ class TestAtomSpaceSum:
 
 
 class TestConfigRoundTrip:
-    @pytest.mark.parametrize("cfg", [
-        {"family": "interpolation_least_squares",
-         "params": {"d": 8, "n_atoms": 4, "H": 2.0, "B": 3.0}, "seed": 7},
-        {"family": "sign_vector",
-         "params": {"n": 2, "H": 1.0, "B": 1.0,
-                    "sigma_signs": [1, -1, 1, 1]}, "seed": 3},
-        {"family": "gaussian_spike",
-         "params": {"H": 1.0, "B": 1.0, "p": 0.5, "s": 1.0, "sign": 1},
-         "seed": 2},
-        {"family": "growth",
-         "params": {"d": 6, "r": 3, "lam": 0.1, "H": 1.0, "Delta": 1.0},
-         "seed": 11},
-        {"family": "noiseless_quadratic",
-         "params": {"d": 4, "H": 1.0, "B": 1.0, "spread": 10.0}, "seed": 42},
-    ])
+    @pytest.mark.parametrize("cfg", list(FAMILY_EXAMPLES.values()))
     def test_round_trip(self, cfg):
         prob = problem_from_config(cfg)
-        again = problem_from_config(prob.config())
-        assert prob.config() == again.config()
+        again = problems._build(prob.config())  # not the kept build
+        assert prob.config() == again.config() == cfg
         assert config_hash(prob.config()) == config_hash(again.config())
         x1, y1 = sample_batch(prob, 8, prob.stream(5))
         x2, y2 = sample_batch(again, 8, again.stream(5))
