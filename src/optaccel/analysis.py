@@ -13,7 +13,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .problems import Problem
+from .problems import DiscreteLeastSquares, Problem
 
 __all__ = [
     "RateFit",
@@ -36,15 +36,19 @@ __all__ = [
 def exact_min(problem: Problem):
     """Minimum-norm minimizer and exact minimum of a least-squares problem.
 
-    Solves the normal equations through a pseudoinverse; singular values
-    below 1e-10 of the largest are treated as zero so rank-deficient
+    A finite design is solved on its factor ``F``, not on ``M = F'F``, whose
+    condition number is squared; singular values below 1e-5 of the largest
+    (1e-10 for the quadratic's ``M``) count as zero, so rank-deficient
     designs return the min-norm point of the full solution set.
     """
     if not isinstance(problem, Problem):
         raise TypeError(f"no closed-form minimizer for problem type "
                         f"{type(problem).__name__}")
-    wstar = (np.linalg.pinv(problem.second_moment, rcond=1e-10,
-                            hermitian=True) @ problem.cross)
+    if isinstance(problem, DiscreteLeastSquares):
+        wstar = np.linalg.lstsq(problem._F, problem._Fy, rcond=1e-5)[0]
+    else:
+        wstar = (np.linalg.pinv(problem.second_moment, rcond=1e-10,
+                                hermitian=True) @ problem.cross)
     return wstar, problem.exact_loss(wstar)
 
 

@@ -136,8 +136,9 @@ def _validate(raw: dict) -> ExperimentSpec:
                         f"got {eps_targets}")
 
     output_dir = raw["output_dir"]
-    if not isinstance(output_dir, str) or not output_dir:
-        raise SpecError("output_dir: must be a non-empty string")
+    # a NUL byte would fail only in the run's first mkdir
+    if not isinstance(output_dir, str) or not output_dir or "\0" in output_dir:
+        raise SpecError("output_dir: must be a non-empty string without NUL")
 
     overrides = raw.get("overrides", {})
     if not isinstance(overrides, dict):

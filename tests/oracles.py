@@ -39,7 +39,9 @@ def assert_family_contract(problem):
     equality to ``CONTRACT_RTOL`` of the scale of its rounding error.
 
     ``Lstar`` is the loss at ``wstar`` and at ``exact_min``'s point;
-    ``M wstar = cross`` for ``M = second_moment``; ``Delta = L(0) - Lstar``,
+    ``M w = cross`` for ``M = second_moment`` at both points, entry by
+    entry at ``wstar`` and in norm at ``exact_min``'s (an entry of a
+    rank-deficient solve may be all rounding); ``Delta = L(0) - Lstar``,
     also as ``suboptimality(0)`` (to ``H B**2 / 2``: ``F wstar`` may
     cancel); ``B = ||wstar||``; ``H`` bounds ``lam_max(M)`` and every
     ``||x||**2``; ``lam`` is ``M``'s smallest eigenvalue above ``1e-10
@@ -55,10 +57,14 @@ def assert_family_contract(problem):
         assert abs(got - want) <= rtol * scale, f"{name}: {what}: {got!r}"
 
     close("Lstar", problem.exact_loss(w), meta.Lstar, L0)
-    close("Lstar", exact_min(problem)[1], meta.Lstar, L0)
+    w_min, L_min = exact_min(problem)
+    close("Lstar", L_min, meta.Lstar, L0)
     # uncentred: ``exact_grad`` is centred at wstar, so 0 there by design
     assert np.all(np.abs(M @ w - cross) <= rtol * (
         np.abs(M) @ np.abs(w) + np.abs(cross))), f"{name}: M wstar"
+    assert np.linalg.norm(M @ w_min - cross) <= rtol * (
+        np.linalg.norm(M, 2) * np.linalg.norm(w_min)
+        + np.linalg.norm(cross)), f"{name}: M w_min"
     close("Delta", problem.suboptimality(zero), meta.Delta,
           meta.H * meta.B**2 / 2)
     close("Delta", problem.exact_loss(zero) - meta.Lstar, meta.Delta, L0)

@@ -76,11 +76,6 @@ class TestExactMin:
             w = w - 1.0 * prob.exact_grad(w)
         assert prob.exact_loss(w) <= lstar + 1e-8
 
-    def test_first_order_optimality(self):
-        for prob in all_families():
-            wstar, _ = exact_min(prob)
-            assert np.linalg.norm(prob.exact_grad(wstar)) <= 1e-8
-
     def test_refuses_unknown_problem_types(self):
         with pytest.raises(TypeError):
             exact_min(object())

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from optaccel import (
@@ -84,14 +84,6 @@ class TestInterpolationLeastSquares:
         np.testing.assert_allclose(
             np.einsum("ij,ij->i", prob.atoms, prob.atoms), 2.5, rtol=1e-14)
 
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            make_interpolation_least_squares(d=3, n_atoms=4, H=1.0, B=1.0,
-                                             seed=0)
-        with pytest.raises(ValueError):
-            make_interpolation_least_squares(d=4, n_atoms=2, H=-1.0, B=1.0,
-                                             seed=0)
-
 
 class TestSignVector:
     signs = [1, -1, 1, 1, -1, 1, -1, -1]
@@ -102,12 +94,6 @@ class TestSignVector:
         idx, _ = sample_batch(prob, 500, prob.stream(1))
         x = prob.atoms[idx]
         np.testing.assert_allclose((x**2).sum(axis=1), 2.0, rtol=1e-14)
-
-    def test_rejects_bad_signs(self):
-        with pytest.raises(ValueError):
-            make_sign_vector_problem(n=3, H=1.0, B=1.0, sigma_signs=[1, -1])
-        with pytest.raises(ValueError):
-            make_sign_vector_problem(n=1, H=1.0, B=1.0, sigma_signs=[1, 2])
 
     def test_seed_keys_streams_at_construction(self):
         cfg = {"family": "sign_vector",
@@ -126,19 +112,6 @@ class TestGaussianSpike:
         assert prob.meta.Lstar == 0.0
         assert gradient_variance(prob, prob.meta.wstar) == pytest.approx(
             0.0, abs=1e-14)
-
-    def test_rejects_bad_probability(self):
-        for p in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                make_gaussian_spike_problem(H=1.0, B=1.0, p=p, s=1.0, sign=1,
-                                            seed=0)
-
-    @pytest.mark.parametrize("H,B", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
-    def test_rejects_non_positive_H_or_B(self, H, B):
-        # the stepsize rule divides by H, and a radius of 0 is no ball
-        with pytest.raises(ValueError, match="H and B must be positive"):
-            make_gaussian_spike_problem(H=H, B=B, p=0.5, s=1.0, sign=1,
-                                        seed=0)
 
 
 class TestGrowthProblem:
@@ -162,26 +135,9 @@ class TestGrowthProblem:
             gap = prob.exact_loss(w) - 0.0
             assert gap == pytest.approx(0.5 * 0.1 * t**2, rel=1e-10)
 
-    def test_rejects_infeasible(self):
-        with pytest.raises(ValueError):
-            make_growth_problem(d=4, r=4, lam=0.1, H=1.0, Delta=1.0, seed=0)
-        with pytest.raises(ValueError):
-            make_growth_problem(d=4, r=2, lam=2.0, H=1.0, Delta=1.0, seed=0)
-        with pytest.raises(ValueError):
-            # trace bound: r * lam must not exceed H
-            make_growth_problem(d=8, r=4, lam=0.9, H=1.0, Delta=1.0, seed=0)
-        with pytest.raises(ValueError, match="infeasible"):  # r lam > H
-            make_growth_problem(d=4, r=2, lam=0.5 * (1 + 5e-13), H=1.0,
-                                Delta=1.0, seed=0)
+    def test_lam_of_H_over_r_accepted(self):
         # 3 * (7.29 / 3) rounds above 7.29, and lam = H / r is feasible
         make_growth_problem(d=4, r=3, lam=7.29 / 3, H=7.29, Delta=1.0, seed=0)
-
-    @pytest.mark.parametrize("delta", [-1.0, 0.0, float("nan"),
-                                       float("inf")])
-    def test_rejects_bad_delta(self, delta):
-        with pytest.raises(ValueError, match="Delta"):
-            make_growth_problem(d=6, r=3, lam=0.1, H=1.0, Delta=delta,
-                                seed=0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -189,11 +145,11 @@ MAKER_ARGS = {problems._FAMILIES[f]: dict(cfg["params"], seed=cfg["seed"])
               for f, cfg in FAMILY_EXAMPLES.items()}
 
 
-class TestMakersRejectNonFinite:
-    # specs never reach a maker with these, since loading rejects a
-    # non-finite parameter first; called directly, each of them built a
-    # problem with NaN or infinite certified constants, or failed with an
-    # unrelated error or a RuntimeWarning
+class TestMakersRefuse:
+    # every refusal of a family maker is one row (maker, parameter, bad
+    # value, message) on the maker's other ``MAKER_ARGS``; loading a spec
+    # refuses a non-finite parameter first, but a maker called with one
+    # built NaN or infinite constants, or warned or failed otherwise
     CASES = [
         (make_gaussian_spike_problem, "H", NAN, "H and B must be positive"),
         (make_gaussian_spike_problem, "B", INF, "H and B must be positive"),
@@ -211,6 +167,27 @@ class TestMakersRejectNonFinite:
         (make_interpolation_least_squares, "H", INF,
          "H and B must be positive"),
         (make_growth_problem, "H", INF, "lam <= H"),
+        (make_interpolation_least_squares, "n_atoms", 9,
+         "need d >= n_atoms >= 1, got d=8, n_atoms=9"),
+        (make_interpolation_least_squares, "H", -1.0,
+         "H and B must be positive"),
+        (make_sign_vector_problem, "sigma_signs", [1, -1],
+         "sigma_signs must have length 4"),
+        (make_sign_vector_problem, "sigma_signs", [1, 2, 1, 1],
+         "sigma_signs entries must be the integers +1 or -1"),
+        *((make_gaussian_spike_problem, "p", p, "p must lie in (0, 1]")
+          for p in (0.0, -0.1, 1.5)),
+        # the stepsize rule divides by H, and a radius of 0 is no ball
+        *((make_gaussian_spike_problem, name, value,
+           "H and B must be positive")
+          for name, value in [("H", 0.0), ("B", 0.0), ("H", -1.0)]),
+        (make_growth_problem, "r", 6, "need 1 <= r < d, got r=6, d=6"),
+        (make_growth_problem, "lam", 2.0, "need 0 < lam <= H < inf"),
+        # the design trace caps r * lam at H, to its last rounding
+        *((make_growth_problem, "lam", lam, "infeasible: r*lam = ")
+          for lam in (0.9, (1 + 5e-13) / 3)),
+        *((make_growth_problem, "Delta", Delta, "need finite Delta > 0")
+          for Delta in (-1.0, 0.0, NAN, INF)),
     ]
 
     @pytest.mark.parametrize("maker,name,value,match", CASES, ids=[
@@ -219,8 +196,9 @@ class TestMakersRejectNonFinite:
                                                   match):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(ValueError) as exc:
                 maker(**{**MAKER_ARGS[maker], name: value})
+        assert match in str(exc.value)
 
 
 CONSTANTS = ("H", "B", "Lstar", "sigma_star_sq", "lam", "Delta")
@@ -292,6 +270,9 @@ class TestFamilyContract:
 
     @settings(max_examples=250, deadline=None)
     @given(cfg=family_configs())
+    # a pseudoinverse of M = F'F left |M w - cross| at 2.1e-13 of its scale
+    @example(cfg={"family": "interpolation_least_squares", "seed": 388,
+                  "params": {"d": 11, "n_atoms": 11, "H": 8.177, "B": 6.912}})
     def test_drawn_configs(self, cfg):
         assert_family_contract(problem_from_config(cfg))
 
@@ -1115,32 +1096,6 @@ class TestConfigRoundTrip:
             problem_from_config({"family": "test_family", "params": params,
                                  "seed": 0})
         assert calls == []
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown problem family"):
-            problem_from_config({"family": "logistic", "params": {}, "seed": 0})
-        with pytest.raises(ValueError, match="unknown problem config keys"):
-            problem_from_config({"family": "sign_vector", "params": {},
-                                 "seed": 0, "extra": 1})
-
-    @pytest.mark.parametrize("config", [
-        {"params": {"d": 4, "H": 1.0, "B": 1.0}},
-        {"family": ["noiseless_quadratic"],
-         "params": {"d": 4, "H": 1.0, "B": 1.0}}],
-        ids=["missing", "list"])
-    def test_family_must_be_a_known_name(self, config):
-        # neither an absent family nor a list is a name to look up
-        with pytest.raises(ValueError, match="unknown problem family"):
-            problem_from_config(config)
-
-    @pytest.mark.parametrize("config", [
-        "growth", [["family", "growth"]], 5, None],
-        ids=["string", "pairs", "number", "null"])
-    def test_config_must_be_an_object(self, config):
-        # not read as a set of keys, nor iterated, before the check
-        with pytest.raises(ValueError, match="a problem config must be a "
-                                             "JSON object, got "):
-            problem_from_config(config)
 
 
 SPIKE = {"family": "gaussian_spike",
