@@ -313,6 +313,10 @@ def stage_budget(eps: float, B_sq: float, H: float, b: int,
                          f"integer b >= 1, got H={H}, Lstar={Lstar}, b={b}")
     hi = 1
     while accel_error_bound(hi, H, B_sq, b, Lstar) > eps:
+        if hi >= 2**63:
+            raise OverflowError(
+                f"the error bound exceeds eps past 2**63 steps, got "
+                f"eps={eps}, B_sq={B_sq}, H={H}, b={b}, Lstar={Lstar}")
         hi *= 2
     # bound(hi // 2) > eps >= bound(hi), so the answer lies in (hi // 2, hi]
     Ts = range(hi // 2 + 1, hi + 1)

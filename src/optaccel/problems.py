@@ -556,7 +556,11 @@ def make_interpolation_least_squares(d: int, n_atoms: int, H: float, B: float,
     # its norm is exactly B (rescaling preserves min-norm-ness)
     y_raw = gen.standard_normal(n_atoms)
     w_mn = np.linalg.pinv(atoms, rcond=1e-10) @ y_raw
-    w0 = w_mn * (B / np.linalg.norm(w_mn))
+    norm = np.linalg.norm(w_mn)
+    if not np.isfinite(norm):  # w_mn grows as 1 / sqrt(H)
+        raise OverflowError(f"the planted interpolator's norm overflows a "
+                            f"float, got H={H}")
+    w0 = w_mn * (B / norm)
     label_means = atoms @ w0
 
     probs = np.full(n_atoms, 1.0 / n_atoms)

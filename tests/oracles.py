@@ -10,6 +10,7 @@ from optaccel import (DeterministicQuadratic, DiscreteLeastSquares,
                       minibatch_gradient, project_ball, sample_batch)
 from optaccel.analysis import AssumptionReport, _ball_points
 from optaccel.optimizers import NonFiniteGradientError
+from optaccel.problems import _GENERATOR_MIN_B, _mix_key
 from optaccel.trace import RunTrace
 
 
@@ -88,25 +89,63 @@ def assert_family_contract(problem):
     assert max(per_sample) <= 1e-8 and growth <= 1e-10, rep
 
 
-# -- the sampler before every draw went through ``next_batch`` --------------
-#
-# Kept as the reference for the counter path: a batch drawn from the
-# position's generator, ``n`` index uniforms and then ``n`` label normals.
+# -- the sampler's one reference: ``Generator.choice`` ----------------------
 
 
-def generator_batch(problem, gen, n):
-    """The batch ``gen`` draws for ``problem``, by the generator path."""
+def _choice_draw(problem, key, t, n):
+    """Batch ``t`` of ``n`` samples of the stream keyed ``key`` as a fresh
+    Philox at counter ``(0, 0, t, 0)`` draws it through ``Generator.choice``,
+    which checks ``probs`` and makes its own CDF, then ``n`` label normals;
+    and that generator.  A noise-free label ``mean + 0.0 * z`` has
+    ``mean``'s bits, as no stored mean is -0.0."""
+    gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, t, 0]))
     if isinstance(problem, DeterministicQuadratic):
-        return np.zeros((n, 0)), np.zeros(n)
-    idx = problem._cdf.searchsorted(gen.random(n), side="right")
+        return (np.zeros((n, 0)), np.zeros(n)), gen
+    idx = gen.choice(len(problem.probs), n, p=problem.probs)
     y = problem.label_means[idx] + problem.label_stds[idx] \
         * gen.standard_normal(n)
-    return idx, y
+    return (idx, y), gen
 
 
-def generator_next_batch(problem, stream, n):
-    """``problem.next_batch`` by the generator path at every position."""
-    return generator_batch(problem, stream.next_generator(), n)
+def choice_batch(problem, run_seed, t, n):
+    """Batch ``t`` of ``problem``'s stream ``run_seed`` by ``choice``."""
+    return _choice_draw(problem, _mix_key(problem.base_seed, run_seed), t,
+                        n)[0]
+
+
+def assert_draw_contract(problem, stream, b):
+    """Draw ``b`` samples from ``stream`` and assert the sampler's contract.
+
+    The batch is ``choice_batch`` at the stream's position bit for bit, in
+    dtype and shape (``(b,)``, a finite design's indices ``intp``), and the
+    position moves by one.  Only the quadratic and a noise-free draw of
+    fewer than ``_GENERATOR_MIN_B`` samples call no ``next_generator``;
+    that draw alone is a read-only view of a counter block.  A noisy draw
+    leaves the generator in ``choice``'s state.  The threshold is read when
+    this module is imported, so a test may patch the library's.
+    """
+    t, finite = stream.position, isinstance(problem, DiscreteLeastSquares)
+    noisy = finite and problem.label_stds.any()
+    by_counter = finite and not noisy and b < _GENERATOR_MIN_B
+    calls, draw = [], stream.next_generator
+    stream.next_generator = lambda: calls.append(t) or draw()
+    try:
+        batch = problem.next_batch(stream, b)
+    finally:
+        del stream.next_generator
+    want, gen = _choice_draw(problem, stream._key, t, b)
+    assert len(calls) == (finite and not by_counter), \
+        f"engine: {len(calls)} generator calls at t={t}, b={b}"
+    assert stream.position == t + 1
+    assert [(a.dtype, a.shape, a.tobytes()) for a in batch] == [
+        (a.dtype, a.shape, a.tobytes()) for a in want], f"bits at t={t}"
+    idx, y = batch
+    assert idx.dtype == (np.intp if finite else float) and y.shape == (b,)
+    block = stream._block
+    from_block = block is not None and idx.base is block[3]
+    assert from_block == (not idx.flags.writeable) == by_counter
+    if noisy:
+        assert repr(stream._bitgen.state) == repr(gen.bit_generator.state)
 
 
 # -- the step path before the trace columns were evaluated in blocks --------
@@ -160,7 +199,7 @@ class ScalarRowRecorder:
             stage=np.asarray(cols[5], dtype=int), aborted=self.aborted)
 
 
-def record_row(recorder, problem, t, w, w_avg, point, query, g, stage):
+def _record_row(recorder, problem, t, w, w_avg, point, query, g, stage):
     """Evaluate one step's trace row and append it to ``recorder``."""
     subopt = dot_suboptimality(problem, point)
     delta = g - dot_exact_grad(problem, query)
@@ -168,7 +207,7 @@ def record_row(recorder, problem, t, w, w_avg, point, query, g, stage):
                     subopt, float(delta @ delta), stage)
 
 
-def checked_gradient(problem, query, b, stream, t):
+def _checked_gradient(problem, query, b, stream, t):
     batch = sample_batch(problem, b, stream)
     g = minibatch_gradient(problem, query, batch)
     if not np.isfinite(g).all():
@@ -195,13 +234,13 @@ def reference_acc_step(state, schedule, problem, stream, recorder=None,
     gamma_t = schedule.gamma_t(t)
     w_md = beta_inv * state.w + (1.0 - beta_inv) * state.w_ag
     query = w_md if center is None else center + w_md
-    g = checked_gradient(problem, query, schedule.b, stream, t)
+    g = _checked_gradient(problem, query, schedule.b, stream, t)
     w_next = project_ball(state.w - gamma_t * g, schedule.B)
     w_ag_next = beta_inv * w_next + (1.0 - beta_inv) * state.w_ag
     if recorder is not None:
         point = w_ag_next if center is None else center + w_ag_next
-        record_row(recorder, problem, t_offset + t + 1, w_next, w_ag_next,
-                   point, query, g, stage)
+        _record_row(recorder, problem, t_offset + t + 1, w_next, w_ag_next,
+                    point, query, g, stage)
     return OptimizerState(w=w_next, w_ag=w_ag_next, t=t + 1)
 
 
@@ -222,13 +261,13 @@ def reference_sgd(problem, b, T, seed=0, eta=None):
     prefix = [np.zeros(problem.d)]
     try:
         for t in range(T):
-            g = checked_gradient(problem, w, b, stream, t)
+            g = _checked_gradient(problem, w, b, stream, t)
             w_next = project_ball(w - step * g, B)
             prefix.append(prefix[-1] + w_next)
             lo = (t + 1) // 2
             w_avg = (prefix[t + 1] - prefix[lo]) / (t + 1 - lo)
-            record_row(recorder, problem, t + 1, w_next, w_avg, w_avg, w, g,
-                       0)
+            _record_row(recorder, problem, t + 1, w_next, w_avg, w_avg, w, g,
+                        0)
             w = w_next
     except NonFiniteGradientError as err:
         recorder.aborted = True
@@ -277,8 +316,7 @@ def sample_grad(problem, w, z):
 def reference_variance_at(problem, w, n_samples, seed=0):
     """``variance_at`` from per-sample gradients taken one at a time."""
     w = np.asarray(w, dtype=float)
-    idx, y = generator_batch(problem, problem.stream(seed).next_generator(),
-                             n_samples)
+    idx, y = choice_batch(problem, seed, 0, n_samples)
     grads = np.array([sample_grad(problem, w, z) for z in zip(idx, y)])
     sq = ((grads - problem.exact_grad(w)) ** 2).sum(axis=1)
     return (float(sq.mean()),
@@ -305,8 +343,7 @@ def reference_certify_assumptions(problem, n_probes=1000, seed=0):
     """``certify_assumptions`` by loops over the probes."""
     meta = problem.meta
     gen = np.random.default_rng(np.random.SeedSequence([seed, 0xA55E]))
-    idx, y = generator_batch(
-        problem, problem.stream(seed ^ 0x517).next_generator(), n_probes)
+    idx, y = choice_batch(problem, seed ^ 0x517, 0, n_probes)
     points = _ball_points(gen, 2 * meta.B, (2 * n_probes, problem.d))
     ws, us = points[:n_probes], points[n_probes:]
 

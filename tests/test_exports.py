@@ -1,8 +1,10 @@
-"""Every public name the package promises resolves."""
+"""Every public name the package promises resolves, and every test oracle
+is in use."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,15 @@ def test_every_family_maker_is_exported(family):
     maker = problems._FAMILIES[family]
     assert maker.__name__ in problems.__all__
     assert getattr(optaccel, maker.__name__) is maker
+
+
+def test_every_oracle_is_used_by_a_test():
+    # a reference no test calls any more checks nothing
+    import oracles
+    tests = [p.read_text() for p in Path(__file__).parent.glob("test_*.py")]
+    unused = [name for name, value in vars(oracles).items()
+              if not name.startswith("_")
+              and (inspect.isfunction(value) or inspect.isclass(value))
+              and value.__module__ == "oracles"
+              and not any(re.search(rf"\b{name}\b", text) for text in tests)]
+    assert not unused, f"tests/oracles.py defines unused {unused}"

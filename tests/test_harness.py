@@ -162,7 +162,7 @@ AT_MOST_2_53 = "entries must be at most 2**53"
 FINITE = "must be finite positive numbers"
 COUNT = "must be a positive integer, got {value}"
 SEED = "must be an integer >= 0, got {value}"
-TINY_H = {"d": 4, "n_atoms": 2, "H": 1e-310, "B": 1.0}
+TINY_H = {"H": 1e-310, "B": 1.0, "p": 0.5, "s": 0.0, "sign": 1}
 
 REFUSED_SPECS = [
     # the document: unreadable, unparsable, not an object, or wrong keys
@@ -282,6 +282,10 @@ REFUSED_SPECS = [
           # 4 H B**2 overflows, (4 H B)**2 and Delta do not
           ("interp_4HB2", INTERP,
            {"d": 4, "n_atoms": 2, "H": 1e-10, "B": 1e159}),
+          # at a subnormal H the planted interpolator's norm overflows;
+          # unchecked, wstar = 0 and Delta = 0 under B = 1
+          ("interp_subnormal_H", INTERP,
+           {"d": 4, "n_atoms": 2, "H": 1e-310, "B": 1.0}),
           # the label noise sqrt(H) s z of an informative sample overflows
           # the squared gradient, while p H s**2 stays finite
           ("spike_label_noise", SPIKE,
@@ -299,10 +303,10 @@ REFUSED_SPECS = [
     ("problems-acc_gamma_zero", one_problem(SPIKE, {
         "H": 1e-175, "B": 1e-100, "p": 0.5, "s": 1e150, "sign": 1}),
      "problems[0]: b=1, T=16: the base stepsize underflows to 0"),
-    ("problems-acc_gamma_T_inf", one_problem(INTERP, TINY_H, T_grid=[4]),
+    ("problems-acc_gamma_T_inf", one_problem(SPIKE, TINY_H, T_grid=[4]),
      "problems[0]: b=1, T=4: the last stepsize gamma * T overflows"),
     ("problems-sgd_step_inf",
-     one_problem(INTERP, TINY_H, algorithm="sgd", T_grid=[4]),
+     one_problem(SPIKE, TINY_H, algorithm="sgd", T_grid=[4]),
      "problems[0]: b=1, T=4: the SGD step min(1 / (2 H), eta) must be "
      "finite and positive, got inf"),
     # the plan's one stage of 784 steps has gamma = 5.3e305
@@ -310,6 +314,12 @@ REFUSED_SPECS = [
         "d": 2, "r": 1, "lam": 1e-310, "H": 1e-310, "Delta": 1e-10},
         algorithm="restarted", T_grid=[1000]),
      "problems[0]: b=1, T=1000: the last stepsize gamma * T overflows"),
+    # lam / H = 1e-30 puts the first stage's horizon past 2**63
+    ("problems-restart_stage_past_2_63", one_problem("growth", {
+        "d": 2, "r": 1, "lam": 1e-30, "H": 1.0, "Delta": 1.0},
+        algorithm="restarted", T_grid=[1000]),
+     "problems[0]: b=1, T=1000: the error bound exceeds eps past 2**63 "
+     "steps"),
     # the first stage of this design takes 985 steps at b=8, so T=2 holds
     # no stage; found by TestSpecFuzz once it ran what it accepts
     ("T_grid-below_first_restart_stage", spec(

@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from optaccel import (
     DeterministicQuadratic,
+    DiscreteLeastSquares,
     ProblemMeta,
     Stage,
     StagePlan,
@@ -32,6 +33,7 @@ from optaccel import (
     run_acc_mb_sgd,
     run_restarted,
     run_sgd,
+    sample_batch,
     stage_budget,
 )
 import optaccel.optimizers
@@ -754,8 +756,8 @@ INTERP8 = make_interpolation_least_squares(d=8, n_atoms=4, H=1.0, B=1.0,
                                            seed=3)
 # 1 / (2 H) overflows, and so does the last stepsize of a schedule
 TINY_H = problem_from_config({
-    "family": "interpolation_least_squares", "seed": 0,
-    "params": {"d": 4, "n_atoms": 2, "H": 1e-310, "B": 1.0}})
+    "family": "gaussian_spike", "seed": 0,
+    "params": {"H": 1e-310, "B": 1.0, "p": 0.5, "s": 0.0, "sign": 1}})
 # one stage of 784 steps whose schedule has gamma = 5.3e305, so the last
 # stepsize gamma * T overflows
 UNRUNNABLE = planned_on(Delta=1e-10, lam=1e-310, H=1e-310)
@@ -779,6 +781,8 @@ CALLS = {
                        lambda: dict(problem=INTERP8, b=2, T=8)),
     "run_sgd": (run_sgd, lambda: dict(problem=INTERP8, b=1, T=50)),
     "sgd_step": (optaccel.optimizers.sgd_step, lambda: dict(H=1.0)),
+    "sample_batch": (sample_batch, lambda: dict(
+        problem=INTERP8, b=1, stream=INTERP8.stream(0))),
     "stage_budget": (stage_budget, lambda: dict(eps=0.1, B_sq=1.0, H=1.0,
                                                 b=1, Lstar=0.0)),
     "make_stage_plan": (make_stage_plan, lambda: dict(
@@ -789,6 +793,12 @@ CALLS = {
     "ProblemMeta": (ProblemMeta, lambda: dict(
         H=1.0, B=1.0, Lstar=0.0, sigma_star_sq=0.0, lam=0.5, Delta=1.0,
         wstar=np.zeros(1))),
+    "DiscreteLeastSquares": (DiscreteLeastSquares, lambda: dict(
+        family="two_atoms", atoms=np.eye(2), probs=[0.5, 0.5],
+        label_means=np.zeros(2), label_stds=np.zeros(2),
+        meta=ProblemMeta(H=1.0, B=1.0, Lstar=0.0, sigma_star_sq=0.0,
+                         lam=0.0, Delta=1.0, wstar=np.zeros(2)),
+        base_seed=0, params={})),
 }
 
 T_AND_B = "T and b must be integers >= 1, got T={T}, b={b}"
@@ -868,9 +878,14 @@ REFUSED_CALLS = [
        "need a finite H > 0, a finite Lstar >= 0 and an integer b >= 1, "
        "got H={H}, Lstar={Lstar}, b={b}")
       for key in ("H", "Lstar") for value in (math.nan, math.inf)),
-    # the search indexes a range of horizons; this one needs about 1.5e21
-    ("stage_budget", {"eps": 1e-6, "B_sq": 1e3, "H": 1e3, "Lstar": 1.0},
-     OverflowError, "Python int too large to convert to C ssize_t"),
+    # horizons of about 2**63.01 and 1.5e21, which no range indexes;
+    # unchecked, the third doubled its horizon past what a float holds
+    *(("stage_budget", bad, OverflowError, "the error bound exceeds eps "
+       "past 2**63 steps, got eps={eps}, B_sq={B_sq}, H={H}, b={b}, "
+       "Lstar={Lstar}")
+      for bad in [{"eps": 144.0 / 2**63.01}]
+      + [{"eps": eps, "B_sq": 1e3, "H": 1e3, "Lstar": 1.0}
+         for eps in (1e-6, 1e-300)]),
     *((entry, {"problem": planned_on(Delta=1.0, lam=0.0, H=1.0)}, ValueError,
        "growth constant must be positive, got 0.0")
       for entry in ("make_stage_plan", "make_budget_plan")),
@@ -902,12 +917,19 @@ REFUSED_CALLS = [
                           ("B", -1.0)]
       + [(name, value) for name in ("Delta", "lam", "H", "Lstar")
          for value in (math.nan, math.inf)]),
+    *(("sample_batch", {"b": b}, ValueError,
+       "batch size must be >= 1, got {b}") for b in (0, -1)),
+    # the check ``Generator.choice`` made on every draw, made once
+    *(("DiscreteLeastSquares", {"probs": probs}, ValueError,
+       "probs must be one non-negative weight per atom, summing to 1")
+      for probs in ([0.5, 0.4], [1.5, -0.5], [1.0], [0.5, math.nan])),
 ]
 
 
 def refused_id(row):
     entry, bad = row[:2]
-    return "-".join([entry, *(f"{k}={v}" if isinstance(v, (int, float))
+    return "-".join([entry, *(f"{k}={v}"
+                              if isinstance(v, (int, float, list))
                               else k for k, v in bad.items())])
 
 
@@ -936,10 +958,13 @@ def test_valid_call_accepted(entry):
 def test_inputs_just_inside_a_refusal_accepted():
     # 2 H lstar is finite; b B**2 / (noise_sq T**3) is above the least
     # subnormal at B = 1e-90; every stepsize is finite at H = 1e-308; an
-    # eta below an overflowing 1 / (2 H) gives a finite step
+    # eta below an overflowing 1 / (2 H) gives a finite step; a horizon
+    # just below 2**63 is planned
     make_schedule(H=1.0, b=1, T=1, B=1.0, lstar=8e307)
     assert make_schedule(H=1e-175, b=1, T=16, B=1e-90,
                          lstar=2.5e299).gamma > 0
     s = make_schedule(H=1e-308, b=1, T=4, B=1.0, lstar=0.0)
     assert math.isfinite(s.gamma_t(s.T - 1))
     assert optaccel.optimizers.sgd_step(1e-310, 0.5) == 0.5
+    assert 2**62 < stage_budget(eps=144.0 / 2**63, B_sq=1.0, H=1.0, b=1,
+                                Lstar=0.0) < 2**63

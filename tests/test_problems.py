@@ -4,6 +4,7 @@ import inspect
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -33,8 +34,8 @@ from optaccel import (
 from optaccel import optimizers, problems
 from optaccel.problems import _mix_key, _philox_uniforms
 from optaccel.trace import canonical_json, trace_to_csv
-from oracles import (assert_family_contract, dot_exact_grad,
-                     dot_suboptimality, generator_batch, generator_next_batch,
+from oracles import (assert_draw_contract, assert_family_contract,
+                     choice_batch, dot_exact_grad, dot_suboptimality,
                      gradient_variance)
 from strategies import (FAMILY_EXAMPLES, FAMILY_PARAMS, family_config,
                         family_configs)
@@ -391,38 +392,6 @@ class TestStackedClosedForms:
 
 
 class TestSampling:
-    def test_same_position_same_batch(self):
-        prob = make_sign_vector_problem(n=4, H=1.0, B=1.0,
-                                        sigma_signs=[1] * 8)
-        s1, s2 = prob.stream(9), prob.stream(9)
-        x1, y1 = sample_batch(prob, 3, s1)
-        x2, y2 = sample_batch(prob, 3, s2)
-        np.testing.assert_array_equal(x1, x2)
-        np.testing.assert_array_equal(y1, y2)
-
-    def test_batches_independent_of_draw_order(self):
-        # batch t is keyed by position, not by how many draws came before
-        prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
-                                           seed=4)
-        stream = prob.stream(2)
-        stream.position = 5
-        x_direct, y_direct = sample_batch(prob, 4, stream)
-        replay = prob.stream(2)
-        for _ in range(5):
-            sample_batch(prob, 4, replay)
-        x_seq, y_seq = sample_batch(prob, 4, replay)
-        np.testing.assert_array_equal(x_direct, x_seq)
-        np.testing.assert_array_equal(y_direct, y_seq)
-
-    def test_singleton_batch(self):
-        prob = make_sign_vector_problem(n=2, H=1.0, B=1.0,
-                                        sigma_signs=[1, -1, 1, -1])
-        idx, y = sample_batch(prob, 1, prob.stream(0))
-        assert idx.shape == y.shape == (1,)
-        assert prob.atoms[idx].shape == (1, 4)
-        with pytest.raises(ValueError):
-            sample_batch(prob, 0, prob.stream(0))
-
     def test_atom_frequency(self):
         # binomial: freq of e_1 over 1e5 uniform draws from 4 atoms
         prob = make_sign_vector_problem(n=2, H=1.0, B=1.0,
@@ -430,27 +399,6 @@ class TestSampling:
         idx, _ = sample_batch(prob, 100000, prob.stream(13))
         freq = float(np.mean(prob.atoms[idx][:, 0] != 0.0))
         assert abs(freq - 0.25) < 0.02
-
-
-def philox_at(seed, run_seed, t):
-    """A fresh generator at the counter slot of batch ``t`` of a stream."""
-    return np.random.Generator(np.random.Philox(
-        key=_mix_key(seed, run_seed), counter=[0, 0, t, 0]))
-
-
-def reference_sample(prob, gen, n):
-    """A finite design's batch drawn through ``Generator.choice``."""
-    idx = gen.choice(len(prob.probs), size=n, p=prob.probs)
-    y = prob.label_means[idx] + prob.label_stds[idx] * gen.standard_normal(n)
-    return idx, prob.atoms[idx], y
-
-
-def assert_same_philox_state(got, want):
-    assert got["state"]["counter"].tolist() == want["state"]["counter"].tolist()
-    assert got["state"]["key"].tolist() == want["state"]["key"].tolist()
-    assert got["buffer"].tolist() == want["buffer"].tolist()
-    for field in ("buffer_pos", "has_uint32", "uinteger"):
-        assert got[field] == want[field]
 
 
 def knot_at(u):
@@ -468,118 +416,77 @@ def knot_at(u):
     raise AssertionError(f"no knot found at {u!r}")
 
 
+def design_of(kind, probs, seed):
+    """A noisy design over ``probs`` with one atom per integer; sampling
+    reads none of the certificates, so these are placeholders."""
+    n_atoms = len(probs)
+    gen = np.random.default_rng(seed)
+    return DiscreteLeastSquares(
+        kind, np.arange(n_atoms, dtype=float)[:, None], probs,
+        gen.standard_normal(n_atoms), np.abs(gen.standard_normal(n_atoms)),
+        ProblemMeta(H=1.0, B=1.0, Lstar=0.0, sigma_star_sq=0.0, lam=0.0,
+                    Delta=1.0, wstar=np.zeros(1)), seed, {})
+
+
+def noise_free(prob, label_means=None):
+    """``prob``'s design with every label std 0 (and, if given, other
+    label means); the quadratic as it is."""
+    if isinstance(prob, DeterministicQuadratic):
+        return prob
+    means = prob.label_means if label_means is None else label_means
+    return DiscreteLeastSquares(prob.family, prob.atoms, prob.probs, means,
+                                np.zeros(len(prob.probs)), prob.meta,
+                                prob.base_seed, prob.params)
+
+
 @st.composite
 def sampled_designs(draw):
-    """A finite-design problem, a batch address ``(run_seed, t)`` and size
-    ``b``: a finite design of a family, a random design with
-    zero-probability atoms, or a design with a CDF knot on one of the
-    batch's uniform draws."""
+    """A problem, a batch address ``(run_seed, t)`` and size ``b``: a
+    family's problem, a random design with zero-probability atoms, or a
+    design with a CDF knot on one of batch ``t``'s uniforms, as drawn or
+    noise-free."""
     seed = draw(st.integers(0, 2**32 - 1))
     run_seed, t = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**40))
     b = draw(st.integers(1, 64))
     kind = draw(st.sampled_from([*FAMILY_PARAMS, "zeros", "knot"]))
     if kind in FAMILY_PARAMS:
         prob = problem_from_config(draw(family_config(kind)))
-        assume(isinstance(prob, DiscreteLeastSquares))
-        return prob, run_seed, t, b
-    if kind == "zeros":
+    elif kind == "zeros":
         n_atoms = draw(st.integers(1, 8))
         weights = np.array(draw(st.lists(
             st.sampled_from([0.0, 1.0]) | st.floats(0.01, 1.0),
             min_size=n_atoms, max_size=n_atoms)))
         assume(weights.sum() > 0)
-        probs = weights / weights.sum()
+        prob = design_of(kind, weights / weights.sum(), seed)
     else:
-        us = philox_at(seed, run_seed, t).random(b)
-        probs = knot_at(us[draw(st.integers(0, b - 1))])
-    n_atoms = len(probs)
-    gen = np.random.default_rng(seed)
-    # sampling reads none of the certificates, so these are placeholders
-    prob = DiscreteLeastSquares(
-        kind, np.arange(n_atoms, dtype=float)[:, None], probs,
-        gen.standard_normal(n_atoms), np.abs(gen.standard_normal(n_atoms)),
-        ProblemMeta(H=1.0, B=1.0, Lstar=0.0, sigma_star_sq=0.0, lam=0.0,
-                    Delta=1.0, wstar=np.zeros(1)), seed, {})
-    return prob, run_seed, t, b
+        us = _philox_uniforms(_mix_key(seed, run_seed), t, 1, b)[0]
+        prob = design_of(kind, knot_at(us[draw(st.integers(0, b - 1))]), seed)
+    return (noise_free(prob) if draw(st.booleans()) else prob), run_seed, t, b
 
 
-def stream_at(prob, run_seed, t):
-    """``prob``'s stream ``run_seed``, moved to position ``t``."""
-    stream = prob.stream(run_seed)
-    stream.position = t
-    return stream
+# a mean stored as -0.0 would keep its sign in a noise-free batch, where
+# the reference's ``-0.0 + 0.0 * z`` takes the sign of ``z``
+SIGNED_ZERO = noise_free(make_sign_vector_problem(
+    n=1, H=1.0, B=1.0, sigma_signs=[1, 1]), np.array([-0.0, 1.0]))
+# batch 7 of stream 6 of a design whose CDF knot is that batch's one uniform
+KNOT_U = _philox_uniforms(_mix_key(5, 6), 7, 1, 1)[0, 0]
+KNOT = design_of("knot", knot_at(KNOT_U), 5)
+DRAW_EXAMPLES = [(SIGNED_ZERO, 3, 0, 32), (KNOT, 6, 7, 1)]
 
 
 class TestSamplerMatchesChoice:
-    """``next_batch`` draws the same bits as ``Generator.choice`` would."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(sampled_designs())
-    def test_bit_identical_to_choice(self, design):
-        prob, run_seed, t, b = design
-        stream = stream_at(prob, run_seed, t)
-        idx, y = prob.next_batch(stream, b)
-        ref = philox_at(prob.base_seed, run_seed, t)
-        idx_ref, x_ref, y_ref = reference_sample(prob, ref, b)
-
-        assert idx.dtype == np.intp and idx.tolist() == idx_ref.tolist()
-        x = prob.atoms[idx]
-        assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
-        assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
-        if not prob._noise_free:
-            # the generator path consumed exactly the bits ``choice`` did
-            assert_same_philox_state(stream._bitgen.state,
-                                     ref.bit_generator.state)
-
     def test_knot_design_separates_tie_rules(self):
-        # the property test's knot designs only bite if a draw that lands
-        # on a knot picks the atom above it
-        u = philox_at(5, 6, 7).random(1)[0]
-        probs = knot_at(u)
-        cdf = probs.cumsum()
+        # the knot designs only bite if a draw that lands on a knot picks
+        # the atom above it
+        cdf = KNOT.probs.cumsum()
         cdf /= cdf[-1]
-        assert cdf[0] == u and probs[0] != u
-        assert philox_at(5, 6, 7).choice(2, size=1, p=probs)[0] == 1
-
-    def test_rejects_invalid_probs(self):
-        meta = ProblemMeta(H=1.0, B=1.0, Lstar=0.0, sigma_star_sq=0.0,
-                           lam=0.0, Delta=1.0, wstar=np.zeros(2))
-        for probs in ([0.5, 0.4], [1.5, -0.5], [1.0], [0.5, float("nan")]):
-            with pytest.raises(ValueError, match="probs"):
-                DiscreteLeastSquares("bad", np.eye(2), probs, np.zeros(2),
-                                     np.zeros(2), meta, 0, {})
+        assert cdf[0] == KNOT_U and KNOT.probs[0] != KNOT_U
+        assert choice_batch(KNOT, 6, 7, 1)[0].tolist() == [1]
 
 
 class TestStreamAddressability:
-    """Batch ``t`` is a pure function of ``(seed, run_seed, t)``."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
-           st.lists(st.tuples(st.integers(0, 2**40), st.integers(1, 9),
-                              st.booleans()), max_size=6),
-           st.integers(0, 2**40), st.integers(1, 33))
-    def test_any_history_matches_fresh_philox(self, seed, run_seed, history,
-                                              t, b):
-        prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0,
-                                           sign=1, seed=seed)
-        stream = prob.stream(run_seed)
-        for position, n, half_word in history:
-            # draws that leave buffered words and a spare 32-bit half
-            stream.position = position
-            gen = stream.next_generator()
-            gen.random(n, dtype=np.float32 if half_word else np.float64)
-        stream.position = t
-        gen = stream.next_generator()
-        fresh = philox_at(seed, run_seed, t)
-        assert_same_philox_state(gen.bit_generator.state,
-                                 fresh.bit_generator.state)
-        stream.position = t
-        idx, y = sample_batch(prob, b, stream)
-        idx_ref, y_ref = generator_batch(prob, philox_at(seed, run_seed, t),
-                                         b)
-        assert idx.tobytes() == idx_ref.tobytes()
-        assert y.tobytes() == y_ref.tobytes()
-        assert stream.position == t + 1
+    """A stream's key is a function of ``(seed, run_seed)`` that no other
+    pair of seeds shares."""
 
     def test_seeds_do_not_alias_modulo_2_64(self):
         # a seed of 2**64 or more is not read modulo 2**64, and a negative
@@ -618,20 +525,80 @@ class TestStreamAddressability:
         assert _mix_key(seed, run_seed).tobytes() == want.tobytes()
 
 
-def noise_free(prob, label_means=None):
-    """``prob``'s design with every label std 0 (and, if given, other
-    label means)."""
-    means = prob.label_means if label_means is None else label_means
-    return DiscreteLeastSquares(prob.family, prob.atoms, prob.probs, means,
-                                np.zeros(len(prob.probs)), prob.meta,
-                                prob.base_seed, prob.params)
+def mutant(cls, name, old, new):
+    """``cls.name`` compiled again from its source with ``old``, which
+    occurs in it once, replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(cls, name)))
+    assert source.count(old) == 1
+    scope = {}
+    exec(source.replace(old, new), vars(problems), scope)
+    return scope[name]
 
 
-def no_generator(stream):
-    """Make ``stream.next_generator`` fail: the counter path never calls it."""
-    def fail():
-        raise AssertionError("the generator path was taken")
-    stream.next_generator = fail
+# each changes one line of the sampler, and the contract fails on the check
+# its last entry names: a knot draw picks the atom below; batch t is served
+# at position t + 1; the same bits come from a counter block
+MUTANTS = {
+    "side_left": (DiscreteLeastSquares, "next_batch", 'side="right"',
+                  'side="left"', "bits"),
+    "block_one_position_late": (SampleStream, "next_indices", "b, t, rows",
+                                "b, t + 1, rows", "bits"),
+    "counter_at_the_threshold": (DiscreteLeastSquares, "next_batch",
+                                 "b < _GENERATOR_MIN_B",
+                                 "b <= _GENERATOR_MIN_B", "engine"),
+}
+
+
+class TestDrawContract:
+    """Every draw keeps ``oracles.assert_draw_contract``, so a new family
+    is checked by its entries in the ``strategies`` dicts."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_EXAMPLES))
+    def test_example(self, family):
+        prob = problem_from_config(FAMILY_EXAMPLES[family])
+        for design in (prob, noise_free(prob)):
+            for b in (1, problems._GENERATOR_MIN_B - 1,
+                      problems._GENERATOR_MIN_B, 300):
+                stream = design.stream(5)
+                for _ in range(3):
+                    assert_draw_contract(design, stream, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(design=sampled_designs(), words=st.integers(4, 64),
+           history=st.lists(st.tuples(
+               st.sampled_from(["batch", "generator", "seek"]),
+               st.integers(0, 2**40), st.integers(1, 300), st.booleans()),
+               max_size=12))
+    @example(design=DRAW_EXAMPLES[0], words=64, history=[])
+    @example(design=DRAW_EXAMPLES[1], words=64, history=[])
+    def test_drawn_designs(self, design, words, history):
+        prob, run_seed, t, b = design
+        stream = prob.stream(run_seed)
+        stream.position = t
+        # a small word budget puts block edges between the draws
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(problems, "_BLOCK_WORDS", words)
+            for op, position, n, half in [("batch", t, b, False), *history]:
+                if op == "seek":
+                    stream.position = position
+                elif op == "generator":
+                    # leaves buffered words, and after a float32 draw a
+                    # spare 32-bit half, which the next re-seat drops
+                    stream.next_generator().random(
+                        n, dtype=np.float32 if half else np.float64)
+                else:
+                    assert_draw_contract(prob, stream, n)
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_a_mutant_fails(self, monkeypatch, name):
+        cls, method, old, new, check = MUTANTS[name]
+        monkeypatch.setattr(cls, method, mutant(cls, method, old, new))
+        with pytest.raises(AssertionError, match=check):
+            for family in sorted(FAMILY_EXAMPLES):
+                self.test_example(family)
+            for design in DRAW_EXAMPLES:
+                self.test_drawn_designs.hypothesis.inner_test(
+                    self, design=design, words=64, history=[])
 
 
 class TestCounterPath:
@@ -652,71 +619,11 @@ class TestCounterPath:
                 key=key, counter=[0, 0, t0 + i, 0]))
             assert got[i].tobytes() == gen.random(b).tobytes()
 
-    @settings(max_examples=200, deadline=None)
-    @given(design=sampled_designs(), b=st.integers(1, 300),
-           words=st.integers(4, 64),
-           history=st.lists(st.tuples(
-               st.sampled_from(["batch", "generator", "seek"]),
-               st.integers(0, 2**40), st.integers(1, 300)), max_size=12))
-    def test_any_history_matches_the_generator(self, design, b, words,
-                                               history):
-        prob, run_seed, t, _ = design
-        prob = noise_free(prob)
-        assert prob._noise_free
-        stream = stream_at(prob, run_seed, t)
-        # a small word budget puts block edges between the draws
-        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
-            warnings.simplefilter("error")
-            mp.setattr(problems, "_BLOCK_WORDS", words)
-            for op, position, n in [("batch", 0, b)] + history:
-                t = stream.position
-                if op == "seek":
-                    stream.position = position
-                elif op == "generator":
-                    # interleaved generator draws leave no trace on a batch
-                    got = stream.next_generator().random(n)
-                    want = philox_at(prob.base_seed, run_seed, t).random(n)
-                    assert got.tobytes() == want.tobytes()
-                else:
-                    idx, y = sample_batch(prob, n, stream)
-                    idx_ref, y_ref = generator_batch(
-                        prob, philox_at(prob.base_seed, run_seed, t), n)
-                    assert idx.tobytes() == idx_ref.tobytes()
-                    assert y.tobytes() == y_ref.tobytes()
-                    assert idx.dtype == np.intp
-                    # below the threshold a draw is a view of the block,
-                    # which no caller may write
-                    assert idx.flags.writeable == (
-                        n >= problems._GENERATOR_MIN_B)
-                    assert stream.position == t + 1
-
-    @pytest.mark.parametrize("b", [1, problems._GENERATOR_MIN_B - 1,
-                                   problems._GENERATOR_MIN_B, 300])
-    def test_next_indices_picks_its_engine_by_batch_size(self, b):
-        # the engine of a noise-free design's draw is ``next_batch``'s pick
-        prob = noise_free(make_sign_vector_problem(
-            n=2, H=1.0, B=1.0, sigma_signs=[1, -1, 1, 1], seed=3))
-        stream, ref = prob.stream(5), prob.stream(5)
-        calls, draw = [], stream.next_generator
-        stream.next_generator = lambda: calls.append(1) or draw()
-        for t in range(1, 4):
-            want = prob._cdf.searchsorted(ref.next_generator().random(b),
-                                          side="right")
-            idx, y = prob.next_batch(stream, b)
-            assert idx.tobytes() == want.tobytes()
-            assert y.tobytes() == prob.label_means[want].tobytes()
-            assert stream.position == t
-        # below the threshold no generator is re-seated; from it, one per
-        # draw and no block is kept
-        by_generator = b >= problems._GENERATOR_MIN_B
-        assert len(calls) == (3 if by_generator else 0)
-        assert (stream._block is None) == by_generator
-
     @pytest.mark.parametrize("b", [problems._GENERATOR_MIN_B, 300])
     def test_next_indices_serves_counter_blocks_at_any_batch_size(self, b):
         cdf = np.array([0.125, 0.5, 0.75, 1.0])
         stream, ref = SampleStream(3, 5), SampleStream(3, 5)
-        no_generator(stream)
+        stream.next_generator = None  # the counter path never calls it
         for t in range(1, 4):
             want = cdf.searchsorted(ref.next_generator().random(b),
                                     side="right")
@@ -724,70 +631,13 @@ class TestCounterPath:
             assert stream.position == t
             assert stream._block is not None and stream._block[1] == b
 
-    @staticmethod
-    def draws_match_the_generator(cfg, b, run_seed, steps):
-        """``steps`` draws of ``b`` samples have the generator path's bytes;
-        returns the problem and the number of generator calls made."""
-        if cfg["family"] == "gaussian_spike":
-            cfg["params"]["s"] = 0.0   # a spike without label noise
-        prob = problem_from_config(cfg)
-        stream, ref = prob.stream(run_seed), prob.stream(run_seed)
-        calls, draw = [], stream.next_generator
-        stream.next_generator = lambda: calls.append(1) or draw()
-        for _ in range(steps):
-            idx, y = sample_batch(prob, b, stream)
-            idx_ref, y_ref = generator_next_batch(prob, ref, b)
-            assert idx.dtype == idx_ref.dtype
-            assert idx.tobytes() == idx_ref.tobytes()
-            assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
-            assert stream.position == ref.position
-        return prob, len(calls)
-
-    @settings(max_examples=200, deadline=None)
-    @given(cfg=family_configs(),
-           b=st.integers(1, problems._GENERATOR_MIN_B - 1),
-           run_seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 5))
-    def test_each_family_below_the_threshold_draws_by_counter(
-            self, cfg, b, run_seed, steps):
-        _, calls = self.draws_match_the_generator(cfg, b, run_seed, steps)
-        assert calls == 0
-
-    @settings(max_examples=100, deadline=None)
-    @given(cfg=family_configs(),
-           b=st.integers(problems._GENERATOR_MIN_B, 300),
-           run_seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 5))
-    def test_each_family_from_the_threshold_draws_by_generator(
-            self, cfg, b, run_seed, steps):
-        prob, calls = self.draws_match_the_generator(cfg, b, run_seed, steps)
-        # the quadratic draws no bits at all
-        assert calls == (0 if isinstance(prob, DeterministicQuadratic)
-                         else steps)
-
     def test_negative_zero_mean_is_stored_as_zero(self):
         # -0.0 + 0 * z would take the sign of z; a mean stored as 0.0 plus
-        # zero noise is the mean, so the design is noise-free
-        prob = make_sign_vector_problem(n=1, H=1.0, B=1.0, sigma_signs=[1, 1])
-        signed = noise_free(prob, np.array([-0.0, 1.0]))
-        assert signed.label_means.tobytes() == np.array([0.0, 1.0]).tobytes()
-        assert signed._noise_free
-        stream = signed.stream(3)
-        no_generator(stream)
-        # below the threshold, so by the counter path
-        idx, y = sample_batch(signed, 32, stream)
-        idx_ref, y_ref = generator_next_batch(signed, signed.stream(3), 32)
-        assert idx.tobytes() == idx_ref.tobytes()
-        assert y.tobytes() == y_ref.tobytes()
-        assert (signed.atoms[idx][:, 0] == 0).any()
-        assert not np.signbit(y).any()
-
-    def test_noisy_design_takes_the_generator_path(self):
-        prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.5, s=1.0, sign=1,
-                                           seed=4)
-        assert not prob._noise_free
-        stream = prob.stream(2)
-        no_generator(stream)
-        with pytest.raises(AssertionError, match="generator path"):
-            sample_batch(prob, 4, stream)
+        # zero noise is the mean, so the design is noise-free (its draws
+        # are one of ``DRAW_EXAMPLES``)
+        assert SIGNED_ZERO.label_means.tobytes() \
+            == np.array([0.0, 1.0]).tobytes()
+        assert SIGNED_ZERO._noise_free
 
     @settings(max_examples=50, deadline=None)
     @given(cfg=family_configs(), b=st.integers(1, 100),
@@ -796,24 +646,18 @@ class TestCounterPath:
         prob = problem_from_config(cfg)
         got = [run(prob, b, T, seed=seed)[1]
                for run in (run_acc_mb_sgd, run_sgd)]
+
+        def next_batch(problem, stream, n):
+            stream.position += 1
+            return choice_batch(problem, seed, stream.position - 1, n)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(DiscreteLeastSquares, "next_batch",
-                       generator_next_batch)
-            mp.setattr(DeterministicQuadratic, "next_batch",
-                       generator_next_batch)
+            for cls in (DiscreteLeastSquares, DeterministicQuadratic):
+                mp.setattr(cls, "next_batch", next_batch)
             want = [run(prob, b, T, seed=seed)[1]
                     for run in (run_acc_mb_sgd, run_sgd)]
         for a, r in zip(got, want):
             assert trace_to_csv(a) == trace_to_csv(r)
-
-    def test_noiseless_quadratic_only_moves_the_position(self):
-        prob = make_noiseless_quadratic(d=3, H=1.0, B=1.0, seed=0)
-        stream = prob.stream(5)
-        stream.position = 7
-        no_generator(stream)
-        x, y = sample_batch(prob, 4, stream)
-        assert x.shape == (4, 0) and y.tobytes() == np.zeros(4).tobytes()
-        assert stream.position == 8
 
 
 def reference_batch_grad_mean(prob, w, batch):
@@ -1184,11 +1028,3 @@ class TestBuildMemo:
                 == canonical_json(config(b)) != canonical_json(config(a))
         assert builds == json_of(config(a), config(b))
 
-
-def test_sampling_bit_reproducibility():
-    prob = make_gaussian_spike_problem(H=1.0, B=1.0, p=0.4, s=1.5, sign=1,
-                                       seed=6)
-    a = sample_batch(prob, 1000, prob.stream(3))
-    b = sample_batch(prob, 1000, prob.stream(3))
-    assert a[0].tobytes() == b[0].tobytes()
-    assert a[1].tobytes() == b[1].tobytes()
